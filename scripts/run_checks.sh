@@ -12,8 +12,9 @@
 # spill-tax curves diffed bit-identically against bench/baselines (wall rows
 # are warn-only; see docs/PERFORMANCE.md), with the sampling profiler
 # attached to the fig7 run — its folded stacks must symbolize (prof_report
-# gate) and the profiled modeled rows must stay bit-identical — and the
-# bench_quality draw-mode spread-equivalence gate (always fatal).
+# gate) and the profiled modeled rows must stay bit-identical — the
+# bench_quality draw-mode spread-equivalence gate (always fatal), and the
+# repository benchmark's --smoke self-test with its seed digests (fatal).
 #
 # Usage: scripts/run_checks.sh [build-dir]
 #   build-dir defaults to build-asan (kept separate from the regular build).
@@ -320,5 +321,12 @@ echo "-- draw-mode spread equivalence: Exact vs Skip seeds (hard gate) --"
 # regression means the fast-draw math is wrong, not that a cost model moved.
 cmake --build "${perf_dir}" -j "${jobs}" --target bench_quality
 EIM_BENCH_DATASETS=WV EIM_BENCH_FAST=1 "${perf_dir}/bench/bench_quality"
+
+echo "-- repository benchmark smoke: correctness checks + seed-1 digests (hard gate) --"
+# Two solves per workload in a Release build (benchmark/build/). At seed 1
+# it checks the recorded Exact seed digests of ic_exact, ic_select and
+# ic_cluster, so a host-side sampler or scratch change that perturbs any RRR
+# collection fails here; it exits nonzero on any failed check.
+"${repo_root}/benchmark/run.sh" --smoke > /dev/null
 
 echo "All checks passed."

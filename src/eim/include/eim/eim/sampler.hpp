@@ -17,6 +17,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "eim/eim/options.hpp"
@@ -84,11 +86,23 @@ class EimSampler {
   [[nodiscard]] std::uint32_t num_blocks() const noexcept { return num_blocks_; }
 
  private:
+  /// The visited bitmap M as an epoch-stamped n-word array: v is in the
+  /// sample being generated iff stamp[v] == epoch, so starting a sample is
+  /// one increment instead of clearing n bits.
+  struct Stamps {
+    std::vector<std::uint32_t> stamp;
+    std::uint32_t epoch = 0;
+    Stamps* next_free = nullptr;  ///< free-list link while not checked out
+  };
+
+  /// Checks a Stamps out of the pool for one block body and returns it on
+  /// scope exit (exceptions included).
+  class StampLease;
+
   struct BlockScratch {
     std::vector<graph::VertexId> queue;   ///< this block's global-pool slice
-    std::vector<std::uint32_t> stamp;     ///< M as an epoch-stamped array
+    Stamps* marks = nullptr;              ///< M, leased while a body runs
     support::FloatDrawBuffer draws;       ///< bulk activation draws (IC BFS)
-    std::uint32_t epoch = 0;
     std::vector<std::uint64_t> failed;    ///< commits deferred to next wave
     std::uint64_t max_failed_len = 0;     ///< largest set that failed to fit
     std::uint64_t discarded = 0;          ///< committed samples' regen count
@@ -147,6 +161,13 @@ class EimSampler {
 
   std::vector<BlockScratch> scratch_;
   std::uint64_t singletons_discarded_ = 0;
+
+  // Host stamp arrays. A block's M is only live while its body runs, so the
+  // pool grows to the number of bodies the host ever ran at once (its
+  // thread count), not to one n-word array per simulated block.
+  std::mutex stamps_mutex_;
+  std::vector<std::unique_ptr<Stamps>> stamp_arrays_;  ///< owns every array
+  Stamps* free_stamps_ = nullptr;                      ///< free-list head
 };
 
 }  // namespace eim::eim_impl

@@ -45,7 +45,7 @@ MultiGpuResult run_eim_multi(std::vector<gpusim::Device*> devices,
   result.num_devices = num_devices;
   result.network_raw_bytes = g.csc_bytes();
   std::uint64_t network_bytes = result.network_raw_bytes;
-  if (options.log_encode) network_bytes = encoding::PackedCsc(g).packed_bytes();
+  if (options.log_encode) network_bytes = encoding::PackedCsc::packed_bytes_for(g);
   result.network_bytes = network_bytes;
 
   std::vector<gpusim::FaultStats> faults_before(num_devices);

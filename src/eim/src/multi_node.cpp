@@ -50,7 +50,7 @@ MultiNodeResult run_eim_cluster(gpusim::Cluster& cluster, const graph::Graph& g,
   result.devices_per_node = devices_per_node;
   result.network_raw_bytes = g.csc_bytes();
   std::uint64_t network_bytes = result.network_raw_bytes;
-  if (options.log_encode) network_bytes = encoding::PackedCsc(g).packed_bytes();
+  if (options.log_encode) network_bytes = encoding::PackedCsc::packed_bytes_for(g);
   result.network_bytes = network_bytes;
 
   // Nodes the previous life of this cluster already killed stay out of the

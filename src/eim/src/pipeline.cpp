@@ -123,12 +123,7 @@ EimResult run_eim(gpusim::Device& device, const graph::Graph& g,
 
   // Stage the network on the device: packed (§3.1) or verbatim.
   std::uint64_t network_bytes = result.network_raw_bytes;
-  if (options.log_encode) {
-    const support::profiler::ScopedWallTimer encode_scope(
-        profile != nullptr ? &profile->timer("codec.encode") : nullptr);
-    const encoding::PackedCsc packed(g);
-    network_bytes = packed.packed_bytes();
-  }
+  if (options.log_encode) network_bytes = encoding::PackedCsc::packed_bytes_for(g);
   result.network_bytes = network_bytes;
   auto network_charge = device.alloc<std::uint8_t>(network_bytes);
   retry_transfer(device, options, "network CSC",

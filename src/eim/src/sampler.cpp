@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <utility>
 
 #include "eim/graph/draw_plan.hpp"
 #include "eim/imm/imm.hpp"
@@ -29,6 +30,44 @@ std::uint64_t warp_chunks(std::uint64_t count, std::uint32_t warp) {
 
 }  // namespace
 
+class EimSampler::StampLease {
+ public:
+  StampLease(EimSampler& sampler, BlockScratch& scratch)
+      : sampler_(sampler), scratch_(scratch) {
+    {
+      const std::lock_guard lock(sampler.stamps_mutex_);
+      if (sampler.free_stamps_ != nullptr) {
+        scratch.marks =
+            std::exchange(sampler.free_stamps_, sampler.free_stamps_->next_free);
+        return;
+      }
+    }
+    // Every array is checked out: one more body runs concurrently than ever
+    // before. Zero its n words outside the lock.
+    auto fresh = std::make_unique<Stamps>();
+    fresh->stamp.assign(sampler.graph_->num_vertices(), 0);
+    Stamps* const marks = fresh.get();
+    {
+      const std::lock_guard lock(sampler.stamps_mutex_);
+      sampler.stamp_arrays_.push_back(std::move(fresh));
+    }
+    scratch.marks = marks;
+  }
+
+  ~StampLease() {
+    const std::lock_guard lock(sampler_.stamps_mutex_);
+    scratch_.marks->next_free = sampler_.free_stamps_;
+    sampler_.free_stamps_ = std::exchange(scratch_.marks, nullptr);
+  }
+
+  StampLease(const StampLease&) = delete;
+  StampLease& operator=(const StampLease&) = delete;
+
+ private:
+  EimSampler& sampler_;
+  BlockScratch& scratch_;
+};
+
 EimSampler::EimSampler(gpusim::Device& device, const graph::Graph& g,
                        graph::DiffusionModel model, const imm::ImmParams& params,
                        const EimOptions& options)
@@ -40,18 +79,16 @@ EimSampler::EimSampler(gpusim::Device& device, const graph::Graph& g,
       num_blocks_(options.sampler_blocks != 0 ? options.sampler_blocks
                                               : device.spec().num_sms * 2) {
   // Persistent global-memory pool: per block, a queue of n vertex slots
-  // plus the visited bitmap M (n bits). The host-side scratch uses stamped
-  // words for speed, but the device charge reflects the kernel's packed
-  // layout.
+  // plus the visited bitmap M (n bits). The device charge reflects the
+  // kernel's packed layout and holds no host memory. On the host, M is a
+  // stamped n-word array that a block body leases from stamp_arrays_ only
+  // while it runs (StampLease), so the host pays n words per concurrently
+  // running body, not per simulated block — and nothing at construction.
   const std::uint64_t per_block =
       static_cast<std::uint64_t>(g.num_vertices()) * sizeof(VertexId) +
       support::div_ceil<std::uint64_t>(g.num_vertices(), 8);
   pool_charge_ = device.alloc<std::uint8_t>(per_block * num_blocks_);
 
-  // Scratch stamps are allocated lazily on a block's first wave (see
-  // generate()): eagerly zeroing n words per block here is an O(n · blocks)
-  // page-touch that multi-GPU runs repeat per device, and blocks beyond the
-  // pending-sample count never run at all.
   if (options.draw_mode == DrawMode::Skip) {
     const graph::DrawPlan* plan = g.draw_plan();
     if (plan != nullptr && plan->model == model) {
@@ -200,7 +237,9 @@ void EimSampler::sample_assigned(DeviceRrrCollection& collection,
     // re-executes the whole wave against untouched scratch/collection state;
     // the deterministic backoff lands on this device's timeline.
     const auto wave_body = [&](gpusim::BlockContext& ctx) {
+          if (ctx.block_id() >= pending.size()) return;  // no sample this wave
           BlockScratch& scratch = scratch_[ctx.block_id()];
+          const StampLease lease(*this, scratch);
           // Round-robin assignment of samples to blocks (§3.2: "a round
           // robin assignment of RRR set creation between the GPU blocks").
           // Strided slots keep per-block load statistically balanced and —
@@ -284,6 +323,7 @@ void EimSampler::resample_set(std::uint64_t global_id,
       [&] {
         device_->launch_blocks("eim::resample", 1, [&](gpusim::BlockContext& ctx) {
           BlockScratch& scratch = scratch_[ctx.block_id()];
+          const StampLease lease(*this, scratch);
           generate(ctx, scratch, global_id);
           out.assign(scratch.queue.begin(), scratch.queue.end());
         });
@@ -305,17 +345,15 @@ std::uint32_t EimSampler::generate(BlockContext& ctx, BlockScratch& scratch,
     const VertexId source = rng.next_below(n);
     ctx.charge_alu(2);  // lane 0 picks the source, seeds head/tail (Alg. 2 l.5-10)
 
-    // First use of this block's scratch: materialize the stamp array now
-    // (constructor defers it so idle blocks never pay the n-word touch).
-    if (scratch.stamp.empty()) scratch.stamp.assign(n, 0);
     // Fresh epoch == "initialize M" without touching n words every sample.
-    if (++scratch.epoch == 0) {
-      std::fill(scratch.stamp.begin(), scratch.stamp.end(), 0u);
-      scratch.epoch = 1;
+    Stamps& marks = *scratch.marks;
+    if (++marks.epoch == 0) {
+      std::fill(marks.stamp.begin(), marks.stamp.end(), 0u);
+      marks.epoch = 1;
     }
     scratch.queue.clear();
     scratch.queue.push_back(source);
-    scratch.stamp[source] = scratch.epoch;
+    marks.stamp[source] = marks.epoch;
 
     if (model_ == graph::DiffusionModel::IndependentCascade) {
       if (plan_ != nullptr) {
@@ -353,10 +391,9 @@ void EimSampler::bfs_ic(BlockContext& ctx, BlockScratch& scratch, VertexId sourc
   const std::uint32_t warp = ctx.warp_size();
   // Hoisted: queue.push_back writes through a uint32 pointer, so keeping
   // stamp/epoch as locals spares a per-edge member reload (hot loop). The
-  // stamp base is stable here — only the epoch-wrap path resizes it, and
-  // that ran before the BFS started.
-  std::uint32_t* const stamp = scratch.stamp.data();
-  const std::uint32_t epoch = scratch.epoch;
+  // lease holds the array for the whole body, so its base is stable.
+  std::uint32_t* const stamp = scratch.marks->stamp.data();
+  const std::uint32_t epoch = scratch.marks->epoch;
 
   // Per-level draw buffer: activation draws are generated in bulk
   // (fill_floats) ahead of each edge sweep, so the per-edge work is a flat
@@ -417,6 +454,7 @@ void EimSampler::walk_lt(BlockContext& ctx, BlockScratch& scratch, VertexId sour
   // in-edge weights and the unique lane whose inclusive sum first crosses
   // tau activates its neighbor. At most one vertex joins per step, so the
   // queue is a walk.
+  Stamps& marks = *scratch.marks;
   VertexId u = source;
   for (;;) {
     const auto ins = g.in().neighbors(u);
@@ -458,9 +496,9 @@ void EimSampler::walk_lt(BlockContext& ctx, BlockScratch& scratch, VertexId sour
       base += lane_vals[len - 1];
     }
 
-    if (chosen == graph::kInvalidVertex) break;          // tau in the no-one gap
-    if (scratch.stamp[chosen] == scratch.epoch) break;   // walk closed a loop
-    scratch.stamp[chosen] = scratch.epoch;
+    if (chosen == graph::kInvalidVertex) break;  // tau in the no-one gap
+    if (marks.stamp[chosen] == marks.epoch) break;  // walk closed a loop
+    marks.stamp[chosen] = marks.epoch;
     scratch.queue.push_back(chosen);
     ctx.charge_global(1);
     ctx.charge_atomic_global(1);
@@ -473,8 +511,8 @@ void EimSampler::bfs_ic_skip(BlockContext& ctx, BlockScratch& scratch,
   const graph::Graph& g = *graph_;
   const graph::DrawPlan& plan = *plan_;
   const std::uint32_t warp = ctx.warp_size();
-  std::uint32_t* const stamp = scratch.stamp.data();
-  const std::uint32_t epoch = scratch.epoch;
+  std::uint32_t* const stamp = scratch.marks->stamp.data();
+  const std::uint32_t epoch = scratch.marks->epoch;
   const graph::EdgeId* const offsets = g.in().offsets.data();
   const VertexId* const targets = g.in().targets.data();
   const graph::Weight* const weights = g.all_in_weights().data();
@@ -587,6 +625,7 @@ void EimSampler::walk_lt_skip(BlockContext& ctx, BlockScratch& scratch,
   // Same walk as walk_lt, but the activated in-neighbor is picked in O(1)
   // from the vertex's Vose alias table: one uniform split into (bucket,
   // coin) replaces the O(in-degree) warp prefix scan.
+  Stamps& marks = *scratch.marks;
   VertexId u = source;
   for (;;) {
     const graph::EdgeId begin = g.in().offsets[u];
@@ -602,8 +641,8 @@ void EimSampler::walk_lt_skip(BlockContext& ctx, BlockScratch& scratch,
 
     const VertexId chosen = g.in().targets[begin + pick];
     ctx.charge_global(1);  // neighbor id gather
-    if (scratch.stamp[chosen] == scratch.epoch) break;  // walk closed a loop
-    scratch.stamp[chosen] = scratch.epoch;
+    if (marks.stamp[chosen] == marks.epoch) break;  // walk closed a loop
+    marks.stamp[chosen] = marks.epoch;
     scratch.queue.push_back(chosen);
     ctx.charge_global(1);
     ctx.charge_atomic_global(1);

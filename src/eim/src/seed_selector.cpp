@@ -95,8 +95,9 @@ imm::SelectionResult GpuSeedSelector::select(const DeviceRrrCollection& collecti
   const auto a_lat = static_cast<std::uint64_t>(spec.costs.atomic_global);
   const std::uint64_t warp = spec.warp_size;
 
-  // F: one flag per set, device-resident for the selection's duration.
-  auto f_flags = device_->alloc<std::uint8_t>(std::max<std::uint64_t>(1, num_sets));
+  // F: one flag per set, device-resident for the selection's duration. The
+  // charge has no host payload; `covered` below is F.
+  const auto f_flags = device_->alloc<std::uint8_t>(std::max<std::uint64_t>(1, num_sets));
 
   // Host mirror: decode every set once (the data already lives on the
   // device; no transfer is charged).
@@ -272,7 +273,6 @@ imm::SelectionResult GpuSeedSelector::select(const DeviceRrrCollection& collecti
       const std::uint64_t set_id = index_sets[idx];
       if (covered[set_id] != 0) continue;
       covered[set_id] = 1;
-      f_flags[set_id] = 1;
       ++result.covered_sets;
 
       const std::uint32_t len = lengths[set_id];

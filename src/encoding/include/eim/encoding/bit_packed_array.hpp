@@ -146,6 +146,15 @@ class BitPackedArray {
     return static_cast<std::uint64_t>(num_words_) * sizeof(std::uint32_t);
   }
 
+  /// storage_bytes() of a `size`-slot array at `bits_per_value` bits,
+  /// computed without building it.
+  [[nodiscard]] static constexpr std::uint64_t storage_bytes_for(
+      std::size_t size, std::uint32_t bits_per_value) noexcept {
+    const std::uint64_t words =
+        support::div_ceil<std::uint64_t>(static_cast<std::uint64_t>(size) * bits_per_value, 32);
+    return words * sizeof(std::uint32_t);
+  }
+
   /// Bytes the same data occupies un-encoded at the given element width.
   [[nodiscard]] std::uint64_t raw_bytes(std::uint32_t element_bytes = 4) const noexcept {
     return static_cast<std::uint64_t>(size_) * element_bytes;

@@ -58,6 +58,10 @@ class PackedCsc {
 
   /// Total bytes of the compressed representation.
   [[nodiscard]] std::uint64_t packed_bytes() const noexcept;
+  /// packed_bytes() of PackedCsc(g) with RawFloat weights, computed from
+  /// the graph's sizes alone: what staging the packed network on a device
+  /// costs, without building it.
+  [[nodiscard]] static std::uint64_t packed_bytes_for(const graph::Graph& g) noexcept;
   /// Bytes of the equivalent uncompressed CSC (64-bit offsets, 32-bit
   /// neighbors, 32-bit weights) — the baseline of Fig. 4.
   [[nodiscard]] std::uint64_t raw_bytes() const noexcept;

@@ -6,15 +6,14 @@
 
 namespace eim::encoding {
 
-using support::div_ceil;
 using support::low_mask64;
 
 BitPackedArray::BitPackedArray(std::size_t size, std::uint32_t bits_per_value)
     : size_(size), bits_(bits_per_value) {
   EIM_CHECK_MSG(bits_per_value >= 1 && bits_per_value <= 64,
                 "bits_per_value must be in [1, 64]");
-  const std::uint64_t total_bits = static_cast<std::uint64_t>(size) * bits_per_value;
-  num_words_ = static_cast<std::size_t>(div_ceil<std::uint64_t>(total_bits, 32));
+  num_words_ = static_cast<std::size_t>(storage_bytes_for(size, bits_per_value) /
+                                        sizeof(std::uint32_t));
   // Two zero pad words so decode_into can unconditionally read a 64-bit
   // window at any starting word (and one word beyond for n_b > 32 values
   // that straddle three containers). storage_bytes() excludes them.

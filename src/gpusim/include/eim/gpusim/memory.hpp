@@ -1,16 +1,17 @@
 // Device global-memory accounting.
 //
-// Buffers store their payload in host RAM (the simulator executes on the
-// CPU), but every byte is charged against the device's global-memory budget;
-// exceeding it throws DeviceOutOfMemoryError — this is the mechanism behind
-// the paper's OOM cells in Tables 2-5 and Fig. 8 (gIM over-allocates, eIM's
-// pooled queues don't).
+// Every modeled allocation is a pure charge against the device's
+// global-memory budget; exceeding it throws DeviceOutOfMemoryError — this is
+// the mechanism behind the paper's OOM cells in Tables 2-5 and Fig. 8 (gIM
+// over-allocates, eIM's pooled queues don't). A charge has no host payload:
+// the simulator executes on the CPU, and each layer keeps whatever host data
+// it actually reads in its own containers.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <span>
-#include <vector>
+#include <utility>
 
 #include "eim/gpusim/fault_plan.hpp"
 #include "eim/support/error.hpp"
@@ -125,27 +126,25 @@ class DeviceMemoryPool {
   const FaultPlan* fault_plan_ = nullptr;
 };
 
-/// RAII device allocation of `T[count]`. Move-only.
+/// RAII device allocation of `T[count]`: a charge against the pool, refunded
+/// on destruction, with no host payload behind it. Move-only.
 template <typename T>
 class DeviceBuffer {
  public:
   DeviceBuffer() = default;
 
-  DeviceBuffer(DeviceMemoryPool& pool, std::size_t count) : pool_(&pool) {
-    pool.allocate(count * sizeof(T));
-    data_.assign(count, T{});
+  DeviceBuffer(DeviceMemoryPool& pool, std::size_t count) : pool_(&pool), count_(count) {
+    pool.allocate(bytes());
   }
 
   DeviceBuffer(DeviceBuffer&& other) noexcept
-      : pool_(other.pool_), data_(std::move(other.data_)) {
-    other.pool_ = nullptr;
-  }
+      : pool_(std::exchange(other.pool_, nullptr)),
+        count_(std::exchange(other.count_, 0)) {}
   DeviceBuffer& operator=(DeviceBuffer&& other) noexcept {
     if (this != &other) {
       release();
-      pool_ = other.pool_;
-      data_ = std::move(other.data_);
-      other.pool_ = nullptr;
+      pool_ = std::exchange(other.pool_, nullptr);
+      count_ = std::exchange(other.count_, 0);
     }
     return *this;
   }
@@ -154,15 +153,11 @@ class DeviceBuffer {
 
   ~DeviceBuffer() { release(); }
 
-  [[nodiscard]] std::span<T> span() noexcept { return data_; }
-  [[nodiscard]] std::span<const T> span() const noexcept { return data_; }
-  [[nodiscard]] T* data() noexcept { return data_.data(); }
-  [[nodiscard]] const T* data() const noexcept { return data_.data(); }
-  [[nodiscard]] std::size_t size() const noexcept { return data_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return data_.empty(); }
-  [[nodiscard]] std::uint64_t bytes() const noexcept { return data_.size() * sizeof(T); }
-  T& operator[](std::size_t i) noexcept { return data_[i]; }
-  const T& operator[](std::size_t i) const noexcept { return data_[i]; }
+  [[nodiscard]] std::size_t size() const noexcept { return count_; }
+  [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
+  [[nodiscard]] std::uint64_t bytes() const noexcept {
+    return static_cast<std::uint64_t>(count_) * sizeof(T);
+  }
 
  private:
   void release() noexcept {
@@ -170,11 +165,11 @@ class DeviceBuffer {
       pool_->deallocate(bytes());
       pool_ = nullptr;
     }
-    data_.clear();
+    count_ = 0;
   }
 
   DeviceMemoryPool* pool_ = nullptr;
-  std::vector<T> data_;
+  std::size_t count_ = 0;
 };
 
 }  // namespace eim::gpusim

@@ -104,6 +104,16 @@ SnapshotReader::SnapshotReader(std::string bytes) : bytes_(std::move(bytes)) {
                                " (expected " + std::to_string(kFormatVersion) + ")");
   }
   const std::uint32_t count = cur.u32("section count");
+  // Bound the count before reserving: a table entry takes at least 16
+  // bytes (name length, payload length, checksum), so a corrupt count must
+  // fail here, not as a multi-GB allocation.
+  constexpr std::size_t kMinTableEntry = 4 + 8 + 4;
+  if (count > (bytes_.size() - cur.pos()) / kMinTableEntry) {
+    throw SnapshotCorruptError("section count " + std::to_string(count) +
+                               " exceeds what the remaining " +
+                               std::to_string(bytes_.size() - cur.pos()) +
+                               " bytes can hold");
+  }
 
   struct Pending {
     std::string name;

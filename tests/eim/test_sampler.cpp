@@ -111,6 +111,66 @@ INSTANTIATE_TEST_SUITE_P(
                       ParityCase{DiffusionModel::LinearThreshold, false},
                       ParityCase{DiffusionModel::LinearThreshold, true}));
 
+std::vector<VertexId> set_members(const DeviceRrrCollection& col, std::uint64_t i) {
+  std::vector<VertexId> set(col.set_length(i));
+  for (std::uint32_t j = 0; j < set.size(); ++j) set[j] = col.element(i, j);
+  return set;
+}
+
+// A block body leases its visited stamps from a pool sized to the host's
+// concurrency, so which array and which epoch a sample runs on depends on
+// the block count and on thread scheduling. The collection must not: every
+// set is a pure function of (rng_seed, global sample id).
+struct PooledStampCase {
+  DiffusionModel model;
+  DrawMode mode;
+};
+
+class PooledStamps : public ::testing::TestWithParam<PooledStampCase> {};
+
+TEST_P(PooledStamps, CollectionIdenticalAcrossBlockCounts) {
+  const auto [model, mode] = GetParam();
+  const Graph g = make_graph(model);
+  const imm::ImmParams params = make_params(true);
+
+  std::vector<std::vector<VertexId>> reference;
+  for (const std::uint32_t blocks : {1u, 16u, 0u /* device default */}) {
+    gpusim::Device device(gpusim::make_benchmark_device(128));
+    DeviceRrrCollection col(device, g.num_vertices(), true);
+    EimOptions options = make_options(true);
+    options.sampler_blocks = blocks;
+    options.draw_mode = mode;
+    EimSampler sampler(device, g, model, params, options);
+    // Two back-to-back calls: the second reuses arrays (and carries their
+    // epochs) from the first.
+    sampler.sample_to(col, 150);
+    sampler.sample_to(col, 400);
+    ASSERT_EQ(col.num_sets(), 400u);
+
+    std::vector<std::vector<VertexId>> sets;
+    for (std::uint64_t i = 0; i < col.num_sets(); ++i) sets.push_back(set_members(col, i));
+    // A resample after the waves leases a used array and must rebuild
+    // exactly what was committed.
+    std::vector<VertexId> regenerated;
+    for (const std::uint64_t id : {0u, 149u, 150u, 399u}) {
+      sampler.resample_set(id, regenerated);
+      EXPECT_EQ(regenerated, sets[id]) << "set " << id << ", " << blocks << " blocks";
+    }
+    if (reference.empty()) {
+      reference = std::move(sets);
+    } else {
+      EXPECT_EQ(sets, reference) << blocks << " blocks";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ModelsAndDrawModes, PooledStamps,
+    ::testing::Values(PooledStampCase{DiffusionModel::IndependentCascade, DrawMode::Exact},
+                      PooledStampCase{DiffusionModel::IndependentCascade, DrawMode::Skip},
+                      PooledStampCase{DiffusionModel::LinearThreshold, DrawMode::Exact},
+                      PooledStampCase{DiffusionModel::LinearThreshold, DrawMode::Skip}));
+
 TEST(EimSampler, ZeroWeightEdgesNeverActivate) {
   // Regression for the `<=` comparison bug: all weights 0.0, so every RRR
   // set is the singleton {source} and total elements == committed sets.

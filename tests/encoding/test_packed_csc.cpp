@@ -86,6 +86,47 @@ TEST(PackedCsc, SmallerGraphsSaveLargerFraction) {
   EXPECT_GT(packed_large.saved_fraction(), 0.10);  // paper: stays above 14%
 }
 
+TEST(PackedCsc, PackedBytesForMatchesBuiltArrays) {
+  // The pipelines charge packed_bytes_for(g) to stage the network without
+  // building it, so it must equal what the built arrays occupy on every
+  // shape: empty and edgeless graphs, isolated vertices, and sizes whose
+  // offset and neighbor widths straddle 32-bit container boundaries.
+  const auto expect_match = [](const Graph& g, const char* what) {
+    EXPECT_EQ(PackedCsc::packed_bytes_for(g), PackedCsc(g).packed_bytes()) << what;
+  };
+  const auto weighted = [](const graph::EdgeList& el) {
+    Graph g = Graph::from_edge_list(el);
+    graph::assign_weights(g, DiffusionModel::IndependentCascade);
+    return g;
+  };
+  expect_match(weighted(graph::EdgeList(0)), "n=0");
+  expect_match(weighted(graph::EdgeList(1)), "n=1");
+  expect_match(weighted(graph::EdgeList(7)), "m=0");
+
+  graph::EdgeList isolated(50);  // vertices 3..49 touch no edge
+  isolated.add_edge(0, 1);
+  isolated.add_edge(2, 1);
+  expect_match(weighted(isolated), "isolated vertices");
+
+  // n-1 and m at and around powers of two: widths 5/6 and 6/7 bits, where
+  // (count * width) lands just below, on, and just past a word boundary.
+  for (const VertexId n : {31u, 32u, 33u, 63u, 64u, 65u, 97u}) {
+    for (const std::uint32_t extra : {0u, 1u, 2u, 31u}) {
+      graph::EdgeList el(n);
+      for (VertexId v = 1; v < n; ++v) el.add_edge(v - 1, v);  // a path
+      for (std::uint32_t e = 0; e < extra; ++e) {
+        el.add_edge(e % n, (e * 7 + 3) % n);
+      }
+      el.normalize();  // drops the sweep's occasional self-loop or duplicate
+      expect_match(weighted(el), "boundary sweep");
+    }
+  }
+
+  expect_match(graph::build_dataset(*graph::find_dataset("SD"),
+                                    DiffusionModel::IndependentCascade),
+               "SD stand-in");
+}
+
 TEST(PackedCsc, HandlesVerticesWithNoInEdges) {
   Graph g = Graph::from_edge_list(graph::star_graph(10));
   graph::assign_weights(g, DiffusionModel::IndependentCascade);

@@ -79,21 +79,33 @@ TEST(DeviceBuffer, RaiiReleasesMemory) {
   EXPECT_EQ(pool.allocated_bytes(), 0u);
 }
 
-TEST(DeviceBuffer, ZeroInitialized) {
-  DeviceMemoryPool pool(4096);
-  DeviceBuffer<int> buf(pool, 32);
-  for (std::size_t i = 0; i < buf.size(); ++i) EXPECT_EQ(buf[i], 0);
-}
-
 TEST(DeviceBuffer, MoveTransfersOwnership) {
   DeviceMemoryPool pool(4096);
   DeviceBuffer<int> a(pool, 8);
-  a[0] = 42;
   DeviceBuffer<int> b = std::move(a);
-  EXPECT_EQ(b[0], 42);
+  EXPECT_EQ(b.bytes(), 32u);
+  EXPECT_EQ(a.bytes(), 0u);  // the moved-from buffer no longer refunds anything
   EXPECT_EQ(pool.allocated_bytes(), 32u);
   b = DeviceBuffer<int>(pool, 4);  // move-assign frees the old allocation
+  EXPECT_EQ(b.bytes(), 16u);
   EXPECT_EQ(pool.allocated_bytes(), 16u);
+  EXPECT_EQ(pool.peak_bytes(), 48u);  // both charges were briefly held
+  b = DeviceBuffer<int>{};
+  EXPECT_EQ(pool.allocated_bytes(), 0u);
+}
+
+TEST(DeviceBuffer, ChargeHoldsNoHostMemory) {
+  // A modeled allocation far beyond this process's RAM: it must only be
+  // charged and refunded, never backed by a host array.
+  constexpr std::uint64_t kGiB = std::uint64_t{1} << 30;
+  Device device(make_benchmark_device(64 * 1024));  // 64 GiB budget
+  {
+    const auto buf = device.alloc<std::uint8_t>(48 * kGiB);
+    EXPECT_EQ(buf.bytes(), 48 * kGiB);
+    EXPECT_EQ(device.memory().allocated_bytes(), 48 * kGiB);
+  }
+  EXPECT_EQ(device.memory().allocated_bytes(), 0u);
+  EXPECT_EQ(device.memory().peak_bytes(), 48 * kGiB);
 }
 
 TEST(DeviceBuffer, AllocThroughDeviceHelper) {

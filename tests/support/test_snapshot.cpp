@@ -148,6 +148,15 @@ TEST(Snapshot, EveryByteFlipRejected) {
   }
 }
 
+TEST(Snapshot, HugeSectionCountRejectedBeforeAllocation) {
+  // The section count (bytes 12-15, after magic and version) is read before
+  // the header checksum can be verified; a corrupt count must fail the
+  // remaining-bytes bound, not reserve a ~200 GB table and throw bad_alloc.
+  std::string blob = two_section_writer().serialize();
+  for (std::size_t i = 12; i < 16; ++i) blob[i] = static_cast<char>(0xFF);
+  EXPECT_THROW(SnapshotReader{blob}, SnapshotCorruptError);
+}
+
 TEST(Snapshot, TrailingGarbageRejected) {
   std::string blob = two_section_writer().serialize();
   blob += "junk";
