@@ -4,7 +4,9 @@
 # and drawmode-labeled tests (see README.md), exercise CLI-level
 # checkpoint/resume including corrupt-snapshot rejection, a --draw-mode
 # skip round-trip with mode-mismatch rejection, a node-kill cluster
-# failover smoke, and a quarter-budget spill smoke that must reproduce the
+# failover smoke, a multi-GPU smoke (--devices 3 == --nodes 3 == one
+# device, plus exit-2 rejection of flags the sharded drivers cannot honor),
+# and a quarter-budget spill smoke that must reproduce the
 # unconstrained seeds bit-identically, then
 # run one small traced benchmark, validate the JSON artifacts it emits, and
 # diff its timings against the committed baseline. Finishes with a
@@ -143,6 +145,32 @@ fi
 # With --node-degrade the same loss publishes best-effort seeds (exit 0).
 "${cli}" "${clu_args[@]}" --quorum 3 --kill-node 1@2 --node-degrade > /dev/null
 rm -rf "${clu_tmp}"
+
+echo "== CLI multi-GPU smoke: --devices 3 matches --nodes 3 and one device =="
+mg_tmp="$(mktemp -d)"
+mg_args=(--dataset WV --k 10 --eps 0.3 --json)
+"${cli}" "${mg_args[@]}" > "${mg_tmp}/single.json"
+"${cli}" "${mg_args[@]}" --devices 3 > "${mg_tmp}/devices.json"
+"${cli}" "${mg_args[@]}" --nodes 3 > "${mg_tmp}/nodes.json"
+# One sharded driver, two interconnects: striping over 3 devices or 3 nodes
+# must reproduce the single-device seeds and theta (rrr_sets).
+python3 - "${mg_tmp}/single.json" "${mg_tmp}/devices.json" "${mg_tmp}/nodes.json" <<'EOF'
+import json, sys
+runs = {path: json.load(open(path)) for path in sys.argv[1:]}
+for key in ("seeds", "rrr_sets"):
+    values = {path: run[key] for path, run in runs.items()}
+    assert len({json.dumps(v) for v in values.values()}) == 1, f"{key} differs: {values}"
+EOF
+# Flags the sharded drivers would otherwise ignore are refused with exit 2.
+for bad in "--nodes 2 --devices 4" "--devices 2 --oom-degrade" "--nodes 2 --oom-degrade"; do
+  status=0
+  # shellcheck disable=SC2086
+  "${cli}" "${mg_args[@]}" ${bad} > /dev/null 2>&1 || status=$?
+  if [[ "${status}" -ne 2 ]]; then
+    echo "ERROR: '${bad}': expected exit 2, got ${status}" >&2; exit 1
+  fi
+done
+rm -rf "${mg_tmp}"
 
 echo "== CLI spill smoke: quarter-budget run matches unconstrained seeds =="
 spill_tmp="$(mktemp -d)"

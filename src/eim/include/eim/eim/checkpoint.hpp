@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "eim/gpusim/device.hpp"
 #include "eim/graph/graph.hpp"
 #include "eim/graph/weights.hpp"
 #include "eim/imm/driver.hpp"
@@ -107,6 +108,24 @@ std::uint64_t save_checkpoint(const std::string& dir, const CheckpointState& sta
 void validate_checkpoint(const CheckpointState& state, const graph::Graph& g,
                          graph::DiffusionModel model, const imm::ImmParams& params,
                          const EimOptions& options);
+
+/// Fill `state`'s identity block (the fields validate_checkpoint checks)
+/// and the writing run's device count from the writing run's inputs.
+void fill_checkpoint_identity(CheckpointState& state, const graph::Graph& g,
+                              graph::DiffusionModel model, const imm::ImmParams& params,
+                              const EimOptions& options, std::uint32_t num_devices);
+
+/// Save a round-boundary checkpoint into options.checkpoint_dir with the
+/// registry snapshot folded in, count the write, and mark it on `primary`'s
+/// trace track.
+void publish_checkpoint(CheckpointState& state, const gpusim::Device& primary,
+                        const EimOptions& options);
+
+/// Carry a resumed segment onto `primary`: add its timeline aggregates (so
+/// device_seconds stays the cumulative modeled cost of reaching the
+/// answer), fold back its metrics snapshot, count the resume, and mark it.
+void carry_over_resume(const CheckpointState& state, gpusim::Device& primary,
+                       const EimOptions& options);
 
 /// Flatten `collection` (its full committed range) into
 /// `state.lengths`/`state.elements` in set-index order.

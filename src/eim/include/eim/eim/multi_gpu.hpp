@@ -2,25 +2,19 @@
 // ("we plan to extend eIM to support multi-GPU execution to further improve
 // scalability").
 //
-// Design: sampling is embarrassingly parallel, so device d generates the
-// sample indices congruent to d modulo D (the same index-keyed streams as
-// everywhere else — the union across devices is bit-identical to a
-// single-device run). After each sampling phase the per-vertex count arrays
-// are all-reduced to the primary device over the interconnect, and seed
-// selection runs on the primary against the distributed collection: each
-// pick broadcasts the chosen vertex (4 bytes) and every device scans its
-// local shard, returning its coverage delta.
-//
+// A thin adapter over the sharded driver (src/eim/src/sharded.hpp) with one
+// failure domain per device: device d samples the ids congruent to d modulo
+// D from the index-keyed streams, so the union is bit-identical to a
+// single-device run. The interconnect is host PCIe via the primary: the
+// other devices ship their per-vertex counts to it after each sampling
+// phase, and each pick broadcasts the chosen vertex (4 bytes) and gathers
+// every device's coverage delta, all serialized on its copy engine.
 // Modeled time per phase = max over devices (they run concurrently) plus
-// the reduction/broadcast transfers.
-//
-// Failover (docs/RESILIENCE.md): if a device dies mid-sampling
-// (DeviceLostError, or a transient fault that exhausts the retry budget),
-// its residual shard — every sample index it owned plus its in-flight
-// batch — is redistributed across the survivors and regenerated from the
-// same index-keyed random streams. Because streams are keyed by sample
-// index, not by device, the final seed set is bit-identical to the
-// fault-free run; only the modeled time and shard layout change.
+// those transfers. A device lost mid-sampling (DeviceLostError, or a
+// transient fault past the retry budget) has its residual shard
+// regenerated on the survivors from the same streams, so the seeds stay
+// bit-identical; only the modeled time and shard layout change
+// (docs/RESILIENCE.md).
 #pragma once
 
 #include <cstdint>

@@ -1,14 +1,12 @@
 // Multi-node eIM over the modeled cluster tier (gpusim/cluster.hpp) — the
 // DiFuseR-shaped step past single-host multi-GPU (ROADMAP item 4).
 //
-// Design: the same index-keyed determinism contract as multi_gpu.hpp, one
-// level up. Global sample id i is striped across the alive nodes
-// (node = alive[i % N'], then round-robin over that node's devices), so the
-// union of shards is bit-identical to a single-device run for ANY node
-// count, alive set, or failure history. After each sampling phase the
-// per-vertex count vectors are combined with a modeled allreduce on the
-// cluster network; each selection pick exchanges the chosen vertex and the
-// coverage delta with one small allreduce.
+// The sharded driver of multi_gpu.hpp one level up: each node is a failure
+// domain of D devices (sample id i on node alive[i % N'], then round-robin
+// over its devices), so the seeds are bit-identical for ANY node count,
+// alive set, or failure history. The interconnect is the modeled cluster
+// network: counts combine in one allreduce per sampling phase, and each
+// pick exchanges the chosen vertex and coverage delta in one small one.
 //
 // Resilience (docs/RESILIENCE.md, "Cluster failover"):
 //  * every collective is wrapped in support::retry — transient link faults

@@ -16,15 +16,36 @@
 // ceil(N/T_n)*C_t comparison, with C_w < C_t because warp scans coalesce.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "eim/eim/options.hpp"
 #include "eim/eim/rrr_collection.hpp"
 #include "eim/gpusim/device.hpp"
 #include "eim/imm/seed_selection.hpp"
+#include "eim/support/bits.hpp"
 
 namespace eim::eim_impl {
+
+/// Scalar binary-search cost in global reads: probes of one sorted set of
+/// `len` elements (this selector's and the sharded driver's scan model).
+[[nodiscard]] inline std::uint64_t binsearch_probes(std::uint32_t len) {
+  return 1 + support::ceil_log2(std::max<std::uint32_t>(2, len));
+}
+
+/// Build the inverted index vertex -> set ids over `num_sets` flattened
+/// sets (`starts` holds num_sets + 1 offsets into `flat`). Deterministic
+/// regardless of parallelism: sets are split into contiguous chunks, pass 1
+/// counts each chunk's per-vertex occurrences, a serial prefix turns the
+/// histograms into per-chunk write bases, and pass 2 scatters set ids at
+/// those bases — reproducing the serial layout exactly (set ids ascending
+/// within each vertex's bucket).
+void build_inverted_index(std::span<const graph::VertexId> flat,
+                          std::span<const std::uint64_t> starts, std::uint64_t num_sets,
+                          graph::VertexId n, std::vector<std::uint64_t>& index_offsets,
+                          std::vector<std::uint64_t>& index_sets);
 
 /// How the host computes each pick's arg-max. Both produce bit-identical
 /// seed sequences (same tie-break: smallest vertex id among maximal

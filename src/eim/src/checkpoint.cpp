@@ -7,9 +7,11 @@
 
 #include "eim/eim/options.hpp"
 #include "eim/eim/rrr_collection.hpp"
+#include "eim/gpusim/timeline_trace.hpp"
 #include "eim/support/atomic_write.hpp"
 #include "eim/support/error.hpp"
 #include "eim/support/json.hpp"
+#include "eim/support/metrics.hpp"
 #include "eim/support/snapshot.hpp"
 
 namespace eim::eim_impl {
@@ -273,6 +275,57 @@ void validate_checkpoint(const CheckpointState& state, const graph::Graph& g,
     mismatch("draw_mode", name(state.draw_mode),
              name(static_cast<std::uint8_t>(options.draw_mode)));
   }
+}
+
+void fill_checkpoint_identity(CheckpointState& state, const graph::Graph& g,
+                              graph::DiffusionModel model, const imm::ImmParams& params,
+                              const EimOptions& options, std::uint32_t num_devices) {
+  state.rng_seed = params.rng_seed;
+  state.num_vertices = g.num_vertices();
+  state.num_edges = g.num_edges();
+  state.k = params.k;
+  state.epsilon = params.epsilon;
+  state.ell = params.ell;
+  state.model = static_cast<std::uint8_t>(model);
+  state.log_encode = options.log_encode;
+  state.eliminate_sources = options.eliminate_sources;
+  state.draw_mode = static_cast<std::uint8_t>(options.draw_mode);
+  state.num_devices = num_devices;
+}
+
+void publish_checkpoint(CheckpointState& state, const gpusim::Device& primary,
+                        const EimOptions& options) {
+  if (options.metrics != nullptr) {
+    std::ostringstream snapshot;
+    support::JsonWriter w(snapshot);
+    options.metrics->write_json(w);
+    state.metrics_json = snapshot.str();
+  }
+  const std::uint64_t bytes = save_checkpoint(options.checkpoint_dir, state);
+  if (options.metrics != nullptr) {
+    options.metrics->counter("checkpoint.writes").add();
+    options.metrics->counter("checkpoint.bytes_written").add(bytes);
+  }
+  gpusim::mark_instant(options.trace, primary, "checkpoint.write",
+                       "num_sets=" + std::to_string(state.lengths.size()));
+}
+
+void carry_over_resume(const CheckpointState& state, gpusim::Device& primary,
+                       const EimOptions& options) {
+  gpusim::DeviceTimeline& timeline = primary.timeline();
+  const std::string label = "resume carry-over";
+  timeline.add(gpusim::SegmentKind::Kernel, label, state.kernel_seconds);
+  timeline.add(gpusim::SegmentKind::Transfer, label, state.transfer_seconds);
+  timeline.add(gpusim::SegmentKind::Allocation, label, state.allocation_seconds);
+  timeline.add(gpusim::SegmentKind::Backoff, label, state.backoff_seconds);
+  if (options.metrics != nullptr) {
+    if (!state.metrics_json.empty()) {
+      support::metrics::restore_registry_json(*options.metrics, state.metrics_json);
+    }
+    options.metrics->counter("checkpoint.resume_loaded").add();
+  }
+  gpusim::mark_instant(options.trace, primary, "checkpoint.resume",
+                       "num_sets=" + std::to_string(state.lengths.size()));
 }
 
 void export_collection(const DeviceRrrCollection& collection, CheckpointState& state) {

@@ -1,7 +1,6 @@
 #include "eim/eim/pipeline.hpp"
 
 #include <memory>
-#include <sstream>
 #include <utility>
 
 #include "eim/eim/checkpoint.hpp"
@@ -38,18 +37,6 @@ void retry_transfer(gpusim::Device& device, const EimOptions& options,
           options.metrics->histogram("retry.backoff_seconds").observe_duration(backoff);
         }
       });
-}
-
-/// Fold the run's injected-fault deltas into the registry (fault.* family).
-void record_fault_deltas(support::metrics::MetricsRegistry* reg,
-                         const gpusim::FaultStats& before,
-                         const gpusim::FaultStats& after) {
-  if (reg == nullptr) return;
-  reg->counter("fault.kernel_faults_injected").add(after.kernel_faults - before.kernel_faults);
-  reg->counter("fault.transfer_faults_injected")
-      .add(after.transfer_faults - before.transfer_faults);
-  reg->counter("fault.alloc_oom_injected").add(after.alloc_ooms - before.alloc_ooms);
-  reg->counter("fault.device_lost").add(after.device_losses - before.device_losses);
 }
 
 /// Detach pool instrumentation on scope exit: the device outlives the run,
@@ -176,27 +163,7 @@ EimResult run_eim(gpusim::Device& device, const graph::Graph& g,
     retry_transfer(device, options, "checkpoint restore", [&] {
       device.transfer_to_device("checkpoint restore", restore_bytes);
     });
-    // Carry the crashed segment's modeled clock so device_seconds stays the
-    // cumulative modeled cost of reaching the answer.
-    device.timeline().add(gpusim::SegmentKind::Kernel, "resume carry-over",
-                          ckpt.kernel_seconds);
-    device.timeline().add(gpusim::SegmentKind::Transfer, "resume carry-over",
-                          ckpt.transfer_seconds);
-    device.timeline().add(gpusim::SegmentKind::Allocation, "resume carry-over",
-                          ckpt.allocation_seconds);
-    device.timeline().add(gpusim::SegmentKind::Backoff, "resume carry-over",
-                          ckpt.backoff_seconds);
-    if (reg != nullptr) {
-      if (!ckpt.metrics_json.empty()) {
-        support::metrics::restore_registry_json(*reg, ckpt.metrics_json);
-      }
-      reg->counter("checkpoint.resume_loaded").add();
-    }
-    if (trace != nullptr) {
-      trace->instant(trace_pid, "checkpoint.resume",
-                     "num_sets=" + std::to_string(collection.num_sets()),
-                     device.timeline().total_seconds());
-    }
+    carry_over_resume(ckpt, device, options);
   }
   collection.attach_metrics(reg);
 
@@ -233,11 +200,8 @@ EimResult run_eim(gpusim::Device& device, const graph::Graph& g,
         reg->counter("degrade.activations").add();
         reg->gauge("degrade.shortfall_bytes").set(degrade_shortfall);
       }
-      if (trace != nullptr) {
-        trace->instant(trace_pid, "oom.degrade",
-                       "shortfall_bytes=" + std::to_string(degrade_shortfall),
-                       device.timeline().total_seconds());
-      }
+      gpusim::mark_instant(trace, device, "oom.degrade",
+                           "shortfall_bytes=" + std::to_string(degrade_shortfall));
     }
   };
 
@@ -248,17 +212,7 @@ EimResult run_eim(gpusim::Device& device, const graph::Graph& g,
   if (!options.checkpoint_dir.empty()) {
     on_round = [&](const imm::FrameworkRoundState& fr) {
       CheckpointState ckpt;
-      ckpt.rng_seed = effective.rng_seed;
-      ckpt.num_vertices = g.num_vertices();
-      ckpt.num_edges = g.num_edges();
-      ckpt.k = effective.k;
-      ckpt.epsilon = effective.epsilon;
-      ckpt.ell = effective.ell;
-      ckpt.model = static_cast<std::uint8_t>(model);
-      ckpt.log_encode = options.log_encode;
-      ckpt.eliminate_sources = effective.eliminate_sources;
-      ckpt.draw_mode = static_cast<std::uint8_t>(options.draw_mode);
-      ckpt.num_devices = 1;
+      fill_checkpoint_identity(ckpt, g, model, params, options, 1);
       ckpt.round = fr;
       export_collection(collection, ckpt);
       ckpt.singletons_discarded = sampler.singletons_discarded();
@@ -266,22 +220,7 @@ EimResult run_eim(gpusim::Device& device, const graph::Graph& g,
       ckpt.transfer_seconds = device.timeline().transfer_seconds();
       ckpt.allocation_seconds = device.timeline().allocation_seconds();
       ckpt.backoff_seconds = device.timeline().backoff_seconds();
-      if (reg != nullptr) {
-        std::ostringstream snapshot;
-        support::JsonWriter w(snapshot);
-        reg->write_json(w);
-        ckpt.metrics_json = snapshot.str();
-      }
-      const std::uint64_t bytes = save_checkpoint(options.checkpoint_dir, ckpt);
-      if (reg != nullptr) {
-        reg->counter("checkpoint.writes").add();
-        reg->counter("checkpoint.bytes_written").add(bytes);
-      }
-      if (trace != nullptr) {
-        trace->instant(trace_pid, "checkpoint.write",
-                       "num_sets=" + std::to_string(collection.num_sets()),
-                       device.timeline().total_seconds());
-      }
+      publish_checkpoint(ckpt, device, options);
     };
   }
 
@@ -373,7 +312,7 @@ EimResult run_eim(gpusim::Device& device, const graph::Graph& g,
     gpusim::record_timeline_spans(*trace, trace_pid, device.timeline());
   }
 
-  record_fault_deltas(reg, faults_before, device.fault_stats());
+  gpusim::record_fault_deltas(reg, faults_before, device.fault_stats());
   if (reg != nullptr) {
     reg->counter("imm.estimation_rounds").add(outcome.estimation_rounds);
     reg->gauge("imm.theta").set(collection.num_sets());

@@ -13,19 +13,6 @@ namespace eim::eim_impl {
 
 using graph::VertexId;
 
-namespace {
-
-/// Scalar binary-search cost in global reads: probes of the sorted set.
-std::uint64_t binsearch_probes(std::uint32_t len) {
-  return 1 + support::ceil_log2(std::max<std::uint32_t>(2, len));
-}
-
-/// Build the inverted index vertex -> set ids. Deterministic regardless of
-/// parallelism: sets are split into contiguous chunks, pass 1 counts each
-/// chunk's per-vertex occurrences, a serial prefix turns the histograms
-/// into per-chunk write bases, and pass 2 scatters set ids at those bases —
-/// reproducing the serial layout exactly (set ids ascending within each
-/// vertex's bucket).
 void build_inverted_index(std::span<const VertexId> flat,
                           std::span<const std::uint64_t> starts, std::uint64_t num_sets,
                           VertexId n, std::vector<std::uint64_t>& index_offsets,
@@ -81,8 +68,6 @@ void build_inverted_index(std::span<const VertexId> flat,
       },
       /*grain=*/1);
 }
-
-}  // namespace
 
 imm::SelectionResult GpuSeedSelector::select(const DeviceRrrCollection& collection,
                                              std::uint32_t k) {

@@ -127,4 +127,17 @@ class Device {
   std::uint64_t transfer_ordinal_ = 0;
 };
 
+/// Fold one device's injected-fault deltas over a run (`after` - `before`)
+/// into the registry's fault.* counters; a null registry records nothing.
+inline void record_fault_deltas(support::metrics::MetricsRegistry* registry,
+                                const FaultStats& before, const FaultStats& after) {
+  if (registry == nullptr) return;
+  registry->counter("fault.kernel_faults_injected")
+      .add(after.kernel_faults - before.kernel_faults);
+  registry->counter("fault.transfer_faults_injected")
+      .add(after.transfer_faults - before.transfer_faults);
+  registry->counter("fault.alloc_oom_injected").add(after.alloc_ooms - before.alloc_ooms);
+  registry->counter("fault.device_lost").add(after.device_losses - before.device_losses);
+}
+
 }  // namespace eim::gpusim

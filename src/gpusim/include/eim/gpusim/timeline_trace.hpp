@@ -9,7 +9,10 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <utility>
 
+#include "eim/gpusim/device.hpp"
 #include "eim/gpusim/timeline.hpp"
 #include "eim/support/trace.hpp"
 
@@ -30,6 +33,17 @@ inline void record_timeline_spans(support::trace::TraceRecorder& trace,
   for (const TimelineSegment& seg : timeline.segments()) {
     trace.complete_span(pid, trace_category(seg.kind), seg.label, seg.start,
                         seg.seconds);
+  }
+}
+
+/// Record instant `name` on `device`'s trace track at its modeled clock; a
+/// null recorder or an untracked device records nothing.
+inline void mark_instant(support::trace::TraceRecorder* trace, const Device& device,
+                         std::string name, std::string detail) {
+  if (trace == nullptr) return;
+  if (const auto pid = trace->pid_of(&device); pid.has_value()) {
+    trace->instant(*pid, std::move(name), std::move(detail),
+                   device.timeline().total_seconds());
   }
 }
 

@@ -361,6 +361,103 @@ TEST(Checkpoint, ResumeThenDeviceLossDoesNotDoubleCountSingletons) {
   }
 }
 
+CheckpointState write_interrupted_multi_checkpoint(const Graph& g,
+                                                  const imm::ImmParams& params,
+                                                  std::uint64_t abort_ordinal,
+                                                  const std::string& path) {
+  DevicePool doomed(3);
+  gpusim::FaultPlan plan;
+  plan.process_abort_kernel_ordinal = abort_ordinal;
+  doomed.ptrs[0]->set_fault_plan(plan);
+  EimOptions options;
+  options.checkpoint_dir = path;
+  try {
+    (void)run_eim_multi(doomed.ptrs, g, DiffusionModel::IndependentCascade, params,
+                        options);
+  } catch (const support::ProcessAbortError&) {
+  }
+  return load_checkpoint(path);
+}
+
+TEST(Checkpoint, FaultOnRestoreUploadRespillsEachRestoredSetOnce) {
+  // Regression: a device faulting on its checkpoint-restore upload must hand
+  // each of its restored sets to the survivors exactly once. Counting them
+  // committed before the upload landed respilled them twice — the survivors
+  // committed duplicates and total_elements/counts went wrong.
+  const Graph g = make_graph();
+  const imm::ImmParams params = make_params();
+
+  DevicePool ref_pool(3);
+  const MultiGpuResult reference =
+      run_eim_multi(ref_pool.ptrs, g, DiffusionModel::IndependentCascade, params);
+
+  TempDir dir("eim_ckpt_restore_fault");
+  CheckpointState ckpt = write_interrupted_multi_checkpoint(
+      g, params, ref_pool.ptrs[0]->kernel_launch_ordinal() / 2, dir.path);
+  const std::uint64_t restored = ckpt.lengths.size();
+  ASSERT_GT(restored, 0u);
+
+  for (const std::uint32_t victim : {0u, 2u}) {
+    DevicePool pool(3);
+    gpusim::FaultPlan plan;
+    plan.transfer_fault_ordinals = {1};  // 0 stages the network; 1 is the restore
+    pool.ptrs[victim]->set_fault_plan(plan);
+    EimOptions options;
+    options.resume = &ckpt;
+    const MultiGpuResult resumed = run_eim_multi(
+        pool.ptrs, g, DiffusionModel::IndependentCascade, params, options);
+    expect_same_answer(reference, resumed);
+    EXPECT_EQ(resumed.failed_devices, std::vector<std::uint32_t>{victim});
+    // Nothing was committed on the victim; its whole stripe of the restored
+    // prefix (ids congruent to `victim` mod 3) was in flight.
+    EXPECT_EQ(resumed.failover_regenerated_sets, 0u);
+    const std::uint64_t stripe = (restored + 2 - victim) / 3;
+    EXPECT_EQ(resumed.failover_transfer_bytes, stripe * sizeof(std::uint64_t));
+  }
+}
+
+TEST(Checkpoint, SecondLossWhileRecommittingAfterResumeKeepsTheAnswer) {
+  // After resume, device 2 dies on its second sampling wave, so device 0
+  // re-commits some of its restored sets and then samples its fresh ids.
+  // Sweeping a second loss of device 0 over each of its launches reaches
+  // that window: the restored sets already committed must respill from
+  // device 0's shard once, not also as in-flight ids.
+  const Graph g = make_graph();
+  const imm::ImmParams params = make_params();
+
+  DevicePool ref_pool(3);
+  const MultiGpuResult reference =
+      run_eim_multi(ref_pool.ptrs, g, DiffusionModel::IndependentCascade, params);
+
+  TempDir dir("eim_ckpt_second_loss");
+  CheckpointState ckpt = write_interrupted_multi_checkpoint(
+      g, params, ref_pool.ptrs[0]->kernel_launch_ordinal() / 2, dir.path);
+  EimOptions options;
+  options.resume = &ckpt;
+
+  gpusim::FaultPlan first_loss;
+  first_loss.device_loss_kernel_ordinal = 1;
+  DevicePool probe(3);
+  probe.ptrs[2]->set_fault_plan(first_loss);
+  (void)run_eim_multi(probe.ptrs, g, DiffusionModel::IndependentCascade, params,
+                      options);
+  const std::uint64_t launches = probe.ptrs[0]->kernel_launch_ordinal();
+  ASSERT_GT(launches, 1u);
+
+  for (std::uint64_t ordinal = 0; ordinal < launches; ++ordinal) {
+    SCOPED_TRACE("device 0 lost at launch " + std::to_string(ordinal));
+    DevicePool pool(3);
+    pool.ptrs[2]->set_fault_plan(first_loss);
+    gpusim::FaultPlan second_loss;
+    second_loss.device_loss_kernel_ordinal = ordinal;
+    pool.ptrs[0]->set_fault_plan(second_loss);
+    const MultiGpuResult resumed = run_eim_multi(
+        pool.ptrs, g, DiffusionModel::IndependentCascade, params, options);
+    expect_same_answer(reference, resumed);
+    EXPECT_EQ(resumed.failed_devices.size(), 2u);
+  }
+}
+
 TEST(Checkpoint, SingleAndMultiGpuCheckpointsAreInterchangeable) {
   // Same global sample-id order on disk regardless of writer topology.
   const Graph g = make_graph();

@@ -275,15 +275,20 @@ TEST(MultiGpuFailover, DeviceLossAtFinalWaveOrdinalFiresAndOneBeyondDoesNot) {
 }
 
 TEST(MultiGpuFailover, LosingEveryDeviceThrows) {
+  // No survivor to fail over to: the run must surface the documented
+  // DeviceLostError (exit code 5), not an unclassified check failure.
   const Graph g = make_graph();
   DevicePool pool(2);
   gpusim::FaultPlan plan;
   plan.device_loss_kernel_ordinal = 0;
   pool.ptrs[0]->set_fault_plan(plan);
   pool.ptrs[1]->set_fault_plan(plan);
-  EXPECT_THROW((void)run_eim_multi(pool.ptrs, g, DiffusionModel::IndependentCascade,
-                                   make_params()),
-               support::Error);
+  try {
+    (void)run_eim_multi(pool.ptrs, g, DiffusionModel::IndependentCascade, make_params());
+    FAIL() << "losing every device must throw";
+  } catch (const support::DeviceLostError& e) {
+    EXPECT_EQ(support::exit_code_for(e), support::kExitDeviceFault);
+  }
 }
 
 }  // namespace

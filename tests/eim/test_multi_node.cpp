@@ -536,6 +536,37 @@ TEST(ClusterCheckpoint, MidRunSnapshotResumesAcrossNodeCounts) {
   expect_same_answer(reference, solo_resumed);
 }
 
+TEST(ClusterCheckpoint, FaultOnRestoreUploadReshardsEachRestoredSetOnce) {
+  // Node 1's second device faults on its checkpoint-restore upload (transfer
+  // ordinal 1, after the network staging), after its first device's upload
+  // landed. The node drains: each of its restored sets — committed on device
+  // 0 or in flight on device 1 — reshards exactly once.
+  const Graph g = make_graph();
+  const imm::ImmParams params = make_params();
+
+  TempDir dir("eim_cluster_restore_fault");
+  gpusim::Device solo(gpusim::make_benchmark_device(256));
+  EimOptions write_options;
+  write_options.checkpoint_dir = dir.path;
+  const EimResult reference =
+      run_eim(solo, g, DiffusionModel::IndependentCascade, params, write_options);
+
+  CheckpointState ckpt = load_checkpoint(dir.path);
+  ASSERT_GT(ckpt.lengths.size(), 0u);
+  gpusim::Cluster cluster = make_cluster(2, 2);
+  gpusim::FaultPlan plan;
+  plan.transfer_fault_ordinals = {1};
+  cluster.node(1).device(1).set_fault_plan(plan);
+  EimOptions options;
+  options.resume = &ckpt;
+  const MultiNodeResult resumed =
+      run_eim_cluster(cluster, g, DiffusionModel::IndependentCascade, params, options);
+  expect_same_answer(reference, resumed);
+  EXPECT_EQ(resumed.failed_nodes, std::vector<std::uint32_t>{1u});
+  // Node 1 held the odd sample ids.
+  EXPECT_EQ(resumed.reshard_samples, ckpt.lengths.size() / 2);
+}
+
 TEST(ClusterCheckpoint, ClusterResumesASingleDeviceSnapshot) {
   // The reverse direction: a snapshot written by the single-device pipeline
   // restripes onto a cluster and lands on the identical answer.

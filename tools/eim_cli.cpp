@@ -106,7 +106,8 @@ void print_usage() {
       "  --k <n>              seed-set size (default 50)\n"
       "  --eps <x>            approximation parameter (default 0.13)\n"
       "  --seed <n>           RNG seed (default 42)\n"
-      "  --devices <n>        simulated GPUs for eIM (default 1)\n"
+      "  --devices <n>        simulated GPUs for eIM on one host (default 1;\n"
+      "                       with --nodes use --devices-per-node)\n"
       "  --nodes <n>          modeled cluster: shard eIM over n nodes (eim\n"
       "                       only; see docs/RESILIENCE.md, Cluster failover)\n"
       "  --devices-per-node <n>  simulated GPUs inside each node (default 1)\n"
@@ -152,7 +153,8 @@ void print_usage() {
       "  --no-log-encoding    disable the Section 3.1 compression\n"
       "  --no-source-elim     disable the Section 3.4 heuristic\n"
       "  --oom-degrade        on device OOM, return best-effort seeds from\n"
-      "                       the sets that fit instead of failing (eim only)\n"
+      "                       the sets that fit instead of failing (eim only,\n"
+      "                       single device)\n"
       "  --json               print the result as a JSON object\n"
       "  --metrics-json <path|->  write an eim.metrics.v3 run report (phase\n"
       "                       timers, histograms, memory high-water mark,\n"
@@ -378,6 +380,19 @@ int main(int argc, char** argv) {
           "--nodes); the cluster tier handles memory pressure by resharding"));
     }
   }
+  // A cluster's width comes from --devices-per-node, and the sharded
+  // drivers have no OOM degrade (the cluster tier degrades on quorum loss,
+  // --node-degrade); refuse both rather than silently ignore them.
+  if (opt.nodes > 0 && opt.devices > 1) {
+    return report_error(support::InvalidArgumentError(
+        "--devices sets the single-host GPU count; with --nodes use "
+        "--devices-per-node"));
+  }
+  if (opt.oom_degrade && (opt.devices > 1 || opt.nodes > 0)) {
+    return report_error(support::InvalidArgumentError(
+        "--oom-degrade requires a single device (no --devices > 1 or --nodes); "
+        "the cluster tier degrades on quorum loss instead (--node-degrade)"));
+  }
   // Each artifact stream has its own framing; interleaving any two on
   // stdout would corrupt both, so at most one may claim '-'.
   {
@@ -464,6 +479,17 @@ int main(int argc, char** argv) {
         throw;
       }
     }
+    // One option set for every eIM path (single device, multi-GPU, cluster).
+    eim_impl::EimOptions options;
+    options.log_encode = !opt.no_log_encoding;
+    options.eliminate_sources = !opt.no_source_elim;
+    if (opt.draw_mode == "skip") options.draw_mode = eim_impl::DrawMode::Skip;
+    if (opt.oom_degrade) options.oom_policy = eim_impl::OomPolicy::Degrade;
+    options.metrics = &registry;
+    options.trace = trace;
+    options.profile = profile;
+    options.checkpoint_dir = checkpoint_dir;
+    options.resume = ckpt.has_value() ? &*ckpt : nullptr;
     if (opt.algo == "serial") {
       const auto serial = imm::run_imm_serial(g, opt.model, opt.params, profile);
       static_cast<imm::ImmResult&>(result) = serial;
@@ -481,16 +507,6 @@ int main(int argc, char** argv) {
       spec.node.device = gpusim::make_benchmark_device(opt.memory_mb);
       gpusim::Cluster cluster(spec);
       cluster.set_fault_plan(opt.cluster_faults);
-      eim_impl::EimOptions options;
-      options.log_encode = !opt.no_log_encoding;
-      options.eliminate_sources = !opt.no_source_elim;
-      if (opt.draw_mode == "skip") options.draw_mode = eim_impl::DrawMode::Skip;
-      if (opt.oom_degrade) options.oom_policy = eim_impl::OomPolicy::Degrade;
-      options.metrics = &registry;
-      options.trace = trace;
-      options.profile = profile;
-      options.checkpoint_dir = checkpoint_dir;
-      options.resume = ckpt.has_value() ? &*ckpt : nullptr;
       eim_impl::MultiNodeOptions node_options;
       node_options.quorum = opt.quorum;
       node_options.node_degrade = opt.node_degrade;
@@ -518,16 +534,6 @@ int main(int argc, char** argv) {
             gpusim::make_benchmark_device(opt.memory_mb)));
         ptrs.push_back(owned.back().get());
       }
-      eim_impl::EimOptions options;
-      options.log_encode = !opt.no_log_encoding;
-      options.eliminate_sources = !opt.no_source_elim;
-      if (opt.draw_mode == "skip") options.draw_mode = eim_impl::DrawMode::Skip;
-      if (opt.oom_degrade) options.oom_policy = eim_impl::OomPolicy::Degrade;
-      options.metrics = &registry;
-      options.trace = trace;
-      options.profile = profile;
-      options.checkpoint_dir = checkpoint_dir;
-      options.resume = ckpt.has_value() ? &*ckpt : nullptr;
       const auto multi = eim_impl::run_eim_multi(ptrs, g, opt.model, opt.params, options);
       result = multi;
       if (!machine_stdout) {
@@ -537,16 +543,6 @@ int main(int argc, char** argv) {
     } else {
       gpusim::Device device(gpusim::make_benchmark_device(opt.memory_mb));
       if (opt.algo == "eim") {
-        eim_impl::EimOptions options;
-        options.log_encode = !opt.no_log_encoding;
-        options.eliminate_sources = !opt.no_source_elim;
-        if (opt.draw_mode == "skip") options.draw_mode = eim_impl::DrawMode::Skip;
-        if (opt.oom_degrade) options.oom_policy = eim_impl::OomPolicy::Degrade;
-        options.metrics = &registry;
-        options.trace = trace;
-        options.profile = profile;
-        options.checkpoint_dir = checkpoint_dir;
-        options.resume = ckpt.has_value() ? &*ckpt : nullptr;
         if (spill_requested) {
           options.spill.policy = opt.spill_policy == "degrade"
                                      ? eim_impl::SpillPolicy::SpillThenDegrade
