@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Pre-merge gate: build everything under AddressSanitizer + UBSan and run
 # the default test suite plus the stress-, checkpoint-, cluster-, spill-,
-# and drawmode-labeled tests (see README.md), exercise CLI-level
+# and drawmode-labeled tests (see README.md), run the concurrent suites
+# under ThreadSanitizer in a separate tree, exercise CLI-level
 # checkpoint/resume including corrupt-snapshot rejection, a --draw-mode
 # skip round-trip with mode-mismatch rejection, a node-kill cluster
 # failover smoke, a multi-GPU smoke (--devices 3 == --nodes 3 == one
@@ -61,6 +62,28 @@ ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}" -L spill
 
 echo "== drawmode-labeled tests (skip/alias statistical pinning, mode identity) =="
 ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}" -L drawmode
+
+echo "== ThreadSanitizer: concurrent suites (separate tree, fatal) =="
+# Every suite that runs kernels on the host thread pool: the sampler and
+# gIM block bodies (the shared traversal kernel), commits, spill, sharded
+# drivers, and the stress suite. PRE_TEST discovery keeps gtest discovery
+# from running each binary at link time; halt_on_error turns the first
+# report into a nonzero exit, and set -e makes that fatal.
+tsan_dir="${repo_root}/build-tsan"
+tsan_tests=(test_support test_gpusim test_eim test_multi_node test_stress
+            test_draw_mode test_baselines)
+cmake -B "${tsan_dir}" -S "${repo_root}" \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
+  -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" \
+  -DCMAKE_GTEST_DISCOVER_TESTS_DISCOVERY_MODE=PRE_TEST
+cmake --build "${tsan_dir}" -j "${jobs}" --target "${tsan_tests[@]}"
+for t in "${tsan_tests[@]}"; do
+  echo "-- ${t} --"
+  (cd "${tsan_dir}/tests" &&
+    TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}" \
+      "./${t}" --gtest_brief=1)
+done
 
 echo "== CLI checkpoint/resume round-trip + corrupt-snapshot rejection =="
 ckpt_tmp="$(mktemp -d)"

@@ -3,15 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cassert>
 
 #include "eim/eim/rrr_collection.hpp"
 #include "eim/eim/seed_selector.hpp"
+#include "eim/eim/traversal.hpp"
 #include "eim/imm/driver.hpp"
-#include "eim/imm/imm.hpp"
 #include "eim/support/bits.hpp"
 #include "eim/support/error.hpp"
-#include "eim/support/rng.hpp"
 
 namespace eim::baselines {
 
@@ -19,28 +17,23 @@ using eim_impl::DeviceRrrCollection;
 using eim_impl::EimResult;
 using graph::VertexId;
 using gpusim::BlockContext;
-using support::RandomStream;
 
 namespace {
 
-std::uint64_t warp_chunks(std::uint64_t count, std::uint32_t warp) {
-  return support::div_ceil<std::uint64_t>(count, warp);
-}
-
-/// gIM sampling kernels: shared-memory queue with dynamic global spill.
+/// gIM sampling engine: the shared traversal kernel over a shared-memory
+/// queue with dynamic global spill.
 class GimSampler {
  public:
   GimSampler(gpusim::Device& device, const graph::Graph& g,
              graph::DiffusionModel model, const imm::ImmParams& params,
              const GimConfig& config)
       : device_(&device),
-        graph_(&g),
-        model_(model),
-        params_(params),
         config_(config),
-        num_blocks_(device.spec().num_sms * 2) {
+        num_blocks_(device.spec().num_sms * 2),
+        traversal_{&g, model, /*plan=*/nullptr, params.rng_seed,
+                   /*eliminate_sources=*/false},
+        stamps_(g.num_vertices()) {
     scratch_.resize(num_blocks_);
-    for (auto& s : scratch_) s.stamp.assign(g.num_vertices(), 0);
     // Each block keeps its visited bitmap M in global memory (the queue
     // itself lives in shared memory until it spills).
     bitmap_pool_ = gpusim::DeviceBuffer<std::uint8_t>(
@@ -93,12 +86,13 @@ class GimSampler {
 
       device_->launch_blocks("gim::sample", num_blocks_, [&](BlockContext& ctx) {
         BlockScratch& scratch = scratch_[ctx.block_id()];
+        const eim_impl::StampPool::Lease lease(stamps_, scratch);
         for (std::uint64_t slot = ctx.block_id(); slot < pending.size();
              slot += num_blocks_) {
           ctx.charge_atomic_global(1);
           const std::uint64_t sample_index = pending[slot];
-          generate(ctx, scratch, sample_index);
-          std::sort(scratch.queue.begin(), scratch.queue.end());
+          SharedQueue sink{*this};
+          (void)traversal_.generate(ctx, scratch, sample_index, sink);
           if (collection.try_commit(sample_index, scratch.queue)) {
             charge_commit(ctx, scratch,
                           static_cast<std::uint32_t>(scratch.queue.size()));
@@ -124,20 +118,42 @@ class GimSampler {
   [[nodiscard]] std::uint64_t malloc_count() const noexcept {
     return malloc_count_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] std::uint64_t fragmentation_bytes() const noexcept {
-    return fragmentation_bytes_;
-  }
 
  private:
-  struct BlockScratch {
-    std::vector<VertexId> queue;
-    std::vector<std::uint32_t> stamp;
-    support::FloatDrawBuffer draws;  ///< bulk activation draws (IC BFS)
-    std::uint32_t epoch = 0;
+  struct BlockScratch : eim_impl::TraversalScratch {
     std::vector<std::uint64_t> failed;
     std::uint64_t max_failed_len = 0;  ///< largest set that failed to fit
-    bool spilled = false;          ///< this block's queue escaped shared memory
-    std::uint64_t temp_capacity = 0;  ///< this block's temp RRR buffer slots
+    std::uint64_t temp_capacity = 0;   ///< this block's temp RRR buffer slots
+  };
+
+  /// gIM's queue sink for one sample: shared memory while the queue fits,
+  /// global after the spill. The spill itself mallocs a global buffer and
+  /// copies the shared contents out.
+  struct SharedQueue {
+    GimSampler& sampler;
+    bool spilled = false;  ///< the queue escaped shared memory
+
+    void dequeue(BlockContext& ctx) noexcept {
+      spilled ? ctx.charge_global(1) : ctx.charge_shared(1);
+    }
+    void enqueue(BlockContext& ctx, std::size_t queue_size) {
+      if (!spilled && queue_size > sampler.config_.shared_queue_entries) {
+        spilled = true;
+        sampler.charge_malloc(ctx, queue_size * sizeof(VertexId) * 2);
+        ctx.charge_global(ctx.warp_chunks(queue_size));  // evacuate
+      }
+      if (spilled) {
+        ctx.charge_global(1);
+        ctx.charge_atomic_global(1);
+      } else {
+        ctx.charge_shared(1);
+        ctx.charge_atomic_shared(1);
+      }
+    }
+    /// gIM's LT activation uses the serialized shared-sum design.
+    void lt_chunk(BlockContext& ctx, std::size_t lanes) noexcept {
+      ctx.charge_atomic_shared(lanes);
+    }
   };
 
   /// Meter one in-kernel malloc of `bytes`: latency on the block scaled by
@@ -168,138 +184,10 @@ class GimSampler {
     }
   }
 
-  void generate(BlockContext& ctx, BlockScratch& scratch, std::uint64_t sample_index) {
-    RandomStream rng(params_.rng_seed,
-                     support::derive_stream(imm::kSampleStreamTag, sample_index, 0));
-    const VertexId source = rng.next_below(graph_->num_vertices());
-    ctx.charge_alu(2);
-
-    if (++scratch.epoch == 0) {
-      std::fill(scratch.stamp.begin(), scratch.stamp.end(), 0u);
-      scratch.epoch = 1;
-    }
-    scratch.queue.clear();
-    scratch.queue.push_back(source);
-    scratch.stamp[source] = scratch.epoch;
-    scratch.spilled = false;
-
-    if (model_ == graph::DiffusionModel::IndependentCascade) {
-      bfs_ic(ctx, scratch, rng);
-    } else {
-      walk_lt(ctx, scratch, rng);
-    }
-  }
-
-  /// Queue-write cost: shared memory while the queue fits, global after the
-  /// spill. The spill itself mallocs a global buffer and copies the shared
-  /// contents out.
-  void charge_enqueue(BlockContext& ctx, BlockScratch& scratch,
-                      std::size_t queue_size) {
-    if (!scratch.spilled && queue_size > config_.shared_queue_entries) {
-      scratch.spilled = true;
-      charge_malloc(ctx, queue_size * sizeof(VertexId) * 2);
-      ctx.charge_global(warp_chunks(queue_size, ctx.warp_size()));  // evacuate
-    }
-    if (scratch.spilled) {
-      ctx.charge_global(1);
-      ctx.charge_atomic_global(1);
-    } else {
-      ctx.charge_shared(1);
-      ctx.charge_atomic_shared(1);
-    }
-  }
-
-  void bfs_ic(BlockContext& ctx, BlockScratch& scratch, RandomStream& rng) {
-    const graph::Graph& g = *graph_;
-    const std::uint32_t warp = ctx.warp_size();
-    // Hoisted: queue.push_back writes through a uint32 pointer, so keeping
-    // stamp/epoch as locals spares a per-edge member reload in this hot loop.
-    std::uint32_t* const stamp = scratch.stamp.data();
-    const std::uint32_t epoch = scratch.epoch;
-    // Bulk-filled draw buffer, same consumption order as a next_float()
-    // per unvisited neighbor (see EimSampler::bfs_ic).
-    support::FloatDrawBuffer& draws = scratch.draws;
-    auto c = draws.begin_sample(rng);
-    // Frontier draw demand: in-degree sum of queued-but-unswept vertices
-    // (see EimSampler::bfs_ic) — refills are sized to it.
-    std::size_t pending = g.in().neighbors(scratch.queue.front()).size();
-    for (std::size_t head = 0; head < scratch.queue.size(); ++head) {
-      const VertexId u = scratch.queue[head];
-      if (scratch.spilled) {
-        ctx.charge_global(1);
-      } else {
-        ctx.charge_shared(1);
-      }
-      const auto ins = g.in().neighbors(u);
-      const auto ws = g.in_weights(u);
-      ctx.charge_global(3 * warp_chunks(ins.size(), warp));
-      ctx.charge_alu(warp_chunks(ins.size(), warp));
-      c = draws.ensure(c, rng, ins.size(), pending);
-      std::size_t t = 0;
-      for (std::size_t j = 0; j < ins.size(); ++j) {
-        const VertexId v = ins[j];
-        if (stamp[v] == epoch) continue;
-        // Strict <, matching the eIM sampler: zero-weight edges never
-        // activate.
-        if (c.p[t++] < ws[j]) {
-          stamp[v] = epoch;
-          scratch.queue.push_back(v);
-          pending += g.in().neighbors(v).size();
-          charge_enqueue(ctx, scratch, scratch.queue.size());
-        }
-      }
-      c.p += t;
-      c.avail -= t;
-      pending -= ins.size();
-    }
-    draws.finish_sample(rng, c);
-  }
-
-  void walk_lt(BlockContext& ctx, BlockScratch& scratch, RandomStream& rng) {
-    const graph::Graph& g = *graph_;
-    const std::uint32_t warp = ctx.warp_size();
-    VertexId u = scratch.queue.front();
-    for (;;) {
-      const auto ins = g.in().neighbors(u);
-      const auto ws = g.in_weights(u);
-      if (ins.empty()) break;
-      const float tau = rng.next_float();
-      ctx.charge_alu(1);
-
-      VertexId chosen = graph::kInvalidVertex;
-      float base = 0.0f;
-      for (std::size_t chunk = 0; chunk < ins.size() && chosen == graph::kInvalidVertex;
-           chunk += warp) {
-        const std::size_t len = std::min<std::size_t>(warp, ins.size() - chunk);
-        ctx.charge_global(2);
-        // gIM's LT activation uses the serialized shared-sum design.
-        ctx.charge_atomic_shared(len);
-        float running = base;
-        for (std::size_t l = 0; l < len; ++l) {
-          const float inclusive = running + ws[chunk + l];
-          if (inclusive > tau && running <= tau) {
-            chosen = ins[chunk + l];
-            break;
-          }
-          running = inclusive;
-        }
-        base = running;
-      }
-
-      if (chosen == graph::kInvalidVertex) break;
-      if (scratch.stamp[chosen] == scratch.epoch) break;
-      scratch.stamp[chosen] = scratch.epoch;
-      scratch.queue.push_back(chosen);
-      charge_enqueue(ctx, scratch, scratch.queue.size());
-      u = chosen;
-    }
-  }
-
   /// Commit: write the queue into the block's temporary global RRR buffer,
   /// then copy it into the final collection (double traffic, §2.3). The
   /// temp buffer is dynamically (re)allocated whenever a set outgrows it.
   void charge_commit(BlockContext& ctx, BlockScratch& scratch, std::uint32_t len) {
-    const std::uint32_t warp = ctx.warp_size();
     if (len == 0) {
       ctx.charge_atomic_global(1);
       return;
@@ -314,7 +202,7 @@ class GimSampler {
     } else {
       charge_heap_latency(ctx);
     }
-    const std::uint64_t chunks = warp_chunks(len, warp);
+    const std::uint64_t chunks = ctx.warp_chunks(len);
     const std::uint32_t log_len = support::ceil_log2(std::max<std::uint32_t>(2, len));
     ctx.charge_alu(chunks * log_len * log_len);  // ascending-order insert
     ctx.charge_global(2 * chunks);               // write temp, read temp
@@ -325,12 +213,11 @@ class GimSampler {
   }
 
   gpusim::Device* device_;
-  const graph::Graph* graph_;
-  graph::DiffusionModel model_;
-  imm::ImmParams params_;
   GimConfig config_;
   std::uint32_t num_blocks_;
+  eim_impl::Traversal traversal_;
   std::vector<BlockScratch> scratch_;
+  eim_impl::StampPool stamps_;
   std::atomic<std::uint64_t> malloc_count_{0};
   std::uint64_t fragmentation_bytes_ = 0;
   std::uint64_t slot_width_ = 0;

@@ -1,13 +1,15 @@
-// eIM's RRR-set sampling kernels (paper §3.2-§3.4, Algorithm 2).
+// eIM's RRR-set sampling engine (paper §3.2-§3.4, Algorithm 2).
 //
 // One warp per block; every block owns a fixed slice of a pre-allocated
 // global-memory queue pool (eIM's replacement for gIM's shared-memory queue
 // + dynamic spill), so sampling performs *zero* in-kernel allocations. The
 // queue doubles as the RRR set: on completion it is sorted and committed
-// into the collection with one atomic offset claim (Fig. 2).
+// into the collection with one atomic offset claim (Fig. 2). The traversal
+// itself is the shared kernel in eim/traversal.hpp; this engine supplies
+// its queue sink, the capacity waves and the commit.
 //
-// Work distribution follows the paper: blocks round-robin over sample
-// indices through a shared atomic counter until theta sets exist.
+// Work distribution follows the paper's round-robin assignment: block b of
+// B takes the pending slots b, b + B, b + 2B, ... (see sample_assigned).
 //
 // Determinism contract: sample i draws from the stream
 // (rng_seed, derive_stream(imm::kSampleStreamTag, i, attempt)) and consumes
@@ -17,17 +19,15 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "eim/eim/options.hpp"
 #include "eim/eim/rrr_collection.hpp"
+#include "eim/eim/traversal.hpp"
 #include "eim/gpusim/device.hpp"
 #include "eim/graph/graph.hpp"
 #include "eim/graph/weights.hpp"
 #include "eim/imm/params.hpp"
-#include "eim/support/rng.hpp"
 
 namespace eim::eim_impl {
 
@@ -86,64 +86,16 @@ class EimSampler {
   [[nodiscard]] std::uint32_t num_blocks() const noexcept { return num_blocks_; }
 
  private:
-  /// The visited bitmap M as an epoch-stamped n-word array: v is in the
-  /// sample being generated iff stamp[v] == epoch, so starting a sample is
-  /// one increment instead of clearing n bits.
-  struct Stamps {
-    std::vector<std::uint32_t> stamp;
-    std::uint32_t epoch = 0;
-    Stamps* next_free = nullptr;  ///< free-list link while not checked out
+  struct BlockScratch : TraversalScratch {
+    std::vector<std::uint64_t> failed;  ///< commits deferred to next wave
+    std::uint64_t max_failed_len = 0;   ///< largest set that failed to fit
+    std::uint64_t discarded = 0;        ///< committed samples' regen count
   };
-
-  /// Checks a Stamps out of the pool for one block body and returns it on
-  /// scope exit (exceptions included).
-  class StampLease;
-
-  struct BlockScratch {
-    std::vector<graph::VertexId> queue;   ///< this block's global-pool slice
-    Stamps* marks = nullptr;              ///< M, leased while a body runs
-    support::FloatDrawBuffer draws;       ///< bulk activation draws (IC BFS)
-    std::vector<std::uint64_t> failed;    ///< commits deferred to next wave
-    std::uint64_t max_failed_len = 0;     ///< largest set that failed to fit
-    std::uint64_t discarded = 0;          ///< committed samples' regen count
-    // Struct-of-arrays frontier for the fast-draw BFS: each queue entry's
-    // CSC slice and weight class, cached at enqueue so the sweep streams
-    // flat arrays instead of re-touching the offset table per vertex.
-    std::vector<graph::EdgeId> frontier_begin;
-    std::vector<std::uint32_t> frontier_len;
-    std::vector<std::uint8_t> frontier_kind;
-    std::uint64_t draws_skipped = 0;  ///< Bernoulli draws avoided (flushed per wave)
-    std::uint64_t alias_picks = 0;    ///< O(1) LT picks taken (flushed per wave)
-  };
-
-  /// Generate the RRR set for `sample_index` into scratch.queue; returns
-  /// the number of singleton regenerations performed for this sample.
-  std::uint32_t generate(gpusim::BlockContext& ctx, BlockScratch& scratch,
-                         std::uint64_t sample_index);
-
-  void bfs_ic(gpusim::BlockContext& ctx, BlockScratch& scratch,
-              graph::VertexId source, support::RandomStream& rng);
-  void walk_lt(gpusim::BlockContext& ctx, BlockScratch& scratch,
-               graph::VertexId source, support::RandomStream& rng);
-
-  // Fast-draw variants (DrawMode::Skip, docs/PERFORMANCE.md "Draw
-  // efficiency"): geometric skip-ahead over uniform-weight vertices and
-  // O(1) alias-table picks, driven by the graph's DrawPlan sidecar. They
-  // consume the per-sample RNG stream differently from the exact kernels —
-  // still a pure function of (rng_seed, global id), so resume/spill/
-  // multi-GPU determinism holds within the mode.
-  void bfs_ic_skip(gpusim::BlockContext& ctx, BlockScratch& scratch,
-                   graph::VertexId source, support::RandomStream& rng);
-  void walk_lt_skip(gpusim::BlockContext& ctx, BlockScratch& scratch,
-                    graph::VertexId source, support::RandomStream& rng);
 
   /// Meter the sort + commit traffic for a finished set of length `len`.
   void charge_commit(gpusim::BlockContext& ctx, std::uint32_t len) const;
 
   gpusim::Device* device_;
-  const graph::Graph* graph_;
-  graph::DiffusionModel model_;
-  imm::ImmParams params_;
   EimOptions options_;
   std::uint32_t num_blocks_;
 
@@ -151,23 +103,13 @@ class EimSampler {
   /// lifetime, like eIM's persistent global-memory pool).
   gpusim::DeviceBuffer<std::uint8_t> pool_charge_;
 
-  /// Fast-draw sidecar, non-null only when DrawMode::Skip is on AND the
-  /// graph carries a plan built for this model (assign_weights builds it;
-  /// hand-assigned weights leave it null and the sampler silently runs the
-  /// exact kernels). Host memory is shared across samplers/shards; each
-  /// modeled device charges its own resident copy.
-  const graph::DrawPlan* plan_ = nullptr;
+  /// Device charge for the fast-draw sidecar, when traversal_.plan is set.
   gpusim::DeviceBuffer<std::uint8_t> plan_charge_;
 
+  Traversal traversal_;
   std::vector<BlockScratch> scratch_;
+  StampPool stamps_;
   std::uint64_t singletons_discarded_ = 0;
-
-  // Host stamp arrays. A block's M is only live while its body runs, so the
-  // pool grows to the number of bodies the host ever ran at once (its
-  // thread count), not to one n-word array per simulated block.
-  std::mutex stamps_mutex_;
-  std::vector<std::unique_ptr<Stamps>> stamp_arrays_;  ///< owns every array
-  Stamps* free_stamps_ = nullptr;                      ///< free-list head
 };
 
 }  // namespace eim::eim_impl

@@ -21,6 +21,7 @@
 #include <span>
 
 #include "eim/gpusim/device_spec.hpp"
+#include "eim/support/bits.hpp"
 
 namespace eim::gpusim {
 
@@ -45,6 +46,11 @@ class BlockContext : public CostMeter {
 
   [[nodiscard]] std::uint32_t block_id() const noexcept { return block_id_; }
   [[nodiscard]] std::uint32_t warp_size() const noexcept { return spec_->warp_size; }
+
+  /// Coalesced warp transactions needed to touch `count` consecutive items.
+  [[nodiscard]] std::uint64_t warp_chunks(std::uint64_t count) const noexcept {
+    return support::div_ceil<std::uint64_t>(count, spec_->warp_size);
+  }
 
   // -- memory traffic --------------------------------------------------
 
@@ -112,6 +118,15 @@ class BlockContext : public CostMeter {
 
   /// Ballot: bit i set iff lane i's predicate holds. One warp instruction.
   [[nodiscard]] std::uint32_t warp_ballot(std::span<const bool> lane_predicates) noexcept;
+
+  /// Charge-only forms of the two collectives, for kernels whose host side
+  /// evaluates the lanes itself (the LT walk's scan, traversal.hpp).
+  void charge_warp_scan() noexcept {
+    const std::uint32_t steps = support::ceil_log2(spec_->warp_size);
+    charge_shuffle(steps);
+    charge_alu(steps);
+  }
+  void charge_warp_ballot() noexcept { charge_alu(1); }
 
  private:
   std::uint32_t block_id_;

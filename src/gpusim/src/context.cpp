@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "eim/support/bits.hpp"
-
 namespace eim::gpusim {
 
 void BlockContext::warp_inclusive_scan(std::span<float> lane_values) noexcept {
@@ -16,9 +14,7 @@ void BlockContext::warp_inclusive_scan(std::span<float> lane_values) noexcept {
   }
   // ...charged as the Hillis-Steele shuffle ladder a warp would execute:
   // log2(warp_size) shuffle+add steps (§3.3's O(log d) claim).
-  const std::uint32_t steps = support::ceil_log2(spec_->warp_size);
-  charge_shuffle(steps);
-  charge_alu(steps);
+  charge_warp_scan();
 }
 
 std::uint32_t BlockContext::warp_ballot(std::span<const bool> lane_predicates) noexcept {
@@ -27,7 +23,7 @@ std::uint32_t BlockContext::warp_ballot(std::span<const bool> lane_predicates) n
   for (std::size_t lane = 0; lane < lane_predicates.size(); ++lane) {
     if (lane_predicates[lane]) mask |= (1u << lane);
   }
-  charge_alu(1);
+  charge_warp_ballot();
   return mask;
 }
 

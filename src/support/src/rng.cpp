@@ -19,8 +19,10 @@
 #include <cstdint>
 #include <type_traits>
 
+// Not under ThreadSanitizer: ifunc resolvers run during relocation, before
+// libtsan has initialized, and crash the binary before main.
 #if defined(__x86_64__) && defined(__gnu_linux__) && \
-    (defined(__GNUC__) || defined(__clang__))
+    (defined(__GNUC__) || defined(__clang__)) && !defined(__SANITIZE_THREAD__)
 #define EIM_PHILOX_X86 1
 #include <immintrin.h>
 // target_clones needs ifunc support (GCC/Clang on x86-64 Linux with glibc);

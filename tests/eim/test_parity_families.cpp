@@ -3,6 +3,7 @@
 // degenerate paths — under both models and both elimination settings.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
 
 #include "eim/eim/rrr_collection.hpp"
@@ -23,6 +24,7 @@ struct FamilyCase {
   std::function<graph::EdgeList()> build;
   DiffusionModel model;
   bool eliminate;
+  std::uint64_t sets = 300;
 };
 
 class FamilyParity : public ::testing::TestWithParam<FamilyCase> {};
@@ -37,7 +39,7 @@ TEST_P(FamilyParity, KernelMatchesSerialReference) {
   params.eliminate_sources = family.eliminate;
 
   imm::RrrStore store(g.num_vertices());
-  (void)imm::sample_to_target(g, family.model, params, store, 300);
+  (void)imm::sample_to_target(g, family.model, params, store, family.sets);
 
   gpusim::Device device(gpusim::make_benchmark_device(256));
   DeviceRrrCollection collection(device, g.num_vertices(), true);
@@ -45,7 +47,7 @@ TEST_P(FamilyParity, KernelMatchesSerialReference) {
   options.eliminate_sources = family.eliminate;
   options.sampler_blocks = 8;
   EimSampler sampler(device, g, family.model, params, options);
-  sampler.sample_to(collection, 300);
+  sampler.sample_to(collection, family.sets);
 
   ASSERT_EQ(collection.num_sets(), store.num_sets());
   ASSERT_EQ(collection.total_elements(), store.total_elements());
@@ -73,6 +75,11 @@ INSTANTIATE_TEST_SUITE_P(
                    DiffusionModel::IndependentCascade, false},
         FamilyCase{"complete_lt", [] { return graph::complete_graph(24); },
                    DiffusionModel::LinearThreshold, true},
+        // In-degree 199 spans seven warp chunks, so the walk's running sum
+        // must round exactly like the serial left-to-right sum; a rounding
+        // split shows in only a few of thousands of sets.
+        FamilyCase{"complete_lt_wide", [] { return graph::complete_graph(200); },
+                   DiffusionModel::LinearThreshold, false, 2000},
         FamilyCase{"bipartite_ic", [] { return graph::bipartite_graph(12, 20); },
                    DiffusionModel::IndependentCascade, true},
         FamilyCase{"path_lt", [] { return graph::path_graph(50); },

@@ -11,7 +11,8 @@
 // Each sample (one folded line, weighted by its count) is attributed to the
 // first frame, scanning leaf to root, that matches a known hot-path bucket:
 //
-//   sampler   Monte Carlo RRR generation (EimSampler/RrrSampler BFS + walk)
+//   sampler   Monte Carlo RRR generation (EimSampler, the shared traversal
+//             kernel's BFS + walk and policies, RrrSampler)
 //   rng.skip  fast-draw arithmetic: geometric skip-ahead draws and
 //             alias-table picks (--draw-mode skip)
 //   rng.gen   Philox block generation and bulk refills
@@ -87,10 +88,14 @@ std::vector<Bucket> make_buckets() {
        {"BitPackedArray", "PackedCsc", "decode_set", "decode_into",
         "store_release_range", "encode", "BitmapSet", "Huffman", "varint"},
        0},
+      // The device traversal's frames (eim/traversal.hpp) name their
+      // policies or the bfs_ic/walk_lt templates; none takes a RandomStream
+      // parameter, so none is claimed by the rng bucket above.
       {"sampler",
        {"EimSampler", "RrrSampler", "bfs_ic", "walk_lt", "sample_ic", "sample_lt",
         "sample_into", "sample_rrr", "sample_assigned", "sample_to", "generate",
-        "launch_blocks", "try_commit", "wave_body"},
+        "launch_blocks", "try_commit", "wave_body", "Traversal", "ExactDraws",
+        "SkipDraws", "ScanPick", "AliasPick", "StampPool"},
        0},
       {"selector",
        {"SeedSelector", "GpuSeedSelector", "LazyArgMax", "build_inverted_index",
