@@ -7,8 +7,9 @@
 # skip round-trip with mode-mismatch rejection, a node-kill cluster
 # failover smoke, a multi-GPU smoke (--devices 3 == --nodes 3 == one
 # device, plus exit-2 rejection of flags the sharded drivers cannot honor),
-# and a quarter-budget spill smoke that must reproduce the
-# unconstrained seeds bit-identically, then
+# and a quarter-budget spill smoke (with and without an eighth-size host
+# tier that forces the disk tier) that must reproduce the unconstrained seeds
+# bit-identically, then
 # run one small traced benchmark, validate the JSON artifacts it emits, and
 # diff its timings against the committed baseline. Finishes with a
 # Release-build perf smoke: bench_micro plus the fig7, multi-node, and
@@ -195,7 +196,7 @@ for bad in "--nodes 2 --devices 4" "--devices 2 --oom-degrade" "--nodes 2 --oom-
 done
 rm -rf "${mg_tmp}"
 
-echo "== CLI spill smoke: quarter-budget run matches unconstrained seeds =="
+echo "== CLI spill smoke: quarter-budget and disk-tier runs match unconstrained seeds =="
 spill_tmp="$(mktemp -d)"
 spill_args=(--dataset WV --k 10 --eps 0.3 --json)
 "${cli}" "${spill_args[@]}" > "${spill_tmp}/unconstrained.json"
@@ -203,19 +204,31 @@ budget="$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["rrr_b
   "${spill_tmp}/unconstrained.json")"
 "${cli}" "${spill_args[@]}" --device-mem-budget "${budget}" \
   > "${spill_tmp}/budgeted.json"
+# Same budget with the compressed host tier capped at 1/8 of rrr_bytes, so
+# blocks LRU-evict to disk: the disk tier's write, read-back and CRC check
+# run end to end.
+"${cli}" "${spill_args[@]}" --device-mem-budget "${budget}" \
+  --spill-host-budget "$((budget / 2))" --metrics-json "${spill_tmp}/disk.metrics.json" \
+  > "${spill_tmp}/disk.json"
 # Spill contract: a 4x smaller device budget may only change the modeled
 # clock, memory figures, and the spill bookkeeping — the seeds and every
 # other algorithmic field must be bit-identical, at full theta.
-for f in unconstrained budgeted; do
+for f in unconstrained budgeted disk; do
   python3 -c 'import json,sys; d=json.load(open(sys.argv[1])); [d.pop(k, None) for k in ("device_seconds","peak_device_bytes","rrr_bytes","spilled_sets","spill_bytes_compressed")]; print(json.dumps(d,sort_keys=True))' \
     "${spill_tmp}/${f}.json" > "${spill_tmp}/${f}.norm.json"
 done
 diff "${spill_tmp}/unconstrained.norm.json" "${spill_tmp}/budgeted.norm.json"
-python3 - "${spill_tmp}/budgeted.json" <<'EOF'
+diff "${spill_tmp}/unconstrained.norm.json" "${spill_tmp}/disk.norm.json"
+python3 - "${spill_tmp}/budgeted.json" "${spill_tmp}/disk.json" \
+  "${spill_tmp}/disk.metrics.json" <<'EOF'
 import json, sys
-d = json.load(open(sys.argv[1]))
-assert d["spilled_sets"] > 0, "budgeted run never spilled"
-assert not d["degraded"], "budgeted run degraded instead of spilling"
+for path in sys.argv[1:3]:
+    d = json.load(open(path))
+    assert d["spilled_sets"] > 0, f"{path}: budgeted run never spilled"
+    assert not d["degraded"], f"{path}: budgeted run degraded instead of spilling"
+counters = json.load(open(sys.argv[3]))["metrics"]["counters"]
+for name in ("spill.disk_writes", "spill.disk_reads"):
+    assert counters.get(name, 0) > 0, f"host-budgeted run never used the disk tier ({name})"
 EOF
 rm -rf "${spill_tmp}"
 

@@ -5,9 +5,9 @@
 //
 //   T0  device-resident bit-packed sets (the collection itself)
 //   T1  compressed host-resident blocks — batches of decoded sets framed by
-//       encoding::rrr_block_encode (delta + varint/Huffman, per-block
-//       CRC-32C), admitted under an optional host byte budget with LRU
-//       eviction downward
+//       encoding::rrr_block_encode (delta + varint, per-block CRC-32C),
+//       admitted under an optional host byte budget with LRU eviction
+//       downward
 //   T2  disk-backed cold blocks, written through the hardened
 //       support::atomic_write_file (fsync + atomic rename) so a crash or a
 //       full disk never publishes a torn block
@@ -32,7 +32,7 @@
 #include <functional>
 #include <span>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "eim/graph/types.hpp"
@@ -44,6 +44,11 @@ class MetricsRegistry;
 class Counter;
 class Histogram;
 }  // namespace eim::support::metrics
+
+namespace eim::support::profiler {
+class WallProfile;
+class WallTimer;
+}  // namespace eim::support::profiler
 
 namespace eim::support::trace {
 class TraceRecorder;
@@ -86,6 +91,9 @@ class TieredRrrStore {
 
   void attach_metrics(support::metrics::MetricsRegistry* registry);
   void attach_trace(support::trace::TraceRecorder* trace, std::uint32_t pid);
+  /// Wire the spill.{encode,decode,disk_write,disk_read} wall timers into
+  /// `profile` (nullptr detaches and reads no clock).
+  void attach_profile(support::profiler::WallProfile* profile);
 
   /// Deterministic block-repair source: regenerate the decoded members of
   /// one set by global sample id. Without a hook, a CRC failure is fatal
@@ -93,9 +101,10 @@ class TieredRrrStore {
   void set_resample_hook(
       std::function<void(std::uint64_t, std::vector<graph::VertexId>&)> hook);
 
-  /// Evict a batch of decoded sets downward. `values` concatenates the sets
-  /// in `set_ids` order (each ascending); `raw_device_bytes` is the packed
-  /// device footprint being freed, charged as one PCIe D2H transfer.
+  /// Evict a batch of decoded sets downward. `set_ids` are the collection's
+  /// local slots (the index grows to the largest); `values` concatenates the
+  /// sets in `set_ids` order (each ascending); `raw_device_bytes` is the
+  /// packed device footprint being freed, charged as one PCIe D2H transfer.
   void spill(std::span<const std::uint64_t> set_ids,
              std::span<const std::uint32_t> lengths,
              std::span<const graph::VertexId> values,
@@ -112,7 +121,6 @@ class TieredRrrStore {
   [[nodiscard]] std::uint64_t compressed_bytes() const noexcept {
     return host_bytes_ + disk_bytes_;
   }
-  [[nodiscard]] std::uint64_t host_bytes() const noexcept { return host_bytes_; }
   [[nodiscard]] std::uint64_t disk_bytes() const noexcept { return disk_bytes_; }
   [[nodiscard]] const TieredStoreStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const std::string& dir() const noexcept { return dir_; }
@@ -152,9 +160,11 @@ class TieredRrrStore {
   std::string dir_;
   bool own_dir_ = false;
 
+  static constexpr std::uint32_t kNotSpilled = ~std::uint32_t{0};
+
   std::vector<Block> blocks_;
-  std::unordered_map<std::uint64_t, std::pair<std::uint32_t, std::uint32_t>>
-      set_index_;  ///< set id -> (block, position in block)
+  std::vector<std::pair<std::uint32_t, std::uint32_t>>
+      set_index_;  ///< set id -> (block or kNotSpilled, position in block)
   std::vector<Staged> staging_;
   std::uint64_t lru_clock_ = 0;
 
@@ -181,6 +191,11 @@ class TieredRrrStore {
   support::metrics::Counter* corrupt_blocks_ = nullptr;
   support::metrics::Counter* resampled_sets_ = nullptr;
   support::metrics::Histogram* block_bytes_ = nullptr;
+
+  support::profiler::WallTimer* encode_wall_ = nullptr;
+  support::profiler::WallTimer* decode_wall_ = nullptr;
+  support::profiler::WallTimer* disk_write_wall_ = nullptr;
+  support::profiler::WallTimer* disk_read_wall_ = nullptr;
 
   support::trace::TraceRecorder* trace_ = nullptr;
   std::uint32_t trace_pid_ = 0;

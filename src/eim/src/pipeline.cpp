@@ -138,6 +138,7 @@ EimResult run_eim(gpusim::Device& device, const graph::Graph& g,
     store_options.retry = options.retry;
     spill_store = std::make_unique<TieredRrrStore>(device, store_options);
     spill_store->attach_metrics(reg);
+    spill_store->attach_profile(profile);
     if (trace != nullptr) spill_store->attach_trace(trace, trace_pid);
     // Single-device run: local slot == global sample id, so the sampler can
     // regenerate any spilled set directly.

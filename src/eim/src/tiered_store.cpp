@@ -18,6 +18,7 @@
 #include "eim/support/atomic_write.hpp"
 #include "eim/support/error.hpp"
 #include "eim/support/metrics.hpp"
+#include "eim/support/profiler.hpp"
 #include "eim/support/trace.hpp"
 
 namespace eim::eim_impl {
@@ -84,6 +85,16 @@ void TieredRrrStore::attach_trace(support::trace::TraceRecorder* trace,
   trace_pid_ = pid;
 }
 
+void TieredRrrStore::attach_profile(support::profiler::WallProfile* profile) {
+  const auto timer = [profile](std::string_view name) {
+    return profile != nullptr ? &profile->timer(name) : nullptr;
+  };
+  encode_wall_ = timer("spill.encode");
+  decode_wall_ = timer("spill.decode");
+  disk_write_wall_ = timer("spill.disk_write");
+  disk_read_wall_ = timer("spill.disk_read");
+}
+
 void TieredRrrStore::set_resample_hook(
     std::function<void(std::uint64_t, std::vector<graph::VertexId>&)> hook) {
   resample_hook_ = std::move(hook);
@@ -128,6 +139,8 @@ void TieredRrrStore::spill(std::span<const std::uint64_t> set_ids,
   // One PCIe D2H transfer covers the whole eviction batch: the packed device
   // array streams out before the host-side re-encode.
   charge_pcie("spill.evict", raw_device_bytes);
+  const std::uint64_t max_id = *std::max_element(set_ids.begin(), set_ids.end());
+  if (max_id >= set_index_.size()) set_index_.resize(max_id + 1, {kNotSpilled, 0});
 
   std::uint64_t num_blocks = 0;
   std::uint64_t compressed = 0;
@@ -142,26 +155,25 @@ void TieredRrrStore::spill(std::span<const std::uint64_t> set_ids,
     block.lengths.assign(lengths.begin() + static_cast<std::ptrdiff_t>(set_at),
                          lengths.begin() + static_cast<std::ptrdiff_t>(set_at + take));
     block.offsets.resize(take + 1, 0);
-    std::uint64_t block_values = 0;
     for (std::size_t j = 0; j < take; ++j) {
       block.offsets[j + 1] = block.offsets[j] + block.lengths[j];
-      block_values += block.lengths[j];
     }
+    const std::uint64_t block_values = block.offsets.back();
     EIM_CHECK_MSG(value_at + block_values <= values.size(),
                   "spill batch: values shorter than lengths");
-    block.encoded = encoding::rrr_block_encode(
-        block.lengths, values.subspan(value_at, block_values));
+    {
+      const support::profiler::ScopedWallTimer encode_scope(encode_wall_);
+      block.encoded = encoding::rrr_block_encode(
+          block.lengths, values.subspan(value_at, block_values));
+    }
     block.encoded_bytes = block.encoded.size();
     // Prorate the freed device footprint by member count so a later fetch
     // charges the PCIe cost of just this block's share.
     block.raw_bytes =
-        values.empty() ? 0
-                       : raw_device_bytes * block_values /
-                             std::max<std::uint64_t>(values.size(), 1);
+        raw_device_bytes * block_values / std::max<std::uint64_t>(values.size(), 1);
     const std::uint32_t block_index = static_cast<std::uint32_t>(blocks_.size());
     for (std::size_t j = 0; j < take; ++j) {
-      set_index_.emplace(block.set_ids[j],
-                         std::make_pair(block_index, static_cast<std::uint32_t>(j)));
+      set_index_[block.set_ids[j]] = {block_index, static_cast<std::uint32_t>(j)};
     }
     compressed += block.encoded_bytes;
     if (block_bytes_ != nullptr) block_bytes_->observe(block.encoded_bytes);
@@ -226,6 +238,7 @@ void TieredRrrStore::write_to_disk(Block& block) {
   std::filesystem::create_directories(dir_, ec);
   const std::string_view view(reinterpret_cast<const char*>(block.encoded.data()),
                               block.encoded.size());
+  const support::profiler::ScopedWallTimer write_scope(disk_write_wall_);
   support::retry_on<support::IoError>(
       options_.retry,
       [&] {
@@ -271,6 +284,7 @@ void TieredRrrStore::write_to_disk(Block& block) {
 std::vector<std::uint8_t> TieredRrrStore::read_from_disk(const Block& block,
                                                          std::size_t block_index) {
   const std::string path = block_path(block_index);
+  const support::profiler::ScopedWallTimer read_scope(disk_read_wall_);
   return support::retry_on<support::IoError>(
       options_.retry,
       [&]() -> std::vector<std::uint8_t> {
@@ -342,7 +356,10 @@ std::vector<graph::VertexId> TieredRrrStore::quarantine_and_resample(
   } else {
     host_bytes_ -= block.encoded_bytes;
   }
-  block.encoded = encoding::rrr_block_encode(block.lengths, values);
+  {
+    const support::profiler::ScopedWallTimer encode_scope(encode_wall_);
+    block.encoded = encoding::rrr_block_encode(block.lengths, values);
+  }
   block.encoded_bytes = block.encoded.size();
   host_bytes_ += block.encoded_bytes;
   block.lru = ++lru_clock_;
@@ -364,6 +381,7 @@ TieredRrrStore::Staged& TieredRrrStore::stage_block(std::size_t block_index) {
       frame = block.encoded;
     }
     try {
+      const support::profiler::ScopedWallTimer decode_scope(decode_wall_);
       encoding::DecodedRrrBlock decoded = encoding::rrr_block_decode(frame);
       values = std::move(decoded.values);
     } catch (const support::IoError&) {
@@ -398,10 +416,8 @@ TieredRrrStore::Staged& TieredRrrStore::stage_block(std::size_t block_index) {
 }
 
 void TieredRrrStore::fetch(std::uint64_t set_id, std::span<graph::VertexId> out) {
-  const auto it = set_index_.find(set_id);
-  EIM_CHECK_MSG(it != set_index_.end(), "spill fetch: set was never spilled");
-  const std::size_t block_index = it->second.first;
-  const std::size_t pos = it->second.second;
+  EIM_CHECK_MSG(contains(set_id), "spill fetch: set was never spilled");
+  const auto [block_index, pos] = set_index_[set_id];
   const Block& block = blocks_[block_index];
 
   Staged* staged = nullptr;
@@ -427,7 +443,7 @@ void TieredRrrStore::fetch(std::uint64_t set_id, std::span<graph::VertexId> out)
 }
 
 bool TieredRrrStore::contains(std::uint64_t set_id) const {
-  return set_index_.find(set_id) != set_index_.end();
+  return set_id < set_index_.size() && set_index_[set_id].first != kNotSpilled;
 }
 
 }  // namespace eim::eim_impl

@@ -1,8 +1,8 @@
 #include "eim/encoding/rrr_codec.hpp"
 
 #include <cstring>
+#include <limits>
 
-#include "eim/encoding/huffman.hpp"
 #include "eim/encoding/varint.hpp"
 #include "eim/support/crc32.hpp"
 #include "eim/support/error.hpp"
@@ -15,205 +15,129 @@ namespace {
 //   magic(8) codec(1) num_sets(8) num_values(8) lengths_bytes(8)
 //   payload_bytes(8) crc32c(4)
 constexpr std::size_t kHeaderBytes = 8 + 1 + 8 + 8 + 8 + 8 + 4;
+constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+std::uint8_t* put_le(std::uint8_t* p, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) *p++ = static_cast<std::uint8_t>(v >> (8 * i));
+  return p;
 }
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+std::uint64_t get_le(const std::uint8_t* p, int bytes) {
+  std::uint64_t r = 0;
+  for (int i = 0; i < bytes; ++i) r |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+  return r;
 }
 
-class Cursor {
- public:
-  explicit Cursor(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
-
-  [[nodiscard]] std::span<const std::uint8_t> take(std::size_t n) {
-    if (bytes_.size() - at_ < n) {
-      throw support::IoError("rrr block: truncated frame");
-    }
-    const auto view = bytes_.subspan(at_, n);
-    at_ += n;
-    return view;
-  }
-  [[nodiscard]] std::uint8_t u8() { return take(1)[0]; }
-  [[nodiscard]] std::uint32_t u32() {
-    const auto v = take(4);
-    std::uint32_t r = 0;
-    for (int i = 0; i < 4; ++i) r |= static_cast<std::uint32_t>(v[i]) << (8 * i);
-    return r;
-  }
-  [[nodiscard]] std::uint64_t u64() {
-    const auto v = take(8);
-    std::uint64_t r = 0;
-    for (int i = 0; i < 8; ++i) r |= static_cast<std::uint64_t>(v[i]) << (8 * i);
-    return r;
-  }
-  [[nodiscard]] std::size_t remaining() const noexcept { return bytes_.size() - at_; }
-
- private:
-  std::span<const std::uint8_t> bytes_;
-  std::size_t at_ = 0;
-};
-
-// Delta transform: within each (strictly ascending) set, the first member is
-// absolute and every later one stores the gap minus one — small symbols that
-// both varint and Huffman compress well.
-std::vector<std::uint32_t> to_deltas(std::span<const std::uint32_t> lengths,
-                                     std::span<const std::uint32_t> values) {
-  std::vector<std::uint32_t> deltas;
-  deltas.reserve(values.size());
-  std::size_t at = 0;
+// Visits each member's delta: within each (strictly ascending) set the first
+// member is absolute and every later one stores the gap minus one.
+template <typename Fn>
+void for_each_delta(std::span<const std::uint32_t> lengths,
+                    std::span<const std::uint32_t> values, Fn&& fn) {
+  const std::uint32_t* v = values.data();
   for (const std::uint32_t len : lengths) {
-    for (std::uint32_t j = 0; j < len; ++j) {
-      deltas.push_back(j == 0 ? values[at] : values[at] - values[at - 1] - 1);
-      ++at;
-    }
+    if (len == 0) continue;
+    fn(v[0]);
+    for (std::uint32_t j = 1; j < len; ++j) fn(v[j] - v[j - 1] - 1);
+    v += len;
   }
-  return deltas;
-}
-
-std::vector<std::uint8_t> serialize_huffman(const HuffmanBlock& block) {
-  std::vector<std::uint8_t> out;
-  out.reserve(block.total_bytes() + 32);
-  put_u32(out, static_cast<std::uint32_t>(block.symbols.size()));
-  for (std::size_t i = 0; i < block.symbols.size(); ++i) {
-    put_u32(out, block.symbols[i]);
-    out.push_back(block.lengths[i]);
-  }
-  put_u64(out, block.num_symbols);
-  put_u64(out, block.bits.size());
-  out.insert(out.end(), block.bits.begin(), block.bits.end());
-  return out;
-}
-
-HuffmanBlock deserialize_huffman(Cursor& cur) {
-  HuffmanBlock block;
-  const std::uint32_t num_codes = cur.u32();
-  block.symbols.reserve(num_codes);
-  block.lengths.reserve(num_codes);
-  for (std::uint32_t i = 0; i < num_codes; ++i) {
-    block.symbols.push_back(cur.u32());
-    block.lengths.push_back(cur.u8());
-  }
-  block.num_symbols = cur.u64();
-  const std::uint64_t bits_bytes = cur.u64();
-  const auto bits = cur.take(bits_bytes);
-  block.bits.assign(bits.begin(), bits.end());
-  return block;
 }
 
 }  // namespace
 
 std::vector<std::uint8_t> rrr_block_encode(std::span<const std::uint32_t> lengths,
                                            std::span<const std::uint32_t> values) {
-  const std::vector<std::uint32_t> deltas = to_deltas(lengths, values);
+  // Size the frame exactly, then write every varint once straight into it.
+  std::size_t lengths_bytes = 0;
+  for (const std::uint32_t len : lengths) lengths_bytes += varint_size(len);
+  std::size_t payload_bytes = lengths_bytes;
+  for_each_delta(lengths, values,
+                 [&](std::uint32_t d) { payload_bytes += varint_size(d); });
 
-  // Lengths section: varint-coded (they are small and few).
-  std::vector<std::uint8_t> lengths_bytes;
-  for (const std::uint32_t len : lengths) varint_append(lengths_bytes, len);
+  std::vector<std::uint8_t> frame(kHeaderBytes + payload_bytes);
+  std::uint8_t* const payload = frame.data() + kHeaderBytes;
+  std::uint8_t* p = payload;
+  for (const std::uint32_t len : lengths) p = varint_write(p, len);
+  for_each_delta(lengths, values, [&](std::uint32_t d) { p = varint_write(p, d); });
 
-  // Values section: encode with both candidate codecs, keep the smaller —
-  // varint wins on tiny/uniform blocks, Huffman on skewed hub-heavy ones.
-  std::vector<std::uint8_t> varint_section;
-  varint_section.reserve(deltas.size());
-  for (const std::uint32_t d : deltas) varint_append(varint_section, d);
-  std::vector<std::uint8_t> huffman_section;
-  if (!deltas.empty()) {
-    huffman_section = serialize_huffman(huffman_encode(deltas));
-  }
-  const bool use_huffman =
-      !huffman_section.empty() && huffman_section.size() < varint_section.size();
-  const std::vector<std::uint8_t>& section =
-      use_huffman ? huffman_section : varint_section;
-
-  std::vector<std::uint8_t> payload;
-  payload.reserve(lengths_bytes.size() + section.size());
-  payload.insert(payload.end(), lengths_bytes.begin(), lengths_bytes.end());
-  payload.insert(payload.end(), section.begin(), section.end());
-
-  std::vector<std::uint8_t> frame;
-  frame.reserve(kHeaderBytes + payload.size());
-  frame.insert(frame.end(), kRrrBlockMagic.begin(), kRrrBlockMagic.end());
-  frame.push_back(use_huffman ? kRrrBlockCodecHuffman : kRrrBlockCodecVarint);
-  put_u64(frame, lengths.size());
-  put_u64(frame, values.size());
-  put_u64(frame, lengths_bytes.size());
-  put_u64(frame, payload.size());
-  put_u32(frame, support::crc32c(payload));
-  frame.insert(frame.end(), payload.begin(), payload.end());
+  std::uint8_t* h = frame.data();
+  std::memcpy(h, kRrrBlockMagic.data(), kRrrBlockMagic.size());
+  h += kRrrBlockMagic.size();
+  *h++ = kRrrBlockCodecVarint;
+  h = put_le(h, lengths.size(), 8);
+  h = put_le(h, values.size(), 8);
+  h = put_le(h, lengths_bytes, 8);
+  h = put_le(h, payload_bytes, 8);
+  put_le(h, support::crc32c(std::span<const std::uint8_t>(payload, payload_bytes)), 4);
   return frame;
 }
 
 DecodedRrrBlock rrr_block_decode(std::span<const std::uint8_t> bytes) {
-  Cursor header(bytes);
-  const auto magic = header.take(kRrrBlockMagic.size());
-  if (std::memcmp(magic.data(), kRrrBlockMagic.data(), kRrrBlockMagic.size()) != 0) {
+  if (bytes.size() < kHeaderBytes) throw support::IoError("rrr block: truncated frame");
+  const std::uint8_t* h = bytes.data();
+  if (std::memcmp(h, kRrrBlockMagic.data(), kRrrBlockMagic.size()) != 0) {
     throw support::IoError("rrr block: bad magic");
   }
-  const std::uint8_t codec = header.u8();
-  const std::uint64_t num_sets = header.u64();
-  const std::uint64_t num_values = header.u64();
-  const std::uint64_t lengths_bytes = header.u64();
-  const std::uint64_t payload_bytes = header.u64();
-  const std::uint32_t crc = header.u32();
-  if (header.remaining() != payload_bytes || lengths_bytes > payload_bytes) {
+  h += kRrrBlockMagic.size();
+  if (*h++ != kRrrBlockCodecVarint) throw support::IoError("rrr block: unknown codec id");
+  const std::uint64_t num_sets = get_le(h, 8);
+  const std::uint64_t num_values = get_le(h + 8, 8);
+  const std::uint64_t lengths_bytes = get_le(h + 16, 8);
+  const std::uint64_t payload_bytes = get_le(h + 24, 8);
+  const auto crc = static_cast<std::uint32_t>(get_le(h + 32, 4));
+  const auto payload = bytes.subspan(kHeaderBytes);
+  if (payload.size() != payload_bytes || lengths_bytes > payload_bytes) {
     throw support::IoError("rrr block: truncated frame");
   }
-  const auto payload = header.take(payload_bytes);
   if (support::crc32c(payload) != crc) {
     throw support::IoError("rrr block: CRC-32C mismatch (torn or corrupt block)");
   }
+  // Every varint takes at least one byte, so both counts are bounded by the
+  // bytes actually present before anything is sized from them.
+  if (num_sets > lengths_bytes || num_values > payload_bytes - lengths_bytes) {
+    throw support::IoError("rrr block: header counts exceed the payload");
+  }
 
   DecodedRrrBlock block;
-  const std::vector<std::uint64_t> lens =
-      varint_decode(payload.subspan(0, lengths_bytes));
-  if (lens.size() != num_sets) {
-    throw support::IoError("rrr block: lengths section does not match header");
-  }
-  block.lengths.reserve(num_sets);
+  block.lengths.resize(num_sets);
+  const std::uint8_t* p = payload.data();
+  const std::uint8_t* const lengths_end = p + lengths_bytes;
   std::uint64_t total = 0;
-  for (const std::uint64_t len : lens) {
-    block.lengths.push_back(static_cast<std::uint32_t>(len));
+  for (std::uint32_t& len : block.lengths) {
+    len = varint_read<std::uint32_t>(p, lengths_end);
     total += len;
+  }
+  if (p != lengths_end) {
+    throw support::IoError("rrr block: lengths section does not match header");
   }
   if (total != num_values) {
     throw support::IoError("rrr block: value count does not match header");
   }
 
-  std::vector<std::uint32_t> deltas;
-  const auto section = payload.subspan(lengths_bytes);
-  if (codec == kRrrBlockCodecVarint) {
-    const std::vector<std::uint64_t> wide = varint_decode(section);
-    deltas.reserve(wide.size());
-    for (const std::uint64_t d : wide) deltas.push_back(static_cast<std::uint32_t>(d));
-  } else if (codec == kRrrBlockCodecHuffman) {
-    Cursor cur(section);
-    deltas = huffman_decode(deserialize_huffman(cur));
-  } else {
-    throw support::IoError("rrr block: unknown codec id");
-  }
-  if (deltas.size() != num_values) {
-    throw support::IoError("rrr block: values section does not match header");
-  }
-
-  block.values.reserve(num_values);
-  std::size_t at = 0;
+  // Undo the delta transform in the same pass that reads the varints.
+  block.values.resize(num_values);
+  std::uint32_t* out = block.values.data();
+  const std::uint8_t* const end = payload.data() + payload.size();
   for (const std::uint32_t len : block.lengths) {
-    std::uint32_t prev = 0;
-    for (std::uint32_t j = 0; j < len; ++j) {
-      prev = j == 0 ? deltas[at] : prev + deltas[at] + 1;
-      block.values.push_back(prev);
-      ++at;
+    if (len == 0) continue;
+    std::uint64_t prev = varint_read<std::uint32_t>(p, end);
+    *out++ = static_cast<std::uint32_t>(prev);
+    for (std::uint32_t j = 1; j < len; ++j) {
+      prev += std::uint64_t{varint_read<std::uint32_t>(p, end)} + 1;
+      if (prev > kMaxU32) throw support::IoError("rrr block: member overflows 32 bits");
+      *out++ = static_cast<std::uint32_t>(prev);
     }
+  }
+  if (p != end) {
+    throw support::IoError("rrr block: values section does not match header");
   }
   return block;
 }
 
 std::uint8_t rrr_block_codec(std::span<const std::uint8_t> bytes) {
-  Cursor header(bytes);
-  (void)header.take(kRrrBlockMagic.size());
-  return header.u8();
+  if (bytes.size() <= kRrrBlockMagic.size()) {
+    throw support::IoError("rrr block: truncated frame");
+  }
+  return bytes[kRrrBlockMagic.size()];
 }
 
 }  // namespace eim::encoding

@@ -1,43 +1,21 @@
 #include "eim/encoding/varint.hpp"
 
-#include "eim/support/error.hpp"
-
 namespace eim::encoding {
 
-void varint_append(std::vector<std::uint8_t>& out, std::uint64_t value) {
-  while (value >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(value) | 0x80u);
-    value >>= 7;
-  }
-  out.push_back(static_cast<std::uint8_t>(value));
-}
-
 std::vector<std::uint8_t> varint_encode(std::span<const std::uint64_t> values) {
-  std::vector<std::uint8_t> out;
-  out.reserve(values.size());
-  for (const std::uint64_t v : values) varint_append(out, v);
+  std::size_t size = 0;
+  for (const std::uint64_t v : values) size += varint_size(v);
+  std::vector<std::uint8_t> out(size);
+  std::uint8_t* at = out.data();
+  for (const std::uint64_t v : values) at = varint_write(at, v);
   return out;
 }
 
 std::vector<std::uint64_t> varint_decode(std::span<const std::uint8_t> bytes) {
   std::vector<std::uint64_t> out;
-  std::uint64_t value = 0;
-  std::uint32_t shift = 0;
-  bool in_progress = false;
-  for (const std::uint8_t b : bytes) {
-    if (shift >= 64) throw support::IoError("varint overflows 64 bits");
-    value |= static_cast<std::uint64_t>(b & 0x7Fu) << shift;
-    if (b & 0x80u) {
-      shift += 7;
-      in_progress = true;
-    } else {
-      out.push_back(value);
-      value = 0;
-      shift = 0;
-      in_progress = false;
-    }
-  }
-  if (in_progress) throw support::IoError("truncated varint stream");
+  const std::uint8_t* at = bytes.data();
+  const std::uint8_t* const end = at + bytes.size();
+  while (at != end) out.push_back(varint_read<std::uint64_t>(at, end));
   return out;
 }
 

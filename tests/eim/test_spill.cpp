@@ -18,6 +18,7 @@
 #include "eim/gpusim/device.hpp"
 #include "eim/support/error.hpp"
 #include "eim/support/metrics.hpp"
+#include "eim/support/profiler.hpp"
 
 namespace eim::eim_impl {
 namespace {
@@ -405,6 +406,45 @@ TEST(TieredStore, DiskBitFlipWithHookQuarantinesAndRecovers) {
   EXPECT_EQ(b, (std::vector<VertexId>{2, 4}));
   EXPECT_EQ(store.stats().corrupt_blocks, 1u);
   EXPECT_EQ(store.stats().resampled_sets, 2u);
+}
+
+TEST(TieredStore, IndexTakesSparseOutOfOrderSetIds) {
+  gpusim::Device device(gpusim::make_benchmark_device(64));
+  TieredRrrStore store(device, TieredStoreOptions{});
+  const std::vector<std::uint64_t> ids = {7, 3};
+  const std::vector<std::uint32_t> lens = {2, 1};
+  const std::vector<VertexId> values = {1, 4, 9};
+  store.spill(ids, lens, values, 64);
+
+  for (const std::uint64_t id : {0u, 2u, 4u, 6u, 8u, 1000u}) {
+    EXPECT_FALSE(store.contains(id)) << "set " << id;
+  }
+  std::vector<VertexId> a(2), b(1);
+  store.fetch(7, a);
+  store.fetch(3, b);
+  EXPECT_EQ(a, (std::vector<VertexId>{1, 4}));
+  EXPECT_EQ(b, (std::vector<VertexId>{9}));
+}
+
+TEST(TieredStore, ProfileTimesEveryStage) {
+  gpusim::Device device(gpusim::make_benchmark_device(64));
+  TieredStoreOptions opts;
+  opts.host_budget_bytes = 1;  // every block goes through the disk tier
+  TieredRrrStore store(device, opts);
+  support::profiler::WallProfile profile;
+  store.attach_profile(&profile);
+
+  const std::vector<std::uint64_t> ids = {0, 1};
+  const std::vector<std::uint32_t> lens = {3, 2};
+  const std::vector<VertexId> values = {1, 5, 9, 2, 4};
+  store.spill(ids, lens, values, 64);
+  std::vector<VertexId> out(3);
+  store.fetch(0, out);
+
+  for (const char* stage :
+       {"spill.encode", "spill.disk_write", "spill.disk_read", "spill.decode"}) {
+    EXPECT_EQ(profile.timer(stage).entries(), 1u) << stage;
+  }
 }
 
 }  // namespace
