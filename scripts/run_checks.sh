@@ -6,10 +6,10 @@
 # checkpoint/resume including corrupt-snapshot rejection, a --draw-mode
 # skip round-trip with mode-mismatch rejection, a node-kill cluster
 # failover smoke, a multi-GPU smoke (--devices 3 == --nodes 3 == one
-# device, plus exit-2 rejection of flags the sharded drivers cannot honor),
-# and a quarter-budget spill smoke (with and without an eighth-size host
-# tier that forces the disk tier) that must reproduce the unconstrained seeds
-# bit-identically, then
+# device, plus exit-2 rejection of --devices with --nodes), a
+# quarter-budget spill smoke (with and without an eighth-size host tier that
+# forces the disk tier, and on two devices) that must reproduce the
+# unconstrained seeds bit-identically, and a two-device OOM-degrade smoke, then
 # run one small traced benchmark, validate the JSON artifacts it emits, and
 # diff its timings against the committed baseline. Finishes with a
 # Release-build perf smoke: bench_micro plus the fig7, multi-node, and
@@ -185,8 +185,8 @@ for key in ("seeds", "rrr_sets"):
     values = {path: run[key] for path, run in runs.items()}
     assert len({json.dumps(v) for v in values.values()}) == 1, f"{key} differs: {values}"
 EOF
-# Flags the sharded drivers would otherwise ignore are refused with exit 2.
-for bad in "--nodes 2 --devices 4" "--devices 2 --oom-degrade" "--nodes 2 --oom-degrade"; do
+# A flag the cluster driver would otherwise ignore is refused with exit 2.
+for bad in "--nodes 2 --devices 4"; do
   status=0
   # shellcheck disable=SC2086
   "${cli}" "${mg_args[@]}" ${bad} > /dev/null 2>&1 || status=$?
@@ -229,6 +229,22 @@ for path in sys.argv[1:3]:
 counters = json.load(open(sys.argv[3]))["metrics"]["counters"]
 for name in ("spill.disk_writes", "spill.disk_reads"):
     assert counters.get(name, 0) > 0, f"host-budgeted run never used the disk tier ({name})"
+EOF
+# Spill and OOM degrade run on every topology: two devices under the same
+# per-device budget must spill to the single-device seeds, and two devices
+# too small for the collection must degrade to k best-effort seeds (exit 0).
+"${cli}" "${spill_args[@]}" --devices 2 --device-mem-budget "${budget}" \
+  > "${spill_tmp}/devices.json"
+"${cli}" "${spill_args[@]}" --devices 2 --memory-mb 3 --oom-degrade \
+  > "${spill_tmp}/degraded.json" 2> /dev/null
+python3 - "${spill_tmp}/unconstrained.json" "${spill_tmp}/devices.json" \
+  "${spill_tmp}/degraded.json" <<'EOF'
+import json, sys
+single, devices, degraded = (json.load(open(path)) for path in sys.argv[1:])
+assert devices["seeds"] == single["seeds"], "2-device spill changed the seeds"
+assert devices["spilled_sets"] > 0, "2-device budgeted run never spilled"
+assert degraded["degraded"], "2-device OOM run did not degrade"
+assert len(degraded["seeds"]) == 10, "2-device degraded run returned the wrong seed count"
 EOF
 rm -rf "${spill_tmp}"
 

@@ -131,9 +131,4 @@ void carry_over_resume(const CheckpointState& state, gpusim::Device& primary,
 /// `state.lengths`/`state.elements` in set-index order.
 void export_collection(const DeviceRrrCollection& collection, CheckpointState& state);
 
-/// Rebuild `collection` from `state`: reserve exact capacity, re-commit
-/// every set at its original index, and publish the set count. The
-/// collection must be freshly constructed (empty).
-void restore_collection(DeviceRrrCollection& collection, const CheckpointState& state);
-
 }  // namespace eim::eim_impl

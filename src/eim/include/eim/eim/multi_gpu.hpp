@@ -2,15 +2,17 @@
 // ("we plan to extend eIM to support multi-GPU execution to further improve
 // scalability").
 //
-// A thin adapter over the sharded driver (src/eim/src/sharded.hpp) with one
+// A thin adapter over the one eIM driver (src/eim/src/sharded.hpp) with one
 // failure domain per device: device d samples the ids congruent to d modulo
 // D from the index-keyed streams, so the union is bit-identical to a
 // single-device run. The interconnect is host PCIe via the primary: the
 // other devices ship their per-vertex counts to it after each sampling
-// phase, and each pick broadcasts the chosen vertex (4 bytes) and gathers
+// phase, and each pick is priced as the slowest device's scan of its own
+// shard plus a broadcast of the chosen vertex (4 bytes) and a gather of
 // every device's coverage delta, all serialized on its copy engine.
 // Modeled time per phase = max over devices (they run concurrently) plus
-// those transfers. A device lost mid-sampling (DeviceLostError, or a
+// those transfers. Spill, OOM degrade and transfer retry work per device
+// exactly as on one device. A device lost mid-run (DeviceLostError, or a
 // transient fault past the retry budget) has its residual shard
 // regenerated on the survivors from the same streams, so the seeds stay
 // bit-identical; only the modeled time and shard layout change
@@ -44,7 +46,8 @@ struct MultiGpuResult : EimResult {
 /// algorithmic output) are identical to the single-device run with the same
 /// parameters; only the modeled time changes. Device loss mid-run triggers
 /// deterministic failover (see above) as long as one device survives;
-/// losing every device raises DeviceLostError.
+/// losing every device rethrows the last device's fault (DeviceLostError,
+/// or DeviceFaultError when its retry budget ran out).
 [[nodiscard]] MultiGpuResult run_eim_multi(std::vector<gpusim::Device*> devices,
                                            const graph::Graph& g,
                                            graph::DiffusionModel model,

@@ -1,7 +1,7 @@
 // Multi-node eIM over the modeled cluster tier (gpusim/cluster.hpp) — the
 // DiFuseR-shaped step past single-host multi-GPU (ROADMAP item 4).
 //
-// The sharded driver of multi_gpu.hpp one level up: each node is a failure
+// The driver of multi_gpu.hpp one level up: each node is a failure
 // domain of D devices (sample id i on node alive[i % N'], then round-robin
 // over its devices), so the seeds are bit-identical for ANY node count,
 // alive set, or failure history. The interconnect is the modeled cluster

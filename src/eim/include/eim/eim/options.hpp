@@ -74,14 +74,10 @@ enum class OomPolicy {
 enum class SpillPolicy {
   /// No spill hierarchy: OomPolicy alone decides (the pre-spill behavior).
   Off,
-  /// Evict cold sets device -> compressed host -> disk; OOM propagates only
-  /// when even that fails (policy-wise equivalent to OomPolicy::Throw at
-  /// the bottom of the hierarchy).
+  /// Evict cold sets device -> compressed host -> disk. An OOM reaches
+  /// OomPolicy only when the hierarchy itself cannot make progress (a single
+  /// set larger than the whole device budget).
   Spill,
-  /// As Spill, but when the hierarchy itself cannot make progress (a single
-  /// set larger than the whole device budget), degrade like
-  /// OomPolicy::Degrade instead of throwing.
-  SpillThenDegrade,
 };
 
 struct SpillOptions {

@@ -32,9 +32,7 @@
 namespace eim::eim_impl {
 
 /// Cap on capacity-growth waves before sample_assigned declares the sampler
-/// non-convergent. Shared by the single-device and multi-GPU paths (both
-/// funnel through EimSampler::sample_assigned), so the two tiers can never
-/// drift apart on the limit. The split: an unconstrained run doubles its
+/// non-convergent. The split: an unconstrained run doubles its
 /// reservation every wave, so 64 waves already cover any realistic growth
 /// curve and a 65th means the estimator is broken; under an active spill
 /// budget the device array intentionally stays small and refills every few
@@ -51,14 +49,15 @@ class EimSampler {
              const EimOptions& options);
 
   /// Extend `collection` so it holds `target` sets (no-op if it already
-  /// does). Launches as many kernel waves as capacity growth requires.
+  /// does), sample i drawing from stream i. Launches as many kernel waves as
+  /// capacity growth requires.
   void sample_to(DeviceRrrCollection& collection, std::uint64_t target);
 
   /// Append one set per entry of `global_indices`: entry j lands in local
   /// slot collection.num_sets() + j but draws from the stream of global
-  /// sample id global_indices[j]. This is the multi-GPU shard entry point:
-  /// device d samples the global ids congruent to d, and the union over
-  /// devices is bit-identical to a single-device run (see multi_gpu.hpp).
+  /// sample id global_indices[j]. This is the driver's entry point
+  /// (src/eim/src/sharded.hpp): each shard samples the ids striped onto
+  /// it, and the union over shards is bit-identical to one device's run.
   void sample_assigned(DeviceRrrCollection& collection,
                        std::span<const std::uint64_t> global_indices);
 
@@ -74,13 +73,6 @@ class EimSampler {
   /// Source-only samples regenerated so far (§3.4 accounting).
   [[nodiscard]] std::uint64_t singletons_discarded() const noexcept {
     return singletons_discarded_;
-  }
-
-  /// Checkpoint resume: reinstate the crashed run's singleton tally so the
-  /// kept-fraction correction — and with it estimated_spread — replays
-  /// bit-identically (eim/checkpoint.hpp).
-  void restore_singletons(std::uint64_t count) noexcept {
-    singletons_discarded_ = count;
   }
 
   [[nodiscard]] std::uint32_t num_blocks() const noexcept { return num_blocks_; }

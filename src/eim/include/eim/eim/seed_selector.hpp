@@ -1,23 +1,21 @@
-// Seed selection on the simulated device (paper §3.5, Algorithm 3).
+// Seed selection (paper §3.5, Algorithm 3): one greedy core for every
+// topology.
 //
-// The greedy answer itself is computed exactly (host-side inverted index —
-// bit-identical to the serial reference); what the simulator adds is the
-// *device cost* of each pick:
-//
-//  * an arg-max reduction over C (one kernel per pick), and
-//  * the count-update kernel: every launched unit reads F for its sets,
-//    binary-searches the picked vertex in the uncovered ones, and on a hit
-//    covers the set and decrements C for its members.
-//
-// The update kernel's makespan is derived from running aggregates
-// (uncovered-set count, their summed search cost, decrement traffic) packed
-// onto the strategy's parallelism: T_n threads (ThreadPerSet) or W_n warps
-// (WarpPerSet). This yields exactly the paper's ceil(N/W_n)*C_w vs
-// ceil(N/T_n)*C_t comparison, with C_w < C_t because warp scans coalesce.
+// The greedy answer is computed exactly on a host mirror of the collection
+// (inverted index + CELF lazy heap — bit-identical to the serial
+// reference). What a topology adds is the *device cost* of each pick, which
+// a PickPricer supplies. On one device that is §3.5's arg-max kernel plus
+// the count-update kernel, whose makespan packs running aggregates
+// (uncovered sets, their search cost, decrement traffic) onto T_n threads
+// (ThreadPerSet) or W_n warps (WarpPerSet) — the paper's
+// ceil(N/W_n)*C_w vs ceil(N/T_n)*C_t comparison, with C_w < C_t because
+// warp scans coalesce. Sharded runs price a pick as the slowest shard's
+// scan plus the interconnect's pick exchange (src/eim/src/sharded.cpp).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -26,6 +24,8 @@
 #include "eim/gpusim/device.hpp"
 #include "eim/imm/seed_selection.hpp"
 #include "eim/support/bits.hpp"
+#include "eim/support/profiler.hpp"
+#include "eim/support/thread_pool.hpp"
 
 namespace eim::eim_impl {
 
@@ -56,6 +56,83 @@ enum class ArgMaxMode : std::uint8_t {
   kLinearReference,  ///< full scan per pick — test-only reference
 };
 
+/// Host mirror of a collection in set-id order: set i's members are
+/// flat[starts[i], starts[i + 1]), ascending.
+struct SelectionMirror {
+  std::vector<std::uint32_t> lengths;
+  std::vector<std::uint64_t> starts;
+  std::vector<graph::VertexId> flat;
+};
+
+/// Decode `num_sets` sets into a mirror: set i has `length(i)` members and
+/// `decode(i, out)` writes them. The bulk decode runs parallel across sets
+/// (disjoint output slices, so the layout is the serial one) unless
+/// `serial`: spilled sets stream up through a store's staging pool, which
+/// is not thread-safe and whose modeled transfer charges must land on the
+/// timeline in a deterministic order — so they decode in set order.
+template <typename Length, typename Decode>
+[[nodiscard]] SelectionMirror decode_mirror(std::uint64_t num_sets, bool serial,
+                                            support::profiler::WallProfile* profile,
+                                            Length&& length, Decode&& decode) {
+  SelectionMirror mirror;
+  mirror.lengths.resize(num_sets);
+  mirror.starts.assign(num_sets + 1, 0);
+  for (std::uint64_t i = 0; i < num_sets; ++i) {
+    mirror.lengths[i] = length(i);
+    mirror.starts[i + 1] = mirror.starts[i] + mirror.lengths[i];
+  }
+  mirror.flat.resize(mirror.starts[num_sets]);
+  const support::profiler::ScopedWallTimer decode_scope(
+      profile != nullptr ? &profile->timer("codec.decode") : nullptr);
+  const auto decode_one = [&](std::uint64_t i) {
+    decode(i, std::span<graph::VertexId>(mirror.flat.data() + mirror.starts[i],
+                                         mirror.lengths[i]));
+  };
+  if (serial) {
+    for (std::uint64_t i = 0; i < num_sets; ++i) decode_one(i);
+  } else {
+    support::ThreadPool::global().parallel_for(
+        0, num_sets, [&](std::size_t i) { decode_one(i); }, /*grain=*/0);
+  }
+  return mirror;
+}
+
+/// The modeled device cost of one greedy selection: the only part of it
+/// that differs between topologies. greedy_select reports every set a pick
+/// covers, then charges the pick; a filler pick (every set already
+/// covered) covers nothing but is still charged.
+class PickPricer {
+ public:
+  virtual ~PickPricer() = default;
+  /// Once, before the first pick: the mirror the picks run over.
+  virtual void start(const SelectionMirror& mirror) = 0;
+  /// The current pick covered `set_id`.
+  virtual void cover(std::uint64_t set_id) = 0;
+  /// Charge the current pick's kernels (and exchange, if any).
+  virtual void charge_pick() = 0;
+};
+
+/// §3.5 on one device: per pick, an arg-max reduction over C, then the
+/// count-update scan of `strategy`. The pricer holds the F flags (one byte
+/// per set) in device memory for its lifetime, so make it before the
+/// mirror is decoded and keep it for the whole selection.
+[[nodiscard]] std::unique_ptr<PickPricer> make_scan_kernel_pricer(
+    gpusim::Device& device, ScanStrategy strategy, graph::VertexId num_vertices,
+    std::uint64_t num_sets, support::metrics::MetricsRegistry* metrics);
+
+/// Exact greedy max-coverage over `mirror`: k picks, each the vertex with
+/// the most uncovered sets (smallest id on ties); once every set is covered
+/// the remaining picks are the smallest unused ids. Counts come from the
+/// mirror itself (its inverted-index bucket sizes), so they always describe
+/// exactly the sets selected over. `pricer` charges every pick.
+[[nodiscard]] imm::SelectionResult greedy_select(
+    const SelectionMirror& mirror, graph::VertexId n, std::uint32_t k, PickPricer& pricer,
+    ArgMaxMode mode = ArgMaxMode::kLazyHeap,
+    support::metrics::MetricsRegistry* metrics = nullptr,
+    support::profiler::WallProfile* profile = nullptr);
+
+/// Single-device selection over a DeviceRrrCollection: decodes the mirror
+/// and runs greedy_select under the §3.5 kernel pricer.
 class GpuSeedSelector {
  public:
   GpuSeedSelector(gpusim::Device& device, ScanStrategy strategy)

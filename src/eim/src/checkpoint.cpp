@@ -342,30 +342,4 @@ void export_collection(const DeviceRrrCollection& collection, CheckpointState& s
   }
 }
 
-void restore_collection(DeviceRrrCollection& collection, const CheckpointState& state) {
-  const std::uint64_t num_sets = state.lengths.size();
-  if (num_sets == 0) return;
-  collection.reserve(num_sets, state.elements.size());
-  std::uint64_t pos = 0;
-  for (std::uint64_t i = 0; i < num_sets; ++i) {
-    const std::span<const graph::VertexId> set(state.elements.data() + pos,
-                                               state.lengths[i]);
-    if (!collection.try_commit(i, set)) {
-      // A spill-budgeted collection clamps its device horizon; extending it
-      // spills the committed prefix downward (same global offsets, so the
-      // restored layout is unchanged) and makes room for the rest.
-      const std::uint64_t before = collection.element_capacity();
-      collection.reserve(num_sets,
-                         collection.total_elements() +
-                             (state.elements.size() - pos));
-      EIM_CHECK_MSG(collection.element_capacity() > before,
-                    "checkpoint restore: committed set did not fit reserved capacity");
-      EIM_CHECK_MSG(collection.try_commit(i, set),
-                    "checkpoint restore: committed set did not fit reserved capacity");
-    }
-    pos += state.lengths[i];
-  }
-  collection.set_num_sets(num_sets);
-}
-
 }  // namespace eim::eim_impl

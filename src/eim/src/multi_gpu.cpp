@@ -54,10 +54,7 @@ class HostPcie final : public Interconnect {
                    std::uint64_t respilled) override {
     result_.failover_regenerated_sets += regenerated;
     result_.failed_devices.push_back(d);
-    if (fleet.alive.empty()) {
-      throw support::DeviceLostError("all " + std::to_string(fleet.domains.size()) +
-                                     " devices; no survivor to fail over to");
-    }
+    if (fleet.alive.empty()) return;  // no survivor: the driver rethrows the fault
     gpusim::Device& primary = fleet.primary();
     const std::uint64_t bytes = respilled * sizeof(std::uint64_t);
     if (bytes > 0) {

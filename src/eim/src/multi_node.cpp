@@ -101,7 +101,7 @@ class ClusterNetwork final : public Interconnect {
   }
   void finish() override {
     result_.communication_seconds = cluster_.timeline().transfer_seconds();
-    result_.degraded = quorum_lost_;
+    result_.degraded = result_.degraded || quorum_lost_;
     // Byte-denominated view of the same shortfall, so the top-level report
     // surfaces one uniform `degrade_shortfall_bytes` regardless of tier: the
     // missing samples priced at the committed sets' average stored size.

@@ -198,7 +198,7 @@ void EimSampler::sample_assigned(DeviceRrrCollection& collection,
       // Spill-budget progress guard: if the largest set that failed last
       // wave cannot fit even in the freshly spilled-empty device array, no
       // number of waves will ever commit it — surface that as OOM (which
-      // SpillThenDegrade converts to a degrade) instead of spinning.
+      // OomPolicy::Degrade converts to a degrade) instead of spinning.
       if (collection.spill_active() && max_failed_len > 0 &&
           collection.element_capacity() - collection.total_elements() <
               max_failed_len) {

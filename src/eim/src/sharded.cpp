@@ -1,7 +1,9 @@
 #include "sharded.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <optional>
@@ -9,20 +11,119 @@
 #include <string>
 
 #include "eim/eim/checkpoint.hpp"
-#include "eim/eim/lazy_greedy.hpp"
 #include "eim/eim/rrr_collection.hpp"
 #include "eim/eim/sampler.hpp"
-#include "eim/eim/seed_selector.hpp"
+#include "eim/eim/tiered_store.hpp"
 #include "eim/encoding/packed_csc.hpp"
 #include "eim/gpusim/timeline_trace.hpp"
 #include "eim/imm/driver.hpp"
 #include "eim/support/error.hpp"
 #include "eim/support/metrics.hpp"
+#include "eim/support/retry.hpp"
 #include "eim/support/trace.hpp"
 
 namespace eim::eim_impl {
 
 using graph::VertexId;
+
+namespace {
+
+/// Placement::device of a sample not committed on any shard.
+constexpr std::uint32_t kNoOwner = std::numeric_limits<std::uint32_t>::max();
+
+/// The sharded pick price: every shard holding sets scans them
+/// concurrently (thread per set), the slowest governs, then the pick is
+/// exchanged. Charged once per pick — including degenerate tail picks,
+/// which still launch the kernel and exchange the (zero-gain) pick.
+class ShardScanPricer final : public PickPricer {
+ public:
+  ShardScanPricer(const Fleet& fleet, Interconnect& net, std::size_t num_flat,
+                  std::span<const Placement> placement)
+      : fleet_(fleet),
+        net_(net),
+        placement_(placement),
+        spec_(fleet.primary().spec()),
+        g_lat_(static_cast<std::uint64_t>(spec_.costs.global_latency)),
+        a_lat_(static_cast<std::uint64_t>(spec_.costs.atomic_global)),
+        shard_sets_(num_flat, 0),
+        shard_search_(num_flat, 0),
+        shard_dec_(num_flat, 0) {}
+
+  void start(const SelectionMirror& mirror) override {
+    lengths_ = &mirror.lengths;
+    for (std::uint64_t i = 0; i < mirror.lengths.size(); ++i) {
+      shard_sets_[placement_[i].device]++;
+      shard_search_[placement_[i].device] += binsearch_probes(mirror.lengths[i]) * g_lat_;
+    }
+  }
+
+  void cover(std::uint64_t set_id) override {
+    const std::uint32_t len = (*lengths_)[set_id];
+    const std::uint32_t owner = placement_[set_id].device;
+    shard_search_[owner] -= binsearch_probes(len) * g_lat_;
+    shard_dec_[owner] += static_cast<std::uint64_t>(len) * (g_lat_ + a_lat_);
+  }
+
+  void charge_pick() override {
+    const std::uint64_t units = spec_.max_resident_threads();
+    double pick_seconds = 0.0;
+    for (std::size_t f = 0; f < shard_sets_.size(); ++f) {
+      if (shard_sets_[f] == 0) continue;
+      const std::uint64_t total =
+          shard_sets_[f] * g_lat_ + shard_search_[f] + shard_dec_[f];
+      const std::uint64_t used = std::min(units, shard_sets_[f]);
+      pick_seconds = std::max(
+          pick_seconds, spec_.costs.kernel_launch_us * 1e-6 +
+                            spec_.cycles_to_seconds(static_cast<double>(total / used)));
+    }
+    std::fill(shard_dec_.begin(), shard_dec_.end(), 0);
+    fleet_.primary().timeline().add(gpusim::SegmentKind::Kernel, "eim::multi_update",
+                                    pick_seconds);
+    net_.exchange_pick(fleet_);
+  }
+
+ private:
+  const Fleet& fleet_;
+  Interconnect& net_;
+  std::span<const Placement> placement_;
+  const gpusim::DeviceSpec& spec_;
+  std::uint64_t g_lat_;
+  std::uint64_t a_lat_;
+  const std::vector<std::uint32_t>* lengths_ = nullptr;
+  std::vector<std::uint64_t> shard_sets_;
+  std::vector<std::uint64_t> shard_search_;
+  std::vector<std::uint64_t> shard_dec_;  ///< the current pick's decrements
+};
+
+/// A device of `domain` was lost, or faulted past the retry budget, inside
+/// a driver step: the domain must be retired.
+struct DomainFailure {
+  std::uint32_t domain;
+  std::exception_ptr cause;
+};
+
+/// Run `step` on a device of `domain`, raising its failure as DomainFailure;
+/// anything else propagates.
+template <typename Step>
+decltype(auto) on_domain(std::uint32_t domain, Step&& step) {
+  try {
+    return step();
+  } catch (const support::DeviceLostError&) {
+    throw DomainFailure{domain, std::current_exception()};
+  } catch (const support::DeviceFaultError&) {
+    throw DomainFailure{domain, std::current_exception()};
+  }
+}
+
+}  // namespace
+
+std::unique_ptr<PickPricer> Interconnect::pick_pricer(
+    const Fleet& fleet, std::span<const Placement> placement,
+    std::uint64_t /*num_sets*/) {
+  std::size_t num_flat = 0;
+  for (const auto& domain : fleet.domains) num_flat += domain.size();
+  return std::make_unique<ShardScanPricer>(fleet, *this, num_flat, placement);
+}
 
 void run_sharded(Fleet fleet, Interconnect& net, const graph::Graph& g,
                  graph::DiffusionModel model, const imm::ImmParams& params,
@@ -44,40 +145,61 @@ void run_sharded(Fleet fleet, Interconnect& net, const graph::Graph& g,
       for (std::uint32_t i = 0; i < per_domain; ++i) fn(domain * per_domain + i);
     }
   };
+  for_alive([&](std::uint32_t f) {
+    devices[f]->timeline().reset();
+    devices[f]->memory().reset_peak();
+  });
 
   imm::ImmParams effective = params;
   effective.eliminate_sources = options.eliminate_sources;
 
+  support::metrics::MetricsRegistry* metrics = options.metrics;
+  support::trace::TraceRecorder* trace = options.trace;
+  support::profiler::WallProfile* profile = options.profile;
+
   result.network_raw_bytes = g.csc_bytes();
+  // An empty network has nothing to sample and no seeds to pick; bail out
+  // before a sampler touches its (empty) per-block scratch.
+  if (g.num_vertices() == 0) {
+    result.network_bytes = result.network_raw_bytes;
+    net.finish();
+    return;
+  }
   std::uint64_t network_bytes = result.network_raw_bytes;
   if (options.log_encode) network_bytes = encoding::PackedCsc::packed_bytes_for(g);
   result.network_bytes = network_bytes;
 
-  support::metrics::MetricsRegistry* metrics = options.metrics;
-  support::trace::TraceRecorder* trace = options.trace;
+  // Retry a device transfer under the run's policy, charging deterministic
+  // backoff to that device's timeline and counting attempts.
+  const auto retry_transfer = [&](gpusim::Device& dev, const char* label, auto&& fn) {
+    support::retry(options.retry, fn,
+                   [&](std::uint32_t /*attempt*/, double backoff,
+                       const support::DeviceFaultError&) {
+                     dev.charge_backoff(std::string(label) + " retry", backoff);
+                     if (metrics != nullptr) {
+                       metrics->counter("retry.attempts").add();
+                       metrics->histogram("retry.backoff_seconds")
+                           .observe_duration(backoff);
+                     }
+                   });
+  };
 
   // Every alive device holds the (packed) graph and its own shard state.
+  // Declaration order is teardown order in reverse: samplers and shards go
+  // before the spill stores their commits and decodes run through.
   std::vector<gpusim::DeviceBuffer<std::uint8_t>> network_charges(num_flat);
+  std::vector<std::unique_ptr<TieredRrrStore>> stores(num_flat);
   std::vector<std::unique_ptr<DeviceRrrCollection>> shards(num_flat);
   std::vector<std::unique_ptr<EimSampler>> samplers(num_flat);
-  for_alive([&](std::uint32_t f) {
-    gpusim::Device& dev = *devices[f];
-    dev.timeline().reset();
-    dev.memory().reset_peak();
-    network_charges[f] = dev.alloc<std::uint8_t>(network_bytes);
-    dev.transfer_to_device("network CSC", network_bytes);
-    shards[f] = std::make_unique<DeviceRrrCollection>(dev, g.num_vertices(),
-                                                      options.log_encode);
-    samplers[f] = std::make_unique<EimSampler>(dev, g, model, effective, options);
-  });
 
-  // Failover bookkeeping: `assigned[f]` lists flat device f's sample ids in
-  // local-slot order, and owner_of/slot_of invert that mapping per global
-  // sample id. Fault-free the layout is the striping above; after a loss
-  // the survivors absorb the dead shards' ids at whatever slots come next.
+  // `assigned[f]` lists the sample ids dispatched to flat device f in
+  // local-slot order; `placed[id]` names where each id is committed
+  // (device kNoOwner = nowhere). An id counts as committed only once its
+  // shard published it, so a slot can hold a dispatched id that never
+  // committed (an OOM-degraded tail) — assigned[f] still maps it for the
+  // spill store.
   std::vector<std::vector<std::uint64_t>> assigned(num_flat);
-  std::vector<std::uint32_t> owner_of;
-  std::vector<std::uint64_t> slot_of;
+  std::vector<Placement> placed;
   std::uint64_t sampled_global = 0;
 
   // Checkpoint-restored prefix. Kept at run level (not parked on a sampler)
@@ -88,130 +210,242 @@ void run_sharded(Fleet fleet, Interconnect& net, const graph::Graph& g,
   std::uint64_t restored_singletons = 0;
   std::vector<std::uint64_t> restore_starts;
 
+  // OomPolicy::Degrade: an OOM while growing the collection freezes theta at
+  // the committed prefix, which stays selectable (docs/RESILIENCE.md).
+  bool degraded = false;
+  std::uint64_t degrade_shortfall = 0;
+
+  const auto stage = [&](std::uint32_t f) {
+    gpusim::Device& dev = *devices[f];
+    network_charges[f] = dev.alloc<std::uint8_t>(network_bytes);
+    retry_transfer(dev, "network CSC",
+                   [&] { dev.transfer_to_device("network CSC", network_bytes); });
+    shards[f] = std::make_unique<DeviceRrrCollection>(dev, g.num_vertices(),
+                                                      options.log_encode);
+    samplers[f] = std::make_unique<EimSampler>(dev, g, model, effective, options);
+    shards[f]->attach_profile(profile);
+    if (options.spill.policy == SpillPolicy::Off) return;
+    // Tiered spill hierarchy: memory pressure evicts cold sets downward
+    // (compressed host, then disk) instead of stopping theta refinement;
+    // torn disk blocks are rebuilt through deterministic resampling, so the
+    // seeds stay bit-identical to an unconstrained run.
+    TieredStoreOptions store_options;
+    store_options.host_budget_bytes = options.spill.host_budget_bytes;
+    store_options.dir = options.spill.dir.empty() || num_flat == 1
+                            ? options.spill.dir
+                            : options.spill.dir + "/shard-" + std::to_string(f);
+    store_options.sets_per_block = options.spill.sets_per_block;
+    store_options.staging_blocks = options.spill.staging_blocks;
+    store_options.retry = options.retry;
+    stores[f] = std::make_unique<TieredRrrStore>(dev, store_options);
+    stores[f]->attach_metrics(metrics);
+    stores[f]->attach_profile(profile);
+    if (trace != nullptr) {
+      const auto pid = trace->pid_of(&dev);
+      if (pid.has_value()) stores[f]->attach_trace(trace, *pid);
+    }
+    stores[f]->set_resample_hook(
+        [&, f](std::uint64_t slot, std::vector<VertexId>& out) {
+          samplers[f]->resample_set(assigned[f][slot], out);
+        });
+    shards[f]->attach_spill(stores[f].get(), options.spill.device_budget_bytes);
+  };
+
   const auto flat_for = [&](std::uint64_t id) -> std::uint32_t {
     const std::uint32_t domain = alive[id % alive.size()];
     const auto device = static_cast<std::uint32_t>((id / alive.size()) % per_domain);
     return domain * per_domain + device;
   };
-  const auto record = [&](std::uint32_t f, std::uint64_t id) {
-    owner_of[id] = f;
-    slot_of[id] = assigned[f].size();
-    assigned[f].push_back(id);
+  // Shard f has published `count` sets from local slot `first` on.
+  const auto publish = [&](std::uint32_t f, std::uint64_t first, std::uint64_t count) {
+    for (std::uint64_t slot = first; slot < first + count; ++slot) {
+      placed[assigned[f][slot]] = {f, static_cast<std::uint32_t>(slot)};
+    }
   };
 
   // Commit restored sets `ids` on flat device f straight from the snapshot
-  // and charge their upload. The ids count as committed (recorded) only once
-  // the upload succeeds, so a fault inside it respills each of them once.
+  // at the next local slots, then upload them. A spill-budgeted shard clamps
+  // its device horizon; extending it spills the committed prefix downward
+  // and makes room for the rest.
   const auto recommit = [&](std::uint32_t f, std::span<const std::uint64_t> ids) {
+    DeviceRrrCollection& shard = *shards[f];
     std::uint64_t elems = 0;
     for (const std::uint64_t id : ids) elems += ckpt->lengths[id];
-    const std::uint64_t first_slot = assigned[f].size();
-    shards[f]->reserve(first_slot + ids.size(), shards[f]->total_elements() + elems);
+    const std::uint64_t first_slot = shard.num_sets();
+    const std::uint64_t end_slot = first_slot + ids.size();
+    shard.reserve(end_slot, shard.total_elements() + elems);
+    std::uint64_t remaining = elems;
     for (std::uint64_t i = 0; i < ids.size(); ++i) {
       const std::span<const VertexId> set(
           ckpt->elements.data() + restore_starts[ids[i]], ckpt->lengths[ids[i]]);
-      EIM_CHECK_MSG(shards[f]->try_commit(first_slot + i, set),
-                    "checkpoint restore: set did not fit reserved shard capacity");
+      if (!shard.try_commit(first_slot + i, set)) {
+        const std::uint64_t before = shard.element_capacity();
+        shard.reserve(end_slot, shard.total_elements() + remaining);
+        EIM_CHECK_MSG(
+            shard.element_capacity() > before && shard.try_commit(first_slot + i, set),
+            "checkpoint restore: set did not fit reserved shard capacity");
+      }
+      remaining -= set.size();
     }
-    shards[f]->set_num_sets(first_slot + ids.size());
-    devices[f]->transfer_to_device("checkpoint restore",
-                                   elems * sizeof(VertexId) +
-                                       ids.size() * sizeof(std::uint32_t));
-    for (const std::uint64_t id : ids) record(f, id);
+    shard.set_num_sets(end_slot);
+    gpusim::Device& dev = *devices[f];
+    const std::uint64_t bytes =
+        elems * sizeof(VertexId) + ids.size() * sizeof(std::uint32_t);
+    retry_transfer(dev, "checkpoint restore",
+                   [&] { dev.transfer_to_device("checkpoint restore", bytes); });
   };
 
-  // Drain `domain`: respill every sample id its devices owned (plus the
-  // in-flight batches) into `todo`, free its device-side state, and let the
-  // interconnect charge (or refuse) the recovery.
+  // Commit `ids` (ascending) on flat device f. Ids inside the restored
+  // prefix re-commit from the snapshot — their singleton draws already sit
+  // in the restored total; only fresh ids re-sample from index-keyed
+  // streams. Each part counts as committed once it fully lands, so a fault
+  // inside the restore upload respills each restored id once.
+  const auto dispatch = [&](std::uint32_t f, std::span<const std::uint64_t> ids) {
+    DeviceRrrCollection& shard = *shards[f];
+    const std::uint64_t first = assigned[f].size();
+    EIM_CHECK_MSG(first + ids.size() <= std::numeric_limits<std::uint32_t>::max(),
+                  "shard holds more than 2^32 sets");
+    shard.set_num_sets(first);  // past an OOM-degraded tail's dead slots
+    assigned[f].insert(assigned[f].end(), ids.begin(), ids.end());
+    const auto restored = ids.first(static_cast<std::size_t>(
+        std::lower_bound(ids.begin(), ids.end(), num_restored) - ids.begin()));
+    const auto fresh = ids.subspan(restored.size());
+    if (!restored.empty()) {
+      recommit(f, restored);
+      publish(f, first, restored.size());
+    }
+    if (fresh.empty()) return;
+    const std::uint64_t fresh_first = first + restored.size();
+    try {
+      samplers[f]->sample_assigned(shard, fresh);
+    } catch (const support::DeviceOutOfMemoryError&) {
+      // The sampler published its contiguous committed prefix.
+      publish(f, fresh_first, shard.num_sets() - fresh_first);
+      throw;
+    }
+    publish(f, fresh_first, fresh.size());
+  };
+
+  const auto degrade = [&](gpusim::Device& dev,
+                           const support::DeviceOutOfMemoryError& oom) {
+    degraded = true;
+    degrade_shortfall = oom.requested_bytes() > oom.available_bytes()
+                            ? oom.requested_bytes() - oom.available_bytes()
+                            : 0;
+    if (metrics != nullptr) {
+      metrics->counter("degrade.activations").add();
+      metrics->gauge("degrade.shortfall_bytes").set(degrade_shortfall);
+    }
+    gpusim::mark_instant(trace, dev, "oom.degrade",
+                         "shortfall_bytes=" + std::to_string(degrade_shortfall));
+  };
+
+  // Retire `domain` because of `cause`: respill every sample id its devices
+  // had committed (plus the caller's `in_flight` ids) into `todo`, free its
+  // device-side state, and let the interconnect charge (or refuse) the
+  // recovery. Retiring the last domain rethrows `cause`.
   const auto decommission = [&](std::uint32_t domain, std::vector<std::uint64_t>& todo,
-                                const std::vector<std::uint64_t>& in_flight) {
+                                const std::vector<std::uint64_t>& in_flight,
+                                const std::exception_ptr& cause) {
     std::uint64_t regenerated = 0;
     for (std::uint32_t i = 0; i < per_domain; ++i) {
       const std::uint32_t f = domain * per_domain + i;
-      regenerated += assigned[f].size();
-      todo.insert(todo.end(), assigned[f].begin(), assigned[f].end());
+      for (std::uint64_t slot = 0; slot < assigned[f].size(); ++slot) {
+        const std::uint64_t id = assigned[f][slot];
+        if (placed[id].device != f || placed[id].slot != slot) continue;
+        placed[id].device = kNoOwner;
+        todo.push_back(id);
+        ++regenerated;
+      }
       assigned[f].clear();
       // Teardown is safe on a lost device: deallocation stays permitted.
       samplers[f].reset();
       shards[f].reset();
+      stores[f].reset();
       network_charges[f] = gpusim::DeviceBuffer<std::uint8_t>{};
     }
     todo.insert(todo.end(), in_flight.begin(), in_flight.end());
     alive.erase(std::find(alive.begin(), alive.end(), domain));
     net.domain_lost(fleet, domain, regenerated, regenerated + in_flight.size());
+    if (alive.empty()) std::rethrow_exception(cause);
   };
 
   // Commit the outstanding sample ids on the survivors: stripe over the
   // current alive set, absorb domain deaths by respilling, and loop until
-  // every id is committed somewhere.
+  // every id is committed somewhere — or an OOM degrades the run, which
+  // leaves the rest uncommitted and publishes the committed prefix.
   const auto regenerate = [&](std::vector<std::uint64_t>& todo) {
-    while (!todo.empty()) {
+    bool oom = false;
+    while (!todo.empty() && !oom) {
       std::sort(todo.begin(), todo.end());
       std::vector<std::vector<std::uint64_t>> batch(num_flat);
       for (const std::uint64_t id : todo) batch[flat_for(id)].push_back(id);
-      todo.clear();
+      std::vector<std::uint64_t>().swap(todo);  // batched: free it before sampling
 
       const std::vector<std::uint32_t> round = alive;  // decommission mutates alive
       for (const std::uint32_t domain : round) {
+        if (oom) break;
         for (std::uint32_t i = 0; i < per_domain; ++i) {
           const std::uint32_t f = domain * per_domain + i;
           if (batch[f].empty()) continue;
-          const std::size_t committed_before = assigned[f].size();
-          bool failed = false;
+          std::exception_ptr failure;
           try {
-            // Ids inside the restored prefix (a prefix of the ascending
-            // batch) re-commit from the snapshot — their singleton draws
-            // already sit in the restored total; only fresh ids re-sample
-            // from index-keyed streams.
-            const std::span<const std::uint64_t> ids(batch[f]);
-            const auto restored = ids.first(static_cast<std::size_t>(
-                std::lower_bound(ids.begin(), ids.end(), num_restored) - ids.begin()));
-            const auto fresh = ids.subspan(restored.size());
-            if (!restored.empty()) recommit(f, restored);
-            if (!fresh.empty()) {
-              samplers[f]->sample_assigned(*shards[f], fresh);
-              for (const std::uint64_t id : fresh) record(f, id);
-            }
-          } catch (const support::DeviceLostError&) {
-            failed = true;
-          } catch (const support::DeviceFaultError&) {
-            // Transient faults are retried inside the sampler; reaching
-            // here means the retry budget is exhausted — retire the domain.
-            failed = true;
+            on_domain(domain, [&] { dispatch(f, batch[f]); });
+          } catch (const DomainFailure& e) {
+            failure = e.cause;
+          } catch (const support::DeviceOutOfMemoryError& e) {
+            if (options.oom_policy != OomPolicy::Degrade) throw;
+            degrade(*devices[f], e);
+            oom = true;
+            break;
           }
-          if (failed) {
-            // The batch's committed prefix (restored sets whose upload
-            // landed) already sits in assigned[f] and respills from there;
-            // only the rest, and later devices' batches, are in flight.
-            const auto committed =
-                static_cast<std::ptrdiff_t>(assigned[f].size() - committed_before);
-            batch[f].erase(batch[f].begin(), batch[f].begin() + committed);
+          if (failure) {
+            // The batch's committed part already sits in the shard and
+            // respills from there; only the rest, and later devices'
+            // batches, are in flight.
             std::vector<std::uint64_t> in_flight;
-            for (std::uint32_t j = i; j < per_domain; ++j) {
+            for (const std::uint64_t id : batch[f]) {
+              if (placed[id].device == kNoOwner) in_flight.push_back(id);
+            }
+            for (std::uint32_t j = i + 1; j < per_domain; ++j) {
               const std::vector<std::uint64_t>& rest = batch[domain * per_domain + j];
               in_flight.insert(in_flight.end(), rest.begin(), rest.end());
             }
-            decommission(domain, todo, in_flight);
+            decommission(domain, todo, in_flight, failure);
             break;
           }
         }
       }
     }
+    if (oom) {
+      const auto uncommitted = std::find_if(
+          placed.begin(), placed.end(), [](Placement p) { return p.device == kNoOwner; });
+      sampled_global = static_cast<std::uint64_t>(uncommitted - placed.begin());
+    }
   };
 
-  // Run an interconnect step until it completes: a domain lost inside it
-  // is drained and its shard regenerated on the survivors before the step
-  // re-runs. Re-runs are deterministic (the regenerated sets are
-  // bit-identical), so the only effect is modeled recovery time.
+  // Run a driver step until it completes: a domain lost inside it (a node
+  // lost in an interconnect step, or a device failing in a spilled-set
+  // resample or the seed readback) is drained and its shard regenerated on
+  // the survivors before the step re-runs. Re-runs are deterministic (the
+  // regenerated sets are bit-identical), so the only effect is modeled
+  // recovery time.
   const auto with_failover = [&](auto&& step) {
     for (;;) {
+      std::uint32_t domain = 0;
+      std::exception_ptr cause;
       try {
         return step();
       } catch (const support::NodeLostError& e) {
-        std::vector<std::uint64_t> todo;
-        decommission(e.node(), todo, {});
-        regenerate(todo);
+        domain = e.node();
+        cause = std::current_exception();
+      } catch (const DomainFailure& e) {
+        domain = e.domain;
+        cause = e.cause;
       }
+      std::vector<std::uint64_t> todo;
+      decommission(domain, todo, {}, cause);
+      regenerate(todo);
     }
   };
 
@@ -221,11 +455,20 @@ void run_sharded(Fleet fleet, Interconnect& net, const graph::Graph& g,
     std::vector<std::uint64_t> todo(target - sampled_global);
     std::iota(todo.begin(), todo.end(), sampled_global);
     sampled_global = target;
-    owner_of.resize(sampled_global);
-    slot_of.resize(sampled_global);
+    placed.resize(sampled_global, {kNoOwner, 0});
     regenerate(todo);
   };
 
+  for (const std::uint32_t domain : std::vector<std::uint32_t>(alive)) {
+    try {
+      on_domain(domain, [&] {
+        for (std::uint32_t i = 0; i < per_domain; ++i) stage(domain * per_domain + i);
+      });
+    } catch (const DomainFailure& e) {
+      std::vector<std::uint64_t> todo;
+      decommission(domain, todo, {}, e.cause);
+    }
+  }
   with_failover([&] { net.broadcast_network(fleet, network_bytes); });
 
   // Resume: restripe the restored global sets over THIS run's alive set —
@@ -242,169 +485,85 @@ void run_sharded(Fleet fleet, Interconnect& net, const graph::Graph& g,
     restored_singletons = ckpt->singletons_discarded;
     carry_over_resume(*ckpt, fleet.primary(), options);
   }
+  // Wired after the restore so restored commits are not double-counted on
+  // top of the merged metrics snapshot.
   for_alive([&](std::uint32_t f) { shards[f]->attach_metrics(metrics); });
 
+  // A phase pairs host wall time with the modeled seconds it added to the
+  // primary's timeline, under one trace span. It rides on whatever device
+  // is primary when it starts; that device's modeled clock anchors both
+  // endpoints even if failover promotes a new primary mid-phase.
+  struct Phase {
+    Phase(support::metrics::MetricsRegistry* metrics, const char* name,
+          support::trace::TraceRecorder* trace, gpusim::Device& dev)
+        : device(dev),
+          start(dev.timeline().total_seconds()),
+          pid(trace != nullptr ? trace->pid_of(&dev).value_or(0) : 0),
+          timer(metrics != nullptr ? &metrics->phase(name) : nullptr),
+          span(trace, pid, support::trace::SpanCategory::Phase, name, start) {
+      if (timer != nullptr) wall.emplace(*timer);
+    }
+    [[nodiscard]] double now() const { return device.timeline().total_seconds(); }
+    void end() {
+      if (timer != nullptr) timer->add_modeled(now() - start);
+      span.end(now());
+    }
+    gpusim::Device& device;
+    double start;
+    std::uint32_t pid;
+    support::metrics::PhaseTimer* timer;
+    std::optional<support::metrics::ScopedPhase> wall;
+    support::trace::ScopedSpan span;
+  };
+
   // Sampling: extend the committed prefix to `target`, then reduce the
-  // per-vertex counts, unless the interconnect has frozen the run.
+  // per-vertex counts, unless an OOM or the interconnect has frozen the run.
   std::uint64_t sample_round = 0;
   auto sample_to = [&](std::uint64_t target) {
-    if (target <= sampled_global || !net.may_grow(sampled_global, target)) return;
-    std::optional<support::metrics::ScopedPhase> scope;
-    if (metrics != nullptr) scope.emplace(metrics->phase("sample"));
-    // The phase rides on whatever device is primary when the round starts;
-    // its modeled clock anchors both endpoints even if failover promotes a
-    // new primary mid-round.
-    gpusim::Device* const span_dev = &fleet.primary();
-    const std::uint32_t span_pid =
-        trace != nullptr ? trace->pid_of(span_dev).value_or(0) : 0;
-    const double span_start = span_dev->timeline().total_seconds();
-    support::trace::ScopedSpan phase_span(
-        trace, span_pid, support::trace::SpanCategory::Phase, "sample", span_start);
-    support::trace::ScopedSpan round_span(
-        trace, span_pid, support::trace::SpanCategory::Round,
-        "round " + std::to_string(sample_round++), span_start);
-
-    // Extend, then reduce: a domain lost during the reduction respills its
-    // shard, which must be regenerated before the reduction can complete
-    // over the survivors.
-    extend_to(target);
-    const std::uint64_t count_bytes =
-        static_cast<std::uint64_t>(g.num_vertices()) * sizeof(std::uint32_t);
-    with_failover([&] { net.reduce_counts(fleet, count_bytes); });
-    round_span.end(span_dev->timeline().total_seconds());
-    phase_span.end(span_dev->timeline().total_seconds());
+    Phase phase(metrics, "sample", trace, fleet.primary());
+    support::trace::ScopedSpan round_span(trace, phase.pid,
+                                          support::trace::SpanCategory::Round,
+                                          "round " + std::to_string(sample_round++),
+                                          phase.start);
+    if (target > sampled_global && !degraded && net.may_grow(sampled_global, target)) {
+      // Extend, then reduce: a domain lost during the reduction respills its
+      // shard, which must be regenerated before the reduction can complete
+      // over the survivors.
+      extend_to(target);
+      const std::uint64_t count_bytes =
+          static_cast<std::uint64_t>(g.num_vertices()) * sizeof(std::uint32_t);
+      with_failover([&] { net.reduce_counts(fleet, count_bytes); });
+    }
+    round_span.end(phase.now());
+    phase.end();
   };
 
   // Merge the shard mirrors back into global sample-id order through the
-  // owner/slot maps, so failover relayouts don't matter; returns each set's
-  // start offset into `elements`.
-  const auto gather = [&](std::vector<std::uint32_t>& lengths,
-                          std::vector<VertexId>& elements) {
-    lengths.resize(sampled_global);
-    std::vector<std::uint64_t> starts(sampled_global + 1, 0);
-    for (std::uint64_t i = 0; i < sampled_global; ++i) {
-      lengths[i] = shards[owner_of[i]]->set_length(slot_of[i]);
-      starts[i + 1] = starts[i] + lengths[i];
-    }
-    elements.resize(starts.back());
-    for (std::uint64_t i = 0; i < sampled_global; ++i) {
-      shards[owner_of[i]]->decode_set(
-          slot_of[i], std::span<VertexId>(elements.data() + starts[i], lengths[i]));
-    }
-    return starts;
+  // owner/slot maps, so failover relayouts don't matter.
+  const auto gather = [&](support::profiler::WallProfile* decode_profile) {
+    bool spilled = false;
+    for_alive([&](std::uint32_t f) { spilled = spilled || shards[f]->has_spilled(); });
+    return decode_mirror(
+        sampled_global, spilled, decode_profile,
+        [&](std::uint64_t i) {
+          return shards[placed[i].device]->set_length(placed[i].slot);
+        },
+        [&](std::uint64_t i, std::span<VertexId> out) {
+          // A spilled set whose block is torn resamples on its device.
+          on_domain(placed[i].device / per_domain,
+                    [&] { shards[placed[i].device]->decode_set(placed[i].slot, out); });
+        });
   };
 
-  auto select_once = [&] {
-    std::optional<support::metrics::ScopedPhase> scope;
-    if (metrics != nullptr) scope.emplace(metrics->phase("select"));
-    gpusim::Device* const span_dev = &fleet.primary();
-    const std::uint32_t span_pid =
-        trace != nullptr ? trace->pid_of(span_dev).value_or(0) : 0;
-    support::trace::ScopedSpan phase_span(
-        trace, span_pid, support::trace::SpanCategory::Phase, "select",
-        span_dev->timeline().total_seconds());
-    const VertexId n = g.num_vertices();
-
-    const std::uint64_t num_sets = sampled_global;
-    std::vector<std::uint32_t> lengths;
-    std::vector<VertexId> flat;
-    const std::vector<std::uint64_t> starts = gather(lengths, flat);
-
-    std::vector<std::uint32_t> counts(n, 0);
-    for_alive([&](std::uint32_t f) {
-      for (VertexId v = 0; v < n; ++v) counts[v] += shards[f]->counts()[v];
-    });
-
-    std::vector<std::uint64_t> index_offsets;
-    std::vector<std::uint64_t> index_sets;
-    build_inverted_index(flat, starts, num_sets, n, index_offsets, index_sets);
-
-    const auto& spec = fleet.primary().spec();
-    const auto g_lat = static_cast<std::uint64_t>(spec.costs.global_latency);
-    const auto a_lat = static_cast<std::uint64_t>(spec.costs.atomic_global);
-    const std::uint64_t units = spec.max_resident_threads();
-
-    // Per-device running aggregates for the scan cost.
-    std::vector<std::uint64_t> shard_sets(num_flat, 0);
-    std::vector<std::uint64_t> shard_search(num_flat, 0);
-    for (std::uint64_t i = 0; i < num_sets; ++i) {
-      shard_sets[owner_of[i]]++;
-      shard_search[owner_of[i]] += binsearch_probes(lengths[i]) * g_lat;
-    }
-
-    std::vector<std::uint8_t> covered(num_sets, 0);
-    std::vector<std::uint8_t> chosen(n, 0);
-    imm::SelectionResult sel;
-    sel.seeds.reserve(effective.k);
-
-    // Per-pick modeled cost: every alive device scans its shard
-    // concurrently (the slowest governs), then the pick is exchanged.
-    // Charged once per pick — including degenerate tail picks, which still
-    // launch the kernel and exchange the (zero-gain) pick.
-    const auto charge_pick = [&](const std::vector<std::uint64_t>& shard_dec) {
-      double pick_seconds = 0.0;
-      for_alive([&](std::uint32_t f) {
-        if (shard_sets[f] == 0) return;
-        const std::uint64_t total =
-            shard_sets[f] * g_lat + shard_search[f] + shard_dec[f];
-        const std::uint64_t used =
-            std::max<std::uint64_t>(1, std::min(units, shard_sets[f]));
-        pick_seconds = std::max(
-            pick_seconds, spec.costs.kernel_launch_us * 1e-6 +
-                              spec.cycles_to_seconds(static_cast<double>(total / used)));
-      });
-      fleet.primary().timeline().add(gpusim::SegmentKind::Kernel, "eim::multi_update",
-                                     pick_seconds);
-      net.exchange_pick(fleet);
-    };
-    const std::vector<std::uint64_t> no_decrements(num_flat, 0);
-
-    // CELF-style lazy arg-max over the merged counts; bit-identical to the
-    // linear reference scan (see lazy_greedy.hpp for the tie-break proof).
-    LazyArgMaxHeap heap{std::span<const std::uint32_t>(counts)};
-
-    for (std::uint32_t pick = 0; pick < effective.k; ++pick) {
-      VertexId best = graph::kInvalidVertex;
-      std::uint32_t best_count = 0;
-      if (!heap.pop_best(counts, chosen, best, best_count)) {
-        // Degenerate tail: every set is covered but picks remain. Charge
-        // the per-pick kernel + exchange for each filler so the modeled
-        // time reflects k rounds like the unsaturated path.
-        for (VertexId v = 0; v < n && sel.seeds.size() < effective.k; ++v) {
-          if (chosen[v] == 0) {
-            chosen[v] = 1;
-            sel.seeds.push_back(v);
-            charge_pick(no_decrements);
-          }
-        }
-        break;
-      }
-      chosen[best] = 1;
-      sel.seeds.push_back(best);
-
-      std::vector<std::uint64_t> shard_dec(num_flat, 0);
-      for (std::uint64_t idx = index_offsets[best]; idx < index_offsets[best + 1];
-           ++idx) {
-        const std::uint64_t set_id = index_sets[idx];
-        if (covered[set_id] != 0) continue;
-        covered[set_id] = 1;
-        ++sel.covered_sets;
-        const std::uint32_t len = lengths[set_id];
-        const std::uint32_t owner = owner_of[set_id];
-        shard_search[owner] -= binsearch_probes(len) * g_lat;
-        shard_dec[owner] += static_cast<std::uint64_t>(len) * (g_lat + a_lat);
-        for (std::uint64_t p = starts[set_id]; p < starts[set_id + 1]; ++p) {
-          --counts[flat[p]];
-        }
-      }
-
-      charge_pick(shard_dec);
-    }
-
-    sel.coverage_fraction = num_sets == 0 ? 0.0
-                                          : static_cast<double>(sel.covered_sets) /
-                                                static_cast<double>(num_sets);
-    phase_span.end(span_dev->timeline().total_seconds());
+  const auto select_once = [&] {
+    Phase phase(metrics, "select", trace, fleet.primary());
+    const std::unique_ptr<PickPricer> pricer =
+        net.pick_pricer(fleet, placed, sampled_global);
+    const SelectionMirror mirror = gather(profile);
+    imm::SelectionResult sel = greedy_select(mirror, g.num_vertices(), effective.k,
+                                             *pricer, ArgMaxMode::kLazyHeap, metrics,
+                                             profile);
+    phase.end();
     return sel;
   };
   // A domain lost inside a selection pass aborts it; the restart rebuilds
@@ -436,7 +595,9 @@ void run_sharded(Fleet fleet, Interconnect& net, const graph::Graph& g,
       CheckpointState state;
       fill_checkpoint_identity(state, g, model, params, options, num_flat);
       state.round = fr;
-      (void)gather(state.lengths, state.elements);
+      SelectionMirror mirror = with_failover([&] { return gather(nullptr); });
+      state.lengths = std::move(mirror.lengths);
+      state.elements = std::move(mirror.flat);
       state.singletons_discarded = singletons();
       const gpusim::DeviceTimeline& clock = fleet.primary().timeline();
       state.kernel_seconds = max_kernel_seconds();
@@ -451,13 +612,20 @@ void run_sharded(Fleet fleet, Interconnect& net, const graph::Graph& g,
       g.num_vertices(), effective, sample_to, select,
       ckpt != nullptr ? &ckpt->round : nullptr, on_round);
 
-  gpusim::Device& primary = fleet.primary();
-  primary.transfer_to_host("seed set",
-                           outcome.final_selection.seeds.size() * sizeof(VertexId));
+  // Seeds travel back over the primary's PCIe link (k vertex ids).
+  with_failover([&] {
+    gpusim::Device& primary = fleet.primary();
+    on_domain(alive.front(), [&] {
+      retry_transfer(primary, "seed set", [&] {
+        primary.transfer_to_host("seed set", outcome.final_selection.seeds.size() *
+                                                 sizeof(VertexId));
+      });
+    });
+  });
 
   // Fold every device's ledger — dead domains' pre-loss work included —
   // into the trace as leaf spans on its own track, and its peak memory into
-  // the result.
+  // the result. The run is over, so every segment interval is final.
   for (const gpusim::Device* d : devices) {
     result.peak_device_bytes =
         std::max(result.peak_device_bytes, d->memory().peak_bytes());
@@ -470,15 +638,22 @@ void run_sharded(Fleet fleet, Interconnect& net, const graph::Graph& g,
   result.lower_bound = outcome.lower_bound;
   result.estimation_rounds = outcome.estimation_rounds;
   result.singletons_discarded = singletons();
+  result.degraded = degraded;
+  result.degrade_shortfall_bytes = degrade_shortfall;
   for_alive([&](std::uint32_t f) {
     result.total_elements += shards[f]->total_elements();
     result.rrr_bytes += shards[f]->stored_bytes();
     result.rrr_raw_bytes += shards[f]->raw_equivalent_bytes();
   });
-  // Same conditional-coverage correction as the single-device pipeline.
-  const double kept_fraction =
-      static_cast<double>(result.num_sets) /
-      static_cast<double>(result.num_sets + result.singletons_discarded);
+  // Coverage under source elimination is conditional on non-singleton
+  // samples; rescale by the kept fraction so the reported spread estimate
+  // stays an unbiased n * F over *all* generated samples. (The inflated
+  // conditional coverage still drives the theta estimate — that is the
+  // §3.4 heuristic's speed mechanism.)
+  const std::uint64_t generated = result.num_sets + result.singletons_discarded;
+  const double kept_fraction = generated > 0 ? static_cast<double>(result.num_sets) /
+                                                   static_cast<double>(generated)
+                                             : 1.0;  // degraded before any commit
   result.estimated_spread = static_cast<double>(g.num_vertices()) *
                             outcome.final_selection.coverage_fraction * kept_fraction;
 
@@ -486,14 +661,29 @@ void run_sharded(Fleet fleet, Interconnect& net, const graph::Graph& g,
   // PCIe transfers (serialized on its copy engine) and any backoff it
   // absorbed, plus the interconnect's own ledger.
   result.kernel_seconds = max_kernel_seconds();
-  result.transfer_seconds = primary.timeline().transfer_seconds();
+  result.transfer_seconds = fleet.primary().timeline().transfer_seconds();
   result.device_seconds = result.kernel_seconds + result.transfer_seconds +
-                          primary.timeline().allocation_seconds() +
-                          primary.timeline().backoff_seconds() + ledger.total_seconds();
+                          fleet.primary().timeline().allocation_seconds() +
+                          fleet.primary().timeline().backoff_seconds() +
+                          ledger.total_seconds();
 
+  if (options.spill.policy != SpillPolicy::Off) {
+    std::uint64_t disk_bytes = 0;
+    for_alive([&](std::uint32_t f) {
+      result.spilled_sets += stores[f]->spilled_sets();
+      result.spill_bytes_compressed += stores[f]->compressed_bytes();
+      disk_bytes += stores[f]->disk_bytes();
+    });
+    if (metrics != nullptr) {
+      metrics->gauge("spill.compressed_bytes").set(result.spill_bytes_compressed);
+      metrics->gauge("spill.disk_bytes").set(disk_bytes);
+    }
+  }
   if (metrics != nullptr) {
     metrics->counter("imm.estimation_rounds").add(result.estimation_rounds);
     metrics->gauge("imm.theta").set(result.num_sets);
+    metrics->gauge("rrr.stored_bytes").set(result.rrr_bytes);
+    metrics->gauge("rrr.raw_equivalent_bytes").set(result.rrr_raw_bytes);
   }
   for (std::uint32_t f = 0; f < num_flat; ++f) {
     gpusim::record_fault_deltas(metrics, faults_before[f], devices[f]->fault_stats());

@@ -1,21 +1,26 @@
-// The sharded eIM driver behind run_eim_multi (multi_gpu.hpp) and
-// run_eim_cluster (multi_node.hpp): one algorithm over a list of failure
-// domains — D domains of one device, or N nodes of D devices. Sample id i
-// lands on domain alive[i % |alive|], device (i / |alive|) % D; streams are
-// keyed by sample id, so any layout or failure history unions to the
-// single-device collection. A device loss drains its whole domain onto the
-// survivors, which regenerate its ids from the same streams — except ids in
-// a restored checkpoint prefix, which re-commit from the snapshot
-// (re-sampling them would count their singleton draws a second time on top
-// of the restored total). Selection is exact greedy on the merged host
-// mirror, priced as the slowest alive shard scan plus one pick exchange.
-// Only the interconnect differs between the tiers.
+// The one eIM driver: run_eim (pipeline.hpp) runs it on one device,
+// run_eim_multi (multi_gpu.hpp) on D domains of one device, run_eim_cluster
+// (multi_node.hpp) on N nodes of D devices; only the Interconnect differs.
+// Sample id i lands on domain alive[i % |alive|], device (i / |alive|) % D;
+// streams are keyed by sample id, so any layout or failure history unions
+// to the single-device collection. Each shard owns its sampler, collection
+// and spill store. A loss, or a transient fault past EimOptions::retry,
+// retires the device's whole domain and the survivors regenerate its ids —
+// except ids in a restored checkpoint prefix, which re-commit from the
+// snapshot (re-sampling them would count their singleton draws twice).
+// Retiring the last domain rethrows whatever killed it. An OOM under
+// OomPolicy::Degrade freezes theta at the smallest sample id not yet
+// committed. Selection is greedy_select on the merged host mirror, priced
+// per pick by the interconnect's PickPricer.
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "eim/eim/options.hpp"
+#include "eim/eim/seed_selector.hpp"
 #include "eim/gpusim/device.hpp"
 #include "eim/graph/graph.hpp"
 #include "eim/graph/weights.hpp"
@@ -30,8 +35,14 @@ struct Fleet {
   std::vector<std::uint32_t> alive;                   ///< ascending domain ids
 
   /// First device of the first alive domain: reductions land here, and the
-  /// run's phase spans and carried clock ride on it.
+  /// run's phase spans, carried clock and seed readback ride on it.
   gpusim::Device& primary() const { return *domains[alive.front()].front(); }
+};
+
+/// Where a committed sample lives: flat device index and local slot.
+struct Placement {
+  std::uint32_t device;
+  std::uint32_t slot;
 };
 
 /// The traffic between failure domains. The three exchange steps may throw
@@ -46,9 +57,17 @@ class Interconnect {
   virtual void reduce_counts(const Fleet& fleet, std::uint64_t bytes) = 0;
   /// Exchange one selection pick: the chosen vertex out, coverage back.
   virtual void exchange_pick(const Fleet& fleet) = 0;
+  /// Price one selection pass over the merged mirror of the first
+  /// `num_sets` samples, placed as `placement` says. Created before the
+  /// mirror is decoded. The default: every alive shard scans its own sets
+  /// concurrently (the slowest governs), then exchange_pick.
+  virtual std::unique_ptr<PickPricer> pick_pricer(const Fleet& fleet,
+                                                  std::span<const Placement> placement,
+                                                  std::uint64_t num_sets);
   /// `domain` has left `fleet.alive`, respilling `respilled` sample ids (the
   /// `regenerated` it had committed plus its in-flight batch) onto the
-  /// survivors. Charges the recovery, or throws when the run cannot continue.
+  /// survivors. Charges the recovery, or throws when the run cannot
+  /// continue; with no survivor left the driver rethrows the fault itself.
   virtual void domain_lost(const Fleet& fleet, std::uint32_t domain,
                            std::uint64_t regenerated, std::uint64_t respilled) = 0;
   /// Whether theta may grow from `sampled` committed samples to `target`;

@@ -400,7 +400,8 @@ TEST(Checkpoint, FaultOnRestoreUploadRespillsEachRestoredSetOnce) {
   for (const std::uint32_t victim : {0u, 2u}) {
     DevicePool pool(3);
     gpusim::FaultPlan plan;
-    plan.transfer_fault_ordinals = {1};  // 0 stages the network; 1 is the restore
+    // 0 stages the network; 1 is the restore upload, 2 and 3 its retries.
+    plan.transfer_fault_ordinals = {1, 2, 3};
     pool.ptrs[victim]->set_fault_plan(plan);
     EimOptions options;
     options.resume = &ckpt;
@@ -413,6 +414,37 @@ TEST(Checkpoint, FaultOnRestoreUploadRespillsEachRestoredSetOnce) {
     EXPECT_EQ(resumed.failover_regenerated_sets, 0u);
     const std::uint64_t stripe = (restored + 2 - victim) / 3;
     EXPECT_EQ(resumed.failover_transfer_bytes, stripe * sizeof(std::uint64_t));
+  }
+}
+
+TEST(Checkpoint, TransientFaultOnRestoreUploadIsRetried) {
+  // One transient fault on a restore upload is retried under the run's
+  // retry policy like any other transfer: no device is retired.
+  const Graph g = make_graph();
+  const imm::ImmParams params = make_params();
+
+  DevicePool ref_pool(3);
+  const MultiGpuResult reference =
+      run_eim_multi(ref_pool.ptrs, g, DiffusionModel::IndependentCascade, params);
+
+  TempDir dir("eim_ckpt_restore_retry");
+  CheckpointState ckpt = write_interrupted_multi_checkpoint(
+      g, params, ref_pool.ptrs[0]->kernel_launch_ordinal() / 2, dir.path);
+  ASSERT_GT(ckpt.lengths.size(), 0u);
+
+  for (const std::uint32_t victim : {0u, 2u}) {
+    DevicePool pool(3);
+    gpusim::FaultPlan plan;
+    plan.transfer_fault_ordinals = {1};  // 0 stages the network; 1 is the restore
+    pool.ptrs[victim]->set_fault_plan(plan);
+    EimOptions options;
+    options.resume = &ckpt;
+    const MultiGpuResult resumed = run_eim_multi(
+        pool.ptrs, g, DiffusionModel::IndependentCascade, params, options);
+    expect_same_answer(reference, resumed);
+    EXPECT_TRUE(resumed.failed_devices.empty()) << "victim " << victim;
+    EXPECT_EQ(resumed.failover_regenerated_sets, 0u);
+    EXPECT_EQ(pool.ptrs[victim]->fault_stats().transfer_faults, 1u);
   }
 }
 

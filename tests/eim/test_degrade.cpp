@@ -1,11 +1,19 @@
 // OomPolicy::Degrade and transient-fault retry behavior of the single-device
 // pipeline (docs/RESILIENCE.md).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
+#include <span>
+#include <string>
+
+#include "eim/eim/checkpoint.hpp"
 #include "eim/eim/pipeline.hpp"
 #include "eim/graph/generators.hpp"
 #include "eim/graph/weights.hpp"
 #include "eim/gpusim/device.hpp"
+#include "eim/imm/rrr_store.hpp"
+#include "eim/imm/seed_selection.hpp"
 #include "eim/support/error.hpp"
 #include "eim/support/metrics.hpp"
 
@@ -99,6 +107,38 @@ TEST(Degrade, ScriptedAllocOomAlsoDegrades) {
   EXPECT_TRUE(result.degraded);
   EXPECT_EQ(result.seeds.size(), make_params().k);
   EXPECT_EQ(device.fault_stats().alloc_ooms, 1u);
+}
+
+TEST(Degrade, LateOomSelectsOverThePublishedSetsOnly) {
+  // Regression: an OOM after the first wave publishes the contiguous prefix
+  // of the sets committed so far. Sets committed past that prefix must not
+  // count toward the greedy — the seeds must be exactly the serial greedy
+  // over the published sets, which the final checkpoint holds. (Here the
+  // spill budget is smaller than any set, so the OOM lands on wave 2.)
+  const Graph g = make_graph();
+  const std::string dir = ::testing::TempDir() + "eim_degrade_late_oom_" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  gpusim::Device device(gpusim::make_benchmark_device(256));
+  EimOptions options;
+  options.spill.policy = SpillPolicy::Spill;
+  options.spill.device_budget_bytes = 8;
+  options.oom_policy = OomPolicy::Degrade;
+  options.checkpoint_dir = dir;
+  const EimResult result =
+      run_eim(device, g, DiffusionModel::IndependentCascade, make_params(), options);
+  ASSERT_TRUE(result.degraded);
+
+  const CheckpointState published = load_checkpoint(dir);
+  std::filesystem::remove_all(dir);
+  ASSERT_EQ(published.lengths.size(), result.num_sets);
+  imm::RrrStore store(g.num_vertices());
+  std::size_t at = 0;
+  for (const std::uint32_t len : published.lengths) {
+    store.append(std::span<const graph::VertexId>(published.elements.data() + at, len));
+    at += len;
+  }
+  EXPECT_EQ(result.seeds, imm::select_seeds_greedy(store, make_params().k).seeds);
 }
 
 TEST(Resilience, TransientKernelFaultRetriesToIdenticalSeeds) {

@@ -1,12 +1,18 @@
 #include "eim/eim/multi_gpu.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
 #include <memory>
+#include <span>
 
+#include "eim/eim/checkpoint.hpp"
 #include "eim/eim/pipeline.hpp"
 #include "eim/graph/generators.hpp"
 #include "eim/graph/registry.hpp"
+#include "eim/imm/rrr_store.hpp"
+#include "eim/imm/seed_selection.hpp"
 #include "eim/support/error.hpp"
 #include "eim/support/metrics.hpp"
 
@@ -272,6 +278,142 @@ TEST(MultiGpuFailover, DeviceLossAtFinalWaveOrdinalFiresAndOneBeyondDoesNot) {
   EXPECT_EQ(never.seeds, reference.seeds);
   EXPECT_TRUE(never.failed_devices.empty());
   EXPECT_FALSE(beyond.ptrs[1]->lost());
+}
+
+TEST(MultiGpuFailover, TransientStagingFaultIsRetriedOnEitherDevice) {
+  // A single transient fault on the network upload is retried under the
+  // run's policy on any device, not turned into an aborted run or a
+  // failover.
+  const Graph g = make_graph();
+  const imm::ImmParams params = make_params();
+  DevicePool clean(2);
+  const MultiGpuResult reference =
+      run_eim_multi(clean.ptrs, g, DiffusionModel::IndependentCascade, params);
+
+  for (const std::uint32_t victim : {0u, 1u}) {
+    DevicePool pool(2);
+    gpusim::FaultPlan plan;
+    plan.transfer_fault_ordinals = {0};  // the network CSC upload
+    pool.ptrs[victim]->set_fault_plan(plan);
+    const MultiGpuResult retried =
+        run_eim_multi(pool.ptrs, g, DiffusionModel::IndependentCascade, params);
+    EXPECT_EQ(retried.seeds, reference.seeds) << "victim " << victim;
+    EXPECT_TRUE(retried.failed_devices.empty());
+    EXPECT_EQ(pool.ptrs[victim]->fault_stats().transfer_faults, 1u);
+  }
+}
+
+TEST(MultiGpuMemory, EveryShardSpillsToTheUnconstrainedSeeds) {
+  const Graph g = make_graph();
+  const imm::ImmParams params = make_params();
+  DevicePool clean(2);
+  const MultiGpuResult reference =
+      run_eim_multi(clean.ptrs, g, DiffusionModel::IndependentCascade, params);
+
+  // Each shard holds about half the collection; budget each device a
+  // quarter of its shard.
+  DevicePool pool(2);
+  EimOptions options;
+  options.spill.policy = SpillPolicy::Spill;
+  options.spill.device_budget_bytes = reference.rrr_bytes / 8;
+  const MultiGpuResult spilled =
+      run_eim_multi(pool.ptrs, g, DiffusionModel::IndependentCascade, params, options);
+  EXPECT_EQ(spilled.seeds, reference.seeds);
+  EXPECT_EQ(spilled.num_sets, reference.num_sets);
+  EXPECT_EQ(spilled.total_elements, reference.total_elements);
+  EXPECT_GT(spilled.spilled_sets, 0u);
+  EXPECT_FALSE(spilled.degraded);
+  EXPECT_TRUE(spilled.failed_devices.empty());
+}
+
+TEST(MultiGpuMemory, LosingADeviceWhileItResamplesTornBlocksKeepsSeeds) {
+  // Device 1 spills its shard to disk and reads torn blocks back, so past
+  // its sampling waves it launches one resample kernel per set of a torn
+  // block inside selections. Losing it at the first, a middle or the last
+  // of those launches retires it; the survivors regenerate its sets and
+  // the answer does not move. (Losses during sampling waves are swept by
+  // the failover tests above.)
+  const Graph g = make_graph();
+  const imm::ImmParams params = make_params();
+  DevicePool clean(3);
+  const MultiGpuResult reference =
+      run_eim_multi(clean.ptrs, g, DiffusionModel::IndependentCascade, params);
+
+  EimOptions options;
+  options.spill.policy = SpillPolicy::Spill;
+  options.spill.device_budget_bytes = reference.rrr_bytes / 12;
+  options.spill.host_budget_bytes = 1;  // every block goes to disk
+  options.spill.sets_per_block = 128;
+  gpusim::FaultPlan torn;
+  torn.spill_corrupt_ordinals = {0, 1};
+
+  DevicePool intact(3);
+  (void)run_eim_multi(intact.ptrs, g, DiffusionModel::IndependentCascade, params, options);
+  const std::uint64_t sampling_launches = intact.ptrs[1]->kernel_launch_ordinal();
+
+  DevicePool spilling(3);
+  spilling.ptrs[1]->set_fault_plan(torn);
+  const MultiGpuResult spilled =
+      run_eim_multi(spilling.ptrs, g, DiffusionModel::IndependentCascade, params, options);
+  EXPECT_EQ(spilled.seeds, reference.seeds);
+  EXPECT_GT(spilled.spilled_sets, 0u);
+  const std::uint64_t launches = spilling.ptrs[1]->kernel_launch_ordinal();
+  ASSERT_GT(launches, sampling_launches);  // the torn blocks were resampled
+
+  for (const std::uint64_t o :
+       {sampling_launches, (sampling_launches + launches) / 2, launches - 1}) {
+    DevicePool pool(3);
+    gpusim::FaultPlan plan = torn;
+    plan.device_loss_kernel_ordinal = o;
+    pool.ptrs[1]->set_fault_plan(plan);
+    const MultiGpuResult lost =
+        run_eim_multi(pool.ptrs, g, DiffusionModel::IndependentCascade, params, options);
+    EXPECT_EQ(lost.seeds, reference.seeds) << "loss at launch " << o;
+    EXPECT_EQ(lost.num_sets, reference.num_sets) << "loss at launch " << o;
+    EXPECT_EQ(lost.total_elements, reference.total_elements) << "loss at launch " << o;
+    EXPECT_EQ(lost.failed_devices, std::vector<std::uint32_t>{1u}) << "loss at launch " << o;
+  }
+}
+
+TEST(MultiGpuMemory, OomDegradeSelectsOverTheCommittedPrefix) {
+  // Two 128 KB devices: collection growth runs out of memory, and Degrade
+  // freezes theta at the smallest sample id not committed on any shard.
+  // The seeds are the serial greedy over exactly that prefix.
+  const Graph g = make_graph();
+  const imm::ImmParams params = make_params();
+  gpusim::DeviceSpec spec = gpusim::make_benchmark_device(1);
+  spec.global_memory_bytes = 128 << 10;
+  gpusim::Device d0(spec);
+  gpusim::Device d1(spec);
+  const std::string dir = ::testing::TempDir() + "eim_multi_degrade_" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  EimOptions options;
+  options.sampler_blocks = 16;
+  options.checkpoint_dir = dir;
+
+  EXPECT_THROW((void)run_eim_multi({&d0, &d1}, g, DiffusionModel::IndependentCascade,
+                                   params, options),
+               support::DeviceOutOfMemoryError);
+
+  options.oom_policy = OomPolicy::Degrade;
+  const MultiGpuResult degraded =
+      run_eim_multi({&d0, &d1}, g, DiffusionModel::IndependentCascade, params, options);
+  EXPECT_TRUE(degraded.degraded);
+  EXPECT_GT(degraded.degrade_shortfall_bytes, 0u);
+  EXPECT_GT(degraded.num_sets, 0u);
+  ASSERT_EQ(degraded.seeds.size(), params.k);
+
+  const CheckpointState published = load_checkpoint(dir);
+  std::filesystem::remove_all(dir);
+  ASSERT_EQ(published.lengths.size(), degraded.num_sets);
+  imm::RrrStore store(g.num_vertices());
+  std::size_t at = 0;
+  for (const std::uint32_t len : published.lengths) {
+    store.append(std::span<const graph::VertexId>(published.elements.data() + at, len));
+    at += len;
+  }
+  EXPECT_EQ(degraded.seeds, imm::select_seeds_greedy(store, params.k).seeds);
 }
 
 TEST(MultiGpuFailover, LosingEveryDeviceThrows) {

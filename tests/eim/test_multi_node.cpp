@@ -555,7 +555,7 @@ TEST(ClusterCheckpoint, FaultOnRestoreUploadReshardsEachRestoredSetOnce) {
   ASSERT_GT(ckpt.lengths.size(), 0u);
   gpusim::Cluster cluster = make_cluster(2, 2);
   gpusim::FaultPlan plan;
-  plan.transfer_fault_ordinals = {1};
+  plan.transfer_fault_ordinals = {1, 2, 3};  // the upload and both retries
   cluster.node(1).device(1).set_fault_plan(plan);
   EimOptions options;
   options.resume = &ckpt;

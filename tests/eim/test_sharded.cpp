@@ -1,11 +1,12 @@
-// Golden pins for the sharded driver behind run_eim_multi and
+// Golden pins for the sharded driver behind run_eim, run_eim_multi and
 // run_eim_cluster. Every figure below is the modeled output of the
 // pre-unification drivers, recorded bit-exactly: seeds and collection
 // shape, the failover/reshard tallies, and the kernel/transfer/
 // communication/device seconds. No committed bench baseline covers the
 // multi-GPU cost model, so this test is its gate — any change to the
 // shared shard/failover/restore/select core that moves a modeled second
-// fails here.
+// fails here. The single-device cells were recorded from the standalone
+// run_eim pipeline before it became a one-device fleet.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,6 +15,7 @@
 
 #include "eim/eim/multi_gpu.hpp"
 #include "eim/eim/multi_node.hpp"
+#include "eim/eim/pipeline.hpp"
 #include "eim/graph/generators.hpp"
 #include "eim/graph/weights.hpp"
 
@@ -74,8 +76,9 @@ struct Pinned {
 
 const std::vector<VertexId> kSeeds = {4, 5, 3, 16, 108, 476, 1, 177};
 
-void expect_pinned(const EimResult& r, double communication_seconds, const Pinned& pin) {
-  EXPECT_EQ(r.seeds, kSeeds);
+void expect_pinned(const EimResult& r, const std::vector<VertexId>& seeds,
+                   double communication_seconds, const Pinned& pin) {
+  EXPECT_EQ(r.seeds, seeds);
   EXPECT_EQ(r.num_sets, pin.num_sets);
   EXPECT_EQ(r.total_elements, pin.total_elements);
   EXPECT_EQ(r.singletons_discarded, pin.singletons_discarded);
@@ -83,6 +86,19 @@ void expect_pinned(const EimResult& r, double communication_seconds, const Pinne
   EXPECT_EQ(r.transfer_seconds, pin.transfer_seconds);
   EXPECT_EQ(communication_seconds, pin.communication_seconds);
   EXPECT_EQ(r.device_seconds, pin.device_seconds);
+}
+
+void expect_pinned(const EimResult& r, double communication_seconds, const Pinned& pin) {
+  expect_pinned(r, kSeeds, communication_seconds, pin);
+}
+
+/// A single-device run on a fresh device of `spec`.
+EimResult run_single(
+    const Graph& g, const EimOptions& options = {},
+    DiffusionModel model = DiffusionModel::IndependentCascade,
+    const gpusim::DeviceSpec& spec = gpusim::make_benchmark_device(256)) {
+  gpusim::Device device(spec);
+  return run_eim(device, g, model, make_params(), options);
 }
 
 TEST(ShardedDriver, ModeledChargesPinned) {
@@ -129,6 +145,60 @@ TEST(ShardedDriver, ModeledChargesPinned) {
   EXPECT_EQ(killed.failed_nodes, std::vector<std::uint32_t>{1u});
   EXPECT_EQ(killed.reshard_samples, 632u);
   EXPECT_EQ(killed.collective_retries, 0u);
+
+  // One device: the same collection, priced by §3.5's per-pick kernels and
+  // no interconnect.
+  const EimResult solo = run_single(g);
+  expect_pinned(solo, 0.0,
+                {7358, 34104, 3393, 0x1.4160cd4c6d034p-10, 0x1.61f73852a4342p-16, 0.0,
+                 0x1.fe68de9b7d6acp-10});
+  EXPECT_EQ(solo.rrr_bytes, 133328u);
+
+  // LT with fast-draw (alias-table) sampling.
+  Graph lt = Graph::from_edge_list(graph::barabasi_albert(600, 3, 0.3, 7));
+  graph::assign_weights(lt, DiffusionModel::LinearThreshold);
+  EimOptions skip;
+  skip.draw_mode = DrawMode::Skip;
+  expect_pinned(run_single(lt, skip, DiffusionModel::LinearThreshold),
+                {4, 5, 16, 3, 108, 177, 350, 27}, 0.0,
+                {8635, 32011, 1237, 0x1.a0026f7e632fep-11, 0x1.61f73852a4342p-16, 0.0,
+                 0x1.8d09490e41ff6p-10});
+
+  // Spill at a quarter of the unconstrained footprint. Spilled runs' modeled
+  // seconds vary with host scheduling on larger graphs, so only the answer
+  // is pinned.
+  EimOptions quarter;
+  quarter.spill.policy = SpillPolicy::Spill;
+  quarter.spill.device_budget_bytes = solo.rrr_bytes / 4;
+  const EimResult spilled = run_single(g, quarter);
+  EXPECT_EQ(spilled.seeds, kSeeds);
+  EXPECT_EQ(spilled.num_sets, 7358u);
+  EXPECT_EQ(spilled.total_elements, 34104u);
+  EXPECT_GT(spilled.spilled_sets, 0u);
+
+  // OOM degrade on a 160 KB device with a 16-block sampler pool.
+  gpusim::DeviceSpec tiny = gpusim::make_benchmark_device(1);
+  tiny.global_memory_bytes = 160 << 10;
+  EimOptions degrade;
+  degrade.sampler_blocks = 16;
+  degrade.oom_policy = OomPolicy::Degrade;
+  const EimResult degraded =
+      run_single(g, degrade, DiffusionModel::IndependentCascade, tiny);
+  expect_pinned(degraded, {4, 108, 16, 5, 350, 3, 177, 1}, 0.0,
+                {2529, 11539, 1130, 0x1.219df7d7d4df7p-9, 0x1.61f73852a4342p-16, 0.0,
+                 0x1.58cfac1eb2ae1p-9});
+  EXPECT_TRUE(degraded.degraded);
+  EXPECT_EQ(degraded.degrade_shortfall_bytes, 19332u);
+
+  // One transient fault on the first sampling wave, retried.
+  gpusim::Device faulty(gpusim::make_benchmark_device(256));
+  gpusim::FaultPlan kernel_fault;
+  kernel_fault.kernel_fault_ordinals = {0};
+  faulty.set_fault_plan(kernel_fault);
+  expect_pinned(run_eim(faulty, g, DiffusionModel::IndependentCascade, make_params()),
+                0.0,
+                {7358, 34104, 3393, 0x1.42b058a4fb39cp-10, 0x1.61f73852a4342p-16, 0.0,
+                 0x1.0cf7a66f93f1cp-9});
 }
 
 }  // namespace

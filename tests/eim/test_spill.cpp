@@ -238,12 +238,13 @@ TEST(Spill, SpillThenDegradeHandlesAnImpossibleBudget) {
   // progress, and the policy decides — degrade, never truncate silently.
   const Graph g = make_graph();
   SpillOptions spill;
-  spill.policy = SpillPolicy::SpillThenDegrade;
+  spill.policy = SpillPolicy::Spill;
   spill.device_budget_bytes = 8;
 
   gpusim::Device device(gpusim::make_benchmark_device(256));
   EimOptions options;
   options.spill = spill;
+  options.oom_policy = OomPolicy::Degrade;
   const EimResult result =
       run_eim(device, g, DiffusionModel::IndependentCascade, make_params(), options);
   EXPECT_TRUE(result.degraded);

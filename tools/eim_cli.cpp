@@ -127,8 +127,8 @@ void print_usage() {
       "  --device-mem-budget <bytes>  cap the RRR collection's device\n"
       "                       footprint; cold sets spill to compressed host\n"
       "                       memory and disk instead of truncating the run\n"
-      "                       (implies --spill-policy spill; eim only,\n"
-      "                       single device; see docs/RESILIENCE.md)\n"
+      "                       (implies --spill-policy spill; eim only, per\n"
+      "                       device; see docs/RESILIENCE.md)\n"
       "  --spill-policy off|spill|degrade  what device OOM does to the RRR\n"
       "                       store: off = fail/degrade as --oom-degrade\n"
       "                       says, spill = evict cold sets down the tier\n"
@@ -153,8 +153,7 @@ void print_usage() {
       "  --no-log-encoding    disable the Section 3.1 compression\n"
       "  --no-source-elim     disable the Section 3.4 heuristic\n"
       "  --oom-degrade        on device OOM, return best-effort seeds from\n"
-      "                       the sets that fit instead of failing (eim only,\n"
-      "                       single device)\n"
+      "                       the sets that fit instead of failing (eim only)\n"
       "  --json               print the result as a JSON object\n"
       "  --metrics-json <path|->  write an eim.metrics.v3 run report (phase\n"
       "                       timers, histograms, memory high-water mark,\n"
@@ -361,9 +360,8 @@ int main(int argc, char** argv) {
         "cluster options (--quorum/--node-degrade/--devices-per-node/"
         "--kill-node/--link-fault/--straggler) require --nodes"));
   }
-  // Spill is a single-device answer to memory pressure (the cluster tier
-  // answers it by adding nodes), so the tiered-store flags are rejected
-  // outside --algo eim with one device.
+  // The tiered-store flags configure eIM's spill hierarchy (one per device,
+  // on every topology); the other engines have none.
   const bool spill_requested =
       opt.device_mem_budget > 0 || !opt.spill_dir.empty() ||
       opt.spill_host_budget > 0 ||
@@ -374,24 +372,13 @@ int main(int argc, char** argv) {
           "spill options (--device-mem-budget/--spill-policy/--spill-dir/"
           "--spill-host-budget) require --algo eim (got '" + opt.algo + "')"));
     }
-    if (opt.devices > 1 || opt.nodes > 0) {
-      return report_error(support::InvalidArgumentError(
-          "spill options require a single device (no --devices > 1 or "
-          "--nodes); the cluster tier handles memory pressure by resharding"));
-    }
   }
-  // A cluster's width comes from --devices-per-node, and the sharded
-  // drivers have no OOM degrade (the cluster tier degrades on quorum loss,
-  // --node-degrade); refuse both rather than silently ignore them.
+  // A cluster's width comes from --devices-per-node; refuse --devices
+  // rather than silently ignore it.
   if (opt.nodes > 0 && opt.devices > 1) {
     return report_error(support::InvalidArgumentError(
         "--devices sets the single-host GPU count; with --nodes use "
         "--devices-per-node"));
-  }
-  if (opt.oom_degrade && (opt.devices > 1 || opt.nodes > 0)) {
-    return report_error(support::InvalidArgumentError(
-        "--oom-degrade requires a single device (no --devices > 1 or --nodes); "
-        "the cluster tier degrades on quorum loss instead (--node-degrade)"));
   }
   // Each artifact stream has its own framing; interleaving any two on
   // stdout would corrupt both, so at most one may claim '-'.
@@ -485,6 +472,16 @@ int main(int argc, char** argv) {
     options.eliminate_sources = !opt.no_source_elim;
     if (opt.draw_mode == "skip") options.draw_mode = eim_impl::DrawMode::Skip;
     if (opt.oom_degrade) options.oom_policy = eim_impl::OomPolicy::Degrade;
+    if (spill_requested) {
+      // --spill-policy degrade: spill, then degrade once the tiers are full.
+      options.spill.policy = eim_impl::SpillPolicy::Spill;
+      if (opt.spill_policy == "degrade") {
+        options.oom_policy = eim_impl::OomPolicy::Degrade;
+      }
+      options.spill.device_budget_bytes = opt.device_mem_budget;
+      options.spill.host_budget_bytes = opt.spill_host_budget;
+      options.spill.dir = opt.spill_dir;
+    }
     options.metrics = &registry;
     options.trace = trace;
     options.profile = profile;
@@ -543,14 +540,6 @@ int main(int argc, char** argv) {
     } else {
       gpusim::Device device(gpusim::make_benchmark_device(opt.memory_mb));
       if (opt.algo == "eim") {
-        if (spill_requested) {
-          options.spill.policy = opt.spill_policy == "degrade"
-                                     ? eim_impl::SpillPolicy::SpillThenDegrade
-                                     : eim_impl::SpillPolicy::Spill;
-          options.spill.device_budget_bytes = opt.device_mem_budget;
-          options.spill.host_budget_bytes = opt.spill_host_budget;
-          options.spill.dir = opt.spill_dir;
-        }
         result = eim_impl::run_eim(device, g, opt.model, opt.params, options);
       } else if (opt.algo == "gim") {
         result = baselines::run_gim(device, g, opt.model, opt.params);
