@@ -225,10 +225,10 @@ void BM_BitPackedStoreReleaseBulk(benchmark::State& state) {
 }
 BENCHMARK(BM_BitPackedStoreReleaseBulk);
 
-// The RRR commit tail: publish each 64-slot slice into R and bump the
-// per-vertex frequency counts C. Staged = publish pass + separate counts
-// walk (the old try_commit); fused = counts ride the publish accumulator
-// via the store_release_range callback (the current try_commit).
+// A commit tail that also keeps per-vertex frequency counts C: publish
+// each 64-slot slice into R and bump C. Staged = publish pass + separate
+// counts walk; fused = counts ride the publish accumulator via the
+// store_release_range callback.
 void BM_RrrCommitStaged(benchmark::State& state) {
   encoding::BitPackedArray packed(1 << 16, 14);
   std::vector<std::uint32_t> values(1 << 16);

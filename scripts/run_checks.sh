@@ -5,8 +5,9 @@
 # under ThreadSanitizer in a separate tree, exercise CLI-level
 # checkpoint/resume including corrupt-snapshot rejection, a --draw-mode
 # skip round-trip with mode-mismatch rejection, a node-kill cluster
-# failover smoke, a multi-GPU smoke (--devices 3 == --nodes 3 == one
-# device, plus exit-2 rejection of --devices with --nodes), a
+# failover smoke (with quorum loss and cluster OOM under --degrade writing
+# one stderr degraded record), a multi-GPU smoke (--devices 3 == --nodes 3
+# == one device, plus exit-2 rejection of bad or conflicting flags), a
 # quarter-budget spill smoke (with and without an eighth-size host tier that
 # forces the disk tier, and on two devices) that must reproduce the
 # unconstrained seeds bit-identically, and a two-device OOM-degrade smoke, then
@@ -160,14 +161,27 @@ for f in clean killed; do
     "${clu_tmp}/${f}.json" > "${clu_tmp}/${f}.norm.json"
 done
 diff "${clu_tmp}/clean.norm.json" "${clu_tmp}/killed.norm.json"
-# Dropping below quorum without --node-degrade is unrecoverable: exit 6.
+# Dropping below quorum without --degrade is unrecoverable: exit 6.
 status=0
 "${cli}" "${clu_args[@]}" --quorum 3 --kill-node 1@2 > /dev/null 2>&1 || status=$?
 if [[ "${status}" -ne 6 ]]; then
   echo "ERROR: quorum loss: expected exit 6, got ${status}" >&2; exit 1
 fi
-# With --node-degrade the same loss publishes best-effort seeds (exit 0).
-"${cli}" "${clu_args[@]}" --quorum 3 --kill-node 1@2 --node-degrade > /dev/null
+# With --degrade the same loss publishes best-effort seeds (exit 0), and so
+# does a cluster whose devices run out of memory: one switch, one stderr
+# degraded record with the same keys for either cause.
+"${cli}" "${clu_args[@]}" --quorum 3 --kill-node 1@2 --degrade \
+  > /dev/null 2> "${clu_tmp}/quorum.err"
+"${cli}" --dataset WV --k 10 --eps 0.3 --json --nodes 2 --memory-mb 3 --degrade \
+  > /dev/null 2> "${clu_tmp}/oom.err"
+python3 - "${clu_tmp}/quorum.err" "${clu_tmp}/oom.err" <<'EOF'
+import json, sys
+records = [json.loads(open(path).read().strip().splitlines()[-1]) for path in sys.argv[1:]]
+for path, record in zip(sys.argv[1:], records):
+    assert record.get("warning") == "degraded", f"{path}: no degraded record: {record}"
+    assert record["degrade_shortfall_samples"] > 0, f"{path}: no sample shortfall: {record}"
+assert records[0].keys() == records[1].keys(), f"degraded records differ: {records}"
+EOF
 rm -rf "${clu_tmp}"
 
 echo "== CLI multi-GPU smoke: --devices 3 matches --nodes 3 and one device =="
@@ -185,8 +199,13 @@ for key in ("seeds", "rrr_sets"):
     values = {path: run[key] for path, run in runs.items()}
     assert len({json.dumps(v) for v in values.values()}) == 1, f"{key} differs: {values}"
 EOF
-# A flag the cluster driver would otherwise ignore is refused with exit 2.
-for bad in "--nodes 2 --devices 4"; do
+# A flag the driver would otherwise ignore or misread is refused with exit 2:
+# malformed or out-of-range numbers, fault scripts naming a node past
+# --nodes, and spill flags that would override --spill-policy off.
+for bad in "--nodes 2 --devices 4" "--nodes 2 --quorum abc" "--k 0" "--devices 0" \
+           "--nodes 2 --kill-node 7@1" "--nodes 2 --quorum 3" "--eps 1" \
+           "--spill-policy off --device-mem-budget 20000" \
+           "--spill-policy off --spill-host-budget 5000"; do
   status=0
   # shellcheck disable=SC2086
   "${cli}" "${mg_args[@]}" ${bad} > /dev/null 2>&1 || status=$?
@@ -235,7 +254,7 @@ EOF
 # too small for the collection must degrade to k best-effort seeds (exit 0).
 "${cli}" "${spill_args[@]}" --devices 2 --device-mem-budget "${budget}" \
   > "${spill_tmp}/devices.json"
-"${cli}" "${spill_args[@]}" --devices 2 --memory-mb 3 --oom-degrade \
+"${cli}" "${spill_args[@]}" --devices 2 --memory-mb 3 --degrade \
   > "${spill_tmp}/degraded.json" 2> /dev/null
 python3 - "${spill_tmp}/unconstrained.json" "${spill_tmp}/devices.json" \
   "${spill_tmp}/degraded.json" <<'EOF'

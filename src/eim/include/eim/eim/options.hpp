@@ -56,12 +56,15 @@ enum class DrawMode {
   Skip,
 };
 
-/// What the pipeline does when the device runs out of memory while growing
-/// the RRR collection (docs/RESILIENCE.md).
-enum class OomPolicy {
-  /// Propagate DeviceOutOfMemoryError — the paper's "OOM" cell behavior.
+/// What the driver does when the run cannot reach its theta target: the
+/// device runs out of memory while growing the RRR collection, or a
+/// cluster's alive nodes fall below quorum (docs/RESILIENCE.md
+/// "Degradation").
+enum class DegradePolicy {
+  /// Propagate the cause — DeviceOutOfMemoryError (the paper's "OOM" cell
+  /// behavior) or ClusterQuorumError.
   Throw,
-  /// Stop theta refinement at the last state that fit, keep every committed
+  /// Stop theta refinement at the committed prefix, keep every committed
   /// set, and return best-effort seeds with EimResult::degraded set.
   Degrade,
 };
@@ -69,13 +72,13 @@ enum class OomPolicy {
 /// Where memory pressure goes when the RRR collection outgrows the device
 /// (docs/RESILIENCE.md "Memory-pressure tiers"). Spilling preserves the θ
 /// target — and therefore the exact seeds — by trading modeled time for
-/// device memory; OomPolicy only ever fires after the spill tiers are
+/// device memory; DegradePolicy only sees an OOM after the spill tiers are
 /// exhausted too.
 enum class SpillPolicy {
-  /// No spill hierarchy: OomPolicy alone decides (the pre-spill behavior).
+  /// No spill hierarchy: DegradePolicy alone decides (the pre-spill behavior).
   Off,
   /// Evict cold sets device -> compressed host -> disk. An OOM reaches
-  /// OomPolicy only when the hierarchy itself cannot make progress (a single
+  /// DegradePolicy only when the hierarchy itself cannot make progress (a single
   /// set larger than the whole device budget).
   Spill,
 };
@@ -126,14 +129,15 @@ struct EimOptions {
   /// even a clock read. Wall timers never touch the modeled clock, so
   /// modeled output stays bit-identical — see docs/OBSERVABILITY.md.
   support::profiler::WallProfile* profile = nullptr;
-  /// Behavior when device memory runs out mid-collection-growth.
-  OomPolicy oom_policy = OomPolicy::Throw;
-  /// Tiered spill hierarchy riding below OomPolicy (device -> compressed
+  /// Behavior when device memory runs out mid-collection-growth or a
+  /// cluster loses quorum.
+  DegradePolicy degrade_policy = DegradePolicy::Throw;
+  /// Tiered spill hierarchy riding below DegradePolicy (device -> compressed
   /// host -> disk); modeled seeds stay bit-identical to an unconstrained
   /// run whenever the hierarchy absorbs the pressure.
   SpillOptions spill;
-  /// Bounded retry for transient device faults around sampler launches and
-  /// transfers; backoff is deterministic modeled time on the device.
+  /// Bounded retry for transient faults around sampler launches, transfers
+  /// and cluster collectives; backoff is deterministic modeled time.
   support::RetryPolicy retry;
   /// Directory for round-boundary snapshots (empty = no checkpointing).
   /// Created on first write; each snapshot is published atomically, so a
@@ -164,11 +168,14 @@ struct EimResult : imm::ImmResult {
   std::uint64_t network_raw_bytes = 0;
   /// In-kernel dynamic allocations (always 0 for eIM; nonzero for gIM).
   std::uint64_t device_mallocs = 0;
-  /// OomPolicy::Degrade fired: theta refinement stopped early and the seeds
-  /// are best-effort over the sets that fit. Fault-free runs stay false.
+  /// DegradePolicy::Degrade froze theta: the seeds are best-effort over the
+  /// committed sets. Fault-free runs stay false.
   bool degraded = false;
-  /// Bytes the collection growth was short by when degradation triggered
-  /// (requested - available at the OOM).
+  /// Samples short of the largest theta target the degraded run was given.
+  std::uint64_t degrade_shortfall_samples = 0;
+  /// Bytes the degraded run fell short by: requested - available at the OOM
+  /// that froze it, or, for a quorum loss, the missing samples priced at
+  /// the committed sets' average stored size.
   std::uint64_t degrade_shortfall_bytes = 0;
   /// Sets evicted into the tiered spill store (0 when SpillPolicy::Off or
   /// the device never came under pressure).

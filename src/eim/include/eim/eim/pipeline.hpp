@@ -15,7 +15,7 @@
 //
 // Throws support::DeviceOutOfMemoryError if the configured device budget is
 // exceeded — the condition the benchmark harness reports as "OOM" — unless
-// the spill tiers absorb it or OomPolicy::Degrade is set.
+// the spill tiers absorb it or DegradePolicy::Degrade is set.
 #pragma once
 
 #include "eim/eim/options.hpp"

@@ -2,8 +2,10 @@
 //
 // Mirrors the paper's layout: a single flat array R holding every set's
 // vertices (log-encoded when enabled), the offset array O, and the
-// frequency counts C updated atomically as sets are committed (Alg. 2,
-// lines 21-28). Warps claim a slice of R with a CAS on the shared element
+// frequency counts C that Alg. 2 (lines 21-28) updates atomically as sets
+// are committed. C is modeled by its device charge and the sampler's
+// commit atomics alone: selection counts from the merged host mirror.
+// Warps claim a slice of R with a CAS on the shared element
 // cursor — a claim either fits entirely or is never made, so the cursor is
 // monotone and never exceeds capacity — and publish their vertices
 // independently; the thread-safe packed store of §3.1 makes that safe under
@@ -63,7 +65,7 @@ class DeviceRrrCollection {
   /// the whole set fits, so the element cursor never overshoots capacity
   /// and never moves backwards. Returns false when capacity is insufficient
   /// (the caller re-issues the sample after the driver grows the arrays).
-  /// `sorted_set` must be ascending. Updates O, C, and the element cursor.
+  /// `sorted_set` must be ascending. Updates O and the element cursor.
   [[nodiscard]] bool try_commit(std::uint64_t set_index,
                                 std::span<const graph::VertexId> sorted_set);
 
@@ -93,8 +95,6 @@ class DeviceRrrCollection {
   /// through the attached store's staging pool instead (and may then throw
   /// IoError if its disk tier fails past the retry budget).
   void decode_set(std::uint64_t i, std::span<graph::VertexId> out) const;
-
-  [[nodiscard]] std::span<const std::uint32_t> counts() const noexcept { return counts_; }
 
   /// Device bytes of R + O + C as stored.
   [[nodiscard]] std::uint64_t stored_bytes() const noexcept;
@@ -163,8 +163,6 @@ class DeviceRrrCollection {
   // O, split into start+length so out-of-order commits need no ordering.
   std::vector<std::uint64_t> starts_;
   std::vector<std::uint32_t> lengths_;
-
-  std::vector<std::uint32_t> counts_;  ///< C, updated with atomic_ref
 
   std::atomic<std::uint64_t> element_cursor_{0};
   std::uint64_t num_sets_ = 0;

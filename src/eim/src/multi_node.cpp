@@ -1,6 +1,5 @@
 #include "eim/eim/multi_node.hpp"
 
-#include <algorithm>
 #include <span>
 #include <string>
 #include <utility>
@@ -22,10 +21,10 @@ class ClusterNetwork final : public Interconnect {
   // Construct after the device tracks are registered: the fabric's track
   // comes last.
   ClusterNetwork(gpusim::Cluster& cluster, MultiNodeResult& result,
-                 const EimOptions& options, const MultiNodeOptions& node_options)
+                 const EimOptions& options)
       : cluster_(cluster),
         result_(result),
-        node_options_(node_options),
+        retry_(options.retry),
         metrics_(options.metrics),
         trace_(options.trace) {
     if (metrics_ != nullptr) {
@@ -54,7 +53,8 @@ class ClusterNetwork final : public Interconnect {
     if (metrics_ != nullptr) metrics_->counter("cluster.pick_exchanges").add();
   }
 
-  // Charge the reshard manifest to the survivors, then enforce quorum.
+  // Charge the reshard manifest to the survivors; the driver then enforces
+  // quorum.
   void domain_lost(const Fleet& fleet, std::uint32_t n, std::uint64_t /*regenerated*/,
                    std::uint64_t respilled) override {
     cluster_.mark_node_lost(n);
@@ -63,7 +63,7 @@ class ClusterNetwork final : public Interconnect {
     gpusim::mark_instant(trace_, *fleet.domains[n].front(), "node.lost",
                          "respilled=" + std::to_string(respilled));
     if (fleet.alive.empty()) {
-      throw support::ClusterQuorumError("every node lost", 0, node_options_.quorum);
+      throw support::ClusterQuorumError("every node lost", 0, fleet.quorum);
     }
     // Survivors receive the dead shard's sample-id manifest. Charged as a
     // plain network transfer — recovery traffic must not consume collective
@@ -75,40 +75,13 @@ class ClusterNetwork final : public Interconnect {
       metrics_->counter("cluster.reshard_samples").add(respilled);
     }
     if (bytes > 0) mark("reshard", "bytes=" + std::to_string(bytes));
-    const auto survivors = static_cast<std::uint32_t>(fleet.alive.size());
-    if (survivors >= node_options_.quorum) return;
-    if (!node_options_.node_degrade) {
-      throw support::ClusterQuorumError("node " + std::to_string(n) + " lost", survivors,
-                                        node_options_.quorum);
-    }
-    if (quorum_lost_) return;
-    quorum_lost_ = true;
-    if (metrics_ != nullptr) metrics_->counter("cluster.degraded").add();
-    mark("cluster.degraded", "alive=" + std::to_string(survivors) +
-                                 " quorum=" + std::to_string(node_options_.quorum));
   }
 
-  // Once quorum loss degrades the run, the committed prefix is final and
-  // every refused theta extension counts toward the shortfall.
-  bool may_grow(std::uint64_t sampled, std::uint64_t target) override {
-    if (!quorum_lost_) return true;
-    result_.degrade_shortfall_samples =
-        std::max(result_.degrade_shortfall_samples, target - sampled);
-    return false;
-  }
   [[nodiscard]] const gpusim::DeviceTimeline& ledger() const override {
     return cluster_.timeline();
   }
   void finish() override {
     result_.communication_seconds = cluster_.timeline().transfer_seconds();
-    result_.degraded = result_.degraded || quorum_lost_;
-    // Byte-denominated view of the same shortfall, so the top-level report
-    // surfaces one uniform `degrade_shortfall_bytes` regardless of tier: the
-    // missing samples priced at the committed sets' average stored size.
-    if (quorum_lost_ && result_.num_sets > 0) {
-      result_.degrade_shortfall_bytes =
-          result_.degrade_shortfall_samples * (result_.rrr_bytes / result_.num_sets);
-    }
     if (trace_ != nullptr) {
       gpusim::record_timeline_spans(*trace_, pid_, cluster_.timeline());
     }
@@ -127,7 +100,7 @@ class ClusterNetwork final : public Interconnect {
                     cluster_.timeline().total_seconds());
   }
 
-  // Run one collective under the retry policy. Transient link faults back
+  // Run one collective under EimOptions::retry. Transient link faults back
   // off on the cluster's modeled clock and re-attempt; exhausting the
   // budget escalates the flaky link's node to dead (timeout => node-dead),
   // surfacing as the same NodeLostError a scripted loss produces.
@@ -158,7 +131,7 @@ class ClusterNetwork final : public Interconnect {
     }
     try {
       (void)support::retry(
-          node_options_.collective_retry,
+          retry_,
           [&] { return (cluster_.*collective)(label, bytes, fleet.alive); },
           [&](std::uint32_t retry_index, double backoff_seconds,
               const support::DeviceFaultError&) {
@@ -185,12 +158,11 @@ class ClusterNetwork final : public Interconnect {
 
   gpusim::Cluster& cluster_;
   MultiNodeResult& result_;
-  const MultiNodeOptions& node_options_;
+  support::RetryPolicy retry_;
   support::metrics::MetricsRegistry* metrics_;
   support::trace::TraceRecorder* trace_;
   support::metrics::Histogram* backoff_hist_ = nullptr;
   std::uint32_t pid_ = 0;
-  bool quorum_lost_ = false;
 };
 
 }  // namespace
@@ -198,11 +170,11 @@ class ClusterNetwork final : public Interconnect {
 MultiNodeResult run_eim_cluster(gpusim::Cluster& cluster, const graph::Graph& g,
                                 graph::DiffusionModel model,
                                 const imm::ImmParams& params, const EimOptions& options,
-                                const MultiNodeOptions& node_options) {
+                                std::uint32_t quorum) {
   const std::uint32_t num_nodes = cluster.num_nodes();
   const std::uint32_t devices_per_node = cluster.spec().node.num_devices;
-  EIM_CHECK_MSG(node_options.quorum >= 1, "quorum must be at least 1");
-  EIM_CHECK_MSG(node_options.quorum <= num_nodes,
+  EIM_CHECK_MSG(quorum >= 1, "quorum must be at least 1");
+  EIM_CHECK_MSG(quorum <= num_nodes,
                 "quorum cannot exceed the cluster's node count");
 
   // Nodes the previous life of this cluster already killed stay out of the
@@ -211,6 +183,7 @@ MultiNodeResult run_eim_cluster(gpusim::Cluster& cluster, const graph::Graph& g,
   // (registered by ClusterNetwork); collective instants ride on the fabric
   // track, node.lost on the dying node's track.
   Fleet fleet;
+  fleet.quorum = quorum;
   for (std::uint32_t n = 0; n < num_nodes; ++n) {
     auto& domain = fleet.domains.emplace_back();
     const bool alive = !cluster.node(n).lost();
@@ -224,13 +197,13 @@ MultiNodeResult run_eim_cluster(gpusim::Cluster& cluster, const graph::Graph& g,
     }
   }
   EIM_CHECK_MSG(!fleet.alive.empty(), "cluster has no alive nodes");
-  EIM_CHECK_MSG(fleet.alive.size() >= node_options.quorum,
+  EIM_CHECK_MSG(fleet.alive.size() >= quorum,
                 "cluster is below quorum before the run starts");
 
   MultiNodeResult result;
   result.num_nodes = num_nodes;
   result.devices_per_node = devices_per_node;
-  ClusterNetwork network(cluster, result, options, node_options);
+  ClusterNetwork network(cluster, result, options);
   run_sharded(std::move(fleet), network, g, model, params, options, result);
   return result;
 }

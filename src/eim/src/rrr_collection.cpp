@@ -21,9 +21,8 @@ DeviceRrrCollection::DeviceRrrCollection(gpusim::Device& device, VertexId num_ve
       n_(num_vertices),
       log_encode_(log_encode),
       bits_per_vertex_(
-          support::bit_width_for_value(num_vertices == 0 ? 0 : num_vertices - 1)),
-      counts_(num_vertices, 0) {
-  // C lives on the device for the whole run.
+          support::bit_width_for_value(num_vertices == 0 ? 0 : num_vertices - 1)) {
+  // C lives on the device for the whole run (charged, not materialized).
   charge_device(static_cast<std::uint64_t>(num_vertices) * sizeof(std::uint32_t));
 }
 
@@ -265,13 +264,6 @@ bool DeviceRrrCollection::try_commit(std::uint64_t set_index,
   if (spill_ != nullptr) committed_[set_index] = 1;
   if (set_size_hist_ != nullptr) set_size_hist_->observe(sorted_set.size());
 
-  // Fused publish: the C frequency update rides the same pass that encodes
-  // the slice into R, so each committed vertex is touched once instead of
-  // being re-walked after the store (Alg. 2 lines 26-28 as one sweep).
-  std::uint32_t* const counts = counts_.data();
-  const auto bump_count = [counts](VertexId v) {
-    std::atomic_ref<std::uint32_t>(counts[v]).fetch_add(1, std::memory_order_relaxed);
-  };
   // Thresholded wall timing (kTimedPublishLen): short publishes cost less
   // than the clock reads, so only substantial slices are measured here.
   const bool timed =
@@ -282,14 +274,10 @@ bool DeviceRrrCollection::try_commit(std::uint64_t set_index,
   if (log_encode_) {
     // Bulk word-streaming publish of the claimed slice: only the boundary
     // containers shared with neighboring slices pay an atomic op.
-    packed_.store_release_range(static_cast<std::size_t>(local), sorted_set,
-                                bump_count);
+    packed_.store_release_range(static_cast<std::size_t>(local), sorted_set);
   } else {
-    VertexId* const dst = raw_.data() + local;
-    for (std::size_t k = 0; k < sorted_set.size(); ++k) {
-      dst[k] = sorted_set[k];
-      bump_count(sorted_set[k]);
-    }
+    std::copy(sorted_set.begin(), sorted_set.end(),
+              raw_.begin() + static_cast<std::ptrdiff_t>(local));
   }
   if (timed) {
     const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(

@@ -198,7 +198,7 @@ void EimSampler::sample_assigned(DeviceRrrCollection& collection,
       // Spill-budget progress guard: if the largest set that failed last
       // wave cannot fit even in the freshly spilled-empty device array, no
       // number of waves will ever commit it — surface that as OOM (which
-      // OomPolicy::Degrade converts to a degrade) instead of spinning.
+      // DegradePolicy::Degrade converts to a degrade) instead of spinning.
       if (collection.spill_active() && max_failed_len > 0 &&
           collection.element_capacity() - collection.total_elements() <
               max_failed_len) {
@@ -209,7 +209,7 @@ void EimSampler::sample_assigned(DeviceRrrCollection& collection,
       }
     } catch (const support::DeviceOutOfMemoryError&) {
       // Publish the contiguous committed prefix before propagating so
-      // OomPolicy::Degrade selects over every set that fully committed
+      // DegradePolicy::Degrade selects over every set that fully committed
       // (pending is sorted by local slot; its front is the first gap).
       collection.set_num_sets(pending.front().local_slot);
       throw;

@@ -210,10 +210,13 @@ void run_sharded(Fleet fleet, Interconnect& net, const graph::Graph& g,
   std::uint64_t restored_singletons = 0;
   std::vector<std::uint64_t> restore_starts;
 
-  // OomPolicy::Degrade: an OOM while growing the collection freezes theta at
-  // the committed prefix, which stays selectable (docs/RESILIENCE.md).
+  // DegradePolicy::Degrade: an OOM while growing the collection, or the
+  // alive set falling below quorum, freezes theta at the committed prefix,
+  // which stays selectable (docs/RESILIENCE.md "Degradation"). The run then
+  // falls short of the largest theta target it was asked for.
   bool degraded = false;
-  std::uint64_t degrade_shortfall = 0;
+  std::uint64_t max_target = 0;
+  std::optional<std::uint64_t> oom_shortfall_bytes;  // set when an OOM froze it
 
   const auto stage = [&](std::uint32_t f) {
     gpusim::Device& dev = *devices[f];
@@ -326,24 +329,23 @@ void run_sharded(Fleet fleet, Interconnect& net, const graph::Graph& g,
     publish(f, fresh_first, fresh.size());
   };
 
-  const auto degrade = [&](gpusim::Device& dev,
-                           const support::DeviceOutOfMemoryError& oom) {
+  // Freeze theta for `cause`, marked on `dev`'s trace track; only the first
+  // cause counts. An OOM passes the bytes it was short by.
+  const auto degrade = [&](gpusim::Device& dev, const std::string& cause,
+                           std::optional<std::uint64_t> oom_bytes) {
+    if (degraded) return;
     degraded = true;
-    degrade_shortfall = oom.requested_bytes() > oom.available_bytes()
-                            ? oom.requested_bytes() - oom.available_bytes()
-                            : 0;
-    if (metrics != nullptr) {
-      metrics->counter("degrade.activations").add();
-      metrics->gauge("degrade.shortfall_bytes").set(degrade_shortfall);
-    }
-    gpusim::mark_instant(trace, dev, "oom.degrade",
-                         "shortfall_bytes=" + std::to_string(degrade_shortfall));
+    oom_shortfall_bytes = oom_bytes;
+    if (metrics != nullptr) metrics->counter("degrade.activations").add();
+    gpusim::mark_instant(trace, dev, "degrade", cause);
   };
 
   // Retire `domain` because of `cause`: respill every sample id its devices
   // had committed (plus the caller's `in_flight` ids) into `todo`, free its
   // device-side state, and let the interconnect charge (or refuse) the
-  // recovery. Retiring the last domain rethrows `cause`.
+  // recovery. Retiring the last domain rethrows `cause`; leaving fewer than
+  // quorum degrades or throws. A degraded run still regenerates `todo`: the
+  // freeze only stops later theta growth.
   const auto decommission = [&](std::uint32_t domain, std::vector<std::uint64_t>& todo,
                                 const std::vector<std::uint64_t>& in_flight,
                                 const std::exception_ptr& cause) {
@@ -368,6 +370,16 @@ void run_sharded(Fleet fleet, Interconnect& net, const graph::Graph& g,
     alive.erase(std::find(alive.begin(), alive.end(), domain));
     net.domain_lost(fleet, domain, regenerated, regenerated + in_flight.size());
     if (alive.empty()) std::rethrow_exception(cause);
+    const auto survivors = static_cast<std::uint32_t>(alive.size());
+    if (survivors >= fleet.quorum) return;
+    if (options.degrade_policy != DegradePolicy::Degrade) {
+      throw support::ClusterQuorumError("node " + std::to_string(domain) + " lost",
+                                        survivors, fleet.quorum);
+    }
+    degrade(fleet.primary(),
+            "cause=quorum alive=" + std::to_string(survivors) +
+                " quorum=" + std::to_string(fleet.quorum),
+            std::nullopt);
   };
 
   // Commit the outstanding sample ids on the survivors: stripe over the
@@ -394,8 +406,12 @@ void run_sharded(Fleet fleet, Interconnect& net, const graph::Graph& g,
           } catch (const DomainFailure& e) {
             failure = e.cause;
           } catch (const support::DeviceOutOfMemoryError& e) {
-            if (options.oom_policy != OomPolicy::Degrade) throw;
-            degrade(*devices[f], e);
+            if (options.degrade_policy != DegradePolicy::Degrade) throw;
+            const std::uint64_t deficit = e.requested_bytes() > e.available_bytes()
+                                              ? e.requested_bytes() - e.available_bytes()
+                                              : 0;
+            degrade(*devices[f], "cause=oom shortfall_bytes=" + std::to_string(deficit),
+                    deficit);
             oom = true;
             break;
           }
@@ -517,7 +533,7 @@ void run_sharded(Fleet fleet, Interconnect& net, const graph::Graph& g,
   };
 
   // Sampling: extend the committed prefix to `target`, then reduce the
-  // per-vertex counts, unless an OOM or the interconnect has frozen the run.
+  // per-vertex counts, unless the run is degraded.
   std::uint64_t sample_round = 0;
   auto sample_to = [&](std::uint64_t target) {
     Phase phase(metrics, "sample", trace, fleet.primary());
@@ -525,7 +541,8 @@ void run_sharded(Fleet fleet, Interconnect& net, const graph::Graph& g,
                                           support::trace::SpanCategory::Round,
                                           "round " + std::to_string(sample_round++),
                                           phase.start);
-    if (target > sampled_global && !degraded && net.may_grow(sampled_global, target)) {
+    max_target = std::max(max_target, target);
+    if (target > sampled_global && !degraded) {
       // Extend, then reduce: a domain lost during the reduction respills its
       // shard, which must be regenerated before the reduction can complete
       // over the survivors.
@@ -638,13 +655,19 @@ void run_sharded(Fleet fleet, Interconnect& net, const graph::Graph& g,
   result.lower_bound = outcome.lower_bound;
   result.estimation_rounds = outcome.estimation_rounds;
   result.singletons_discarded = singletons();
-  result.degraded = degraded;
-  result.degrade_shortfall_bytes = degrade_shortfall;
   for_alive([&](std::uint32_t f) {
     result.total_elements += shards[f]->total_elements();
     result.rrr_bytes += shards[f]->stored_bytes();
     result.rrr_raw_bytes += shards[f]->raw_equivalent_bytes();
   });
+  result.degraded = degraded;
+  if (degraded && max_target > result.num_sets) {
+    result.degrade_shortfall_samples = max_target - result.num_sets;
+  }
+  result.degrade_shortfall_bytes = oom_shortfall_bytes.value_or(
+      result.num_sets > 0
+          ? result.degrade_shortfall_samples * (result.rrr_bytes / result.num_sets)
+          : 0);
   // Coverage under source elimination is conditional on non-singleton
   // samples; rescale by the kept fraction so the reported spread estimate
   // stays an unbiased n * F over *all* generated samples. (The inflated
@@ -684,6 +707,10 @@ void run_sharded(Fleet fleet, Interconnect& net, const graph::Graph& g,
     metrics->gauge("imm.theta").set(result.num_sets);
     metrics->gauge("rrr.stored_bytes").set(result.rrr_bytes);
     metrics->gauge("rrr.raw_equivalent_bytes").set(result.rrr_raw_bytes);
+    if (degraded) {
+      metrics->gauge("degrade.shortfall_samples").set(result.degrade_shortfall_samples);
+      metrics->gauge("degrade.shortfall_bytes").set(result.degrade_shortfall_bytes);
+    }
   }
   for (std::uint32_t f = 0; f < num_flat; ++f) {
     gpusim::record_fault_deltas(metrics, faults_before[f], devices[f]->fault_stats());

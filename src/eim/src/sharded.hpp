@@ -8,10 +8,11 @@
 // retires the device's whole domain and the survivors regenerate its ids —
 // except ids in a restored checkpoint prefix, which re-commit from the
 // snapshot (re-sampling them would count their singleton draws twice).
-// Retiring the last domain rethrows whatever killed it. An OOM under
-// OomPolicy::Degrade freezes theta at the smallest sample id not yet
-// committed. Selection is greedy_select on the merged host mirror, priced
-// per pick by the interconnect's PickPricer.
+// Retiring the last domain rethrows whatever killed it. Under
+// DegradePolicy::Degrade an OOM freezes theta at the smallest sample id not
+// yet committed, and falling below the fleet's quorum freezes it once the
+// step in flight completes. Selection is greedy_select on the merged host
+// mirror, priced per pick by the interconnect's PickPricer.
 #pragma once
 
 #include <cstdint>
@@ -33,6 +34,9 @@ namespace eim::eim_impl {
 struct Fleet {
   std::vector<std::vector<gpusim::Device*>> domains;  ///< [domain][device]
   std::vector<std::uint32_t> alive;                   ///< ascending domain ids
+  /// Fewest alive domains that keep the run authoritative. Only a cluster
+  /// sets it above 1, so falling below it is a ClusterQuorumError.
+  std::uint32_t quorum = 1;
 
   /// First device of the first alive domain: reductions land here, and the
   /// run's phase spans, carried clock and seed readback ride on it.
@@ -67,12 +71,10 @@ class Interconnect {
   /// `domain` has left `fleet.alive`, respilling `respilled` sample ids (the
   /// `regenerated` it had committed plus its in-flight batch) onto the
   /// survivors. Charges the recovery, or throws when the run cannot
-  /// continue; with no survivor left the driver rethrows the fault itself.
+  /// continue; with no survivor left the driver rethrows the fault itself,
+  /// and below quorum the driver degrades or throws.
   virtual void domain_lost(const Fleet& fleet, std::uint32_t domain,
                            std::uint64_t regenerated, std::uint64_t respilled) = 0;
-  /// Whether theta may grow from `sampled` committed samples to `target`;
-  /// false once the run is frozen (quorum lost under degrade).
-  virtual bool may_grow(std::uint64_t, std::uint64_t) { return true; }
   /// The interconnect's own modeled ledger; empty when its traffic is
   /// charged to the primary device's timeline.
   virtual const gpusim::DeviceTimeline& ledger() const { return no_ledger_; }

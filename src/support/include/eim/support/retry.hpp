@@ -11,7 +11,7 @@
 //
 // Non-transient errors (DeviceOutOfMemoryError, DeviceLostError, anything
 // else) propagate immediately: OOM is a capacity condition retrying cannot
-// fix (the pipeline's OomPolicy handles it), and a lost device never comes
+// fix (the driver's DegradePolicy handles it), and a lost device never comes
 // back (the multi-GPU layer fails over instead).
 #pragma once
 

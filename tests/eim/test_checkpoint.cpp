@@ -199,7 +199,7 @@ TEST(Checkpoint, DegradedRunResumesToTheSameDegradedResult) {
   dev.set_fault_plan(plan);
   EimOptions options;
   options.sampler_blocks = 4;
-  options.oom_policy = OomPolicy::Degrade;
+  options.degrade_policy = DegradePolicy::Degrade;
   options.checkpoint_dir = dir.path;
   const EimResult first =
       run_eim(dev, g, DiffusionModel::IndependentCascade, params, options);
@@ -211,7 +211,7 @@ TEST(Checkpoint, DegradedRunResumesToTheSameDegradedResult) {
   dev2.set_fault_plan(plan);
   EimOptions resume_options;
   resume_options.sampler_blocks = 4;
-  resume_options.oom_policy = OomPolicy::Degrade;
+  resume_options.degrade_policy = DegradePolicy::Degrade;
   resume_options.resume = &ckpt;
   const EimResult resumed =
       run_eim(dev2, g, DiffusionModel::IndependentCascade, params, resume_options);

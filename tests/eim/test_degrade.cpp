@@ -1,4 +1,4 @@
-// OomPolicy::Degrade and transient-fault retry behavior of the single-device
+// DegradePolicy::Degrade and transient-fault retry behavior of the single-device
 // pipeline (docs/RESILIENCE.md).
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -54,7 +54,7 @@ TEST(Degrade, ThrowPolicyPropagatesTheOom) {
   const Graph g = make_graph();
   gpusim::Device device = make_tiny_device();
   EimOptions options = small_pool_options();
-  options.oom_policy = OomPolicy::Throw;
+  options.degrade_policy = DegradePolicy::Throw;
   EXPECT_THROW(
       (void)run_eim(device, g, DiffusionModel::IndependentCascade, make_params(),
                     options),
@@ -66,7 +66,7 @@ TEST(Degrade, DegradePolicyReturnsBestEffortSeeds) {
   gpusim::Device device = make_tiny_device();
   support::metrics::MetricsRegistry registry;
   EimOptions options = small_pool_options();
-  options.oom_policy = OomPolicy::Degrade;
+  options.degrade_policy = DegradePolicy::Degrade;
   options.metrics = &registry;
 
   const EimResult result =
@@ -101,7 +101,7 @@ TEST(Degrade, ScriptedAllocOomAlsoDegrades) {
   device.set_fault_plan(plan);
 
   EimOptions options;
-  options.oom_policy = OomPolicy::Degrade;
+  options.degrade_policy = DegradePolicy::Degrade;
   const EimResult result =
       run_eim(device, g, DiffusionModel::IndependentCascade, make_params(), options);
   EXPECT_TRUE(result.degraded);
@@ -123,7 +123,7 @@ TEST(Degrade, LateOomSelectsOverThePublishedSetsOnly) {
   EimOptions options;
   options.spill.policy = SpillPolicy::Spill;
   options.spill.device_budget_bytes = 8;
-  options.oom_policy = OomPolicy::Degrade;
+  options.degrade_policy = DegradePolicy::Degrade;
   options.checkpoint_dir = dir;
   const EimResult result =
       run_eim(device, g, DiffusionModel::IndependentCascade, make_params(), options);

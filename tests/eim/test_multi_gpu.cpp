@@ -396,7 +396,7 @@ TEST(MultiGpuMemory, OomDegradeSelectsOverTheCommittedPrefix) {
                                    params, options),
                support::DeviceOutOfMemoryError);
 
-  options.oom_policy = OomPolicy::Degrade;
+  options.degrade_policy = DegradePolicy::Degrade;
   const MultiGpuResult degraded =
       run_eim_multi({&d0, &d1}, g, DiffusionModel::IndependentCascade, params, options);
   EXPECT_TRUE(degraded.degraded);

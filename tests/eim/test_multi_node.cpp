@@ -3,7 +3,7 @@
 // (a) killing any single node at any collective ordinal yields bit-identical
 // final seeds, (b) a mid-run checkpoint resumes bit-identically on a
 // different node count, (c) quorum loss degrades gracefully under
-// --node-degrade semantics instead of aborting.
+// DegradePolicy::Degrade instead of aborting.
 #include "eim/eim/multi_node.hpp"
 
 #include <gtest/gtest.h>
@@ -377,6 +377,30 @@ TEST(ClusterFailover, LinkRetryExhaustionEscalatesToNodeDead) {
                           [](const auto& i) { return i.name == "node.lost"; }));
 }
 
+TEST(ClusterFailover, CollectivesRetryUnderTheRunsRetryPolicy) {
+  // Collectives follow EimOptions::retry: with a single attempt, one link
+  // blip is already retry exhaustion and escalates to node loss.
+  const Graph g = make_graph();
+  const imm::ImmParams params = make_params();
+
+  gpusim::Cluster clean = make_cluster(3);
+  const MultiNodeResult reference =
+      run_eim_cluster(clean, g, DiffusionModel::IndependentCascade, params);
+
+  gpusim::Cluster cluster = make_cluster(3);
+  gpusim::ClusterFaultPlan plan;
+  plan.link_faults.push_back({1, 2});
+  cluster.set_fault_plan(plan);
+  EimOptions options;
+  options.retry.max_attempts = 1;
+  const MultiNodeResult failed = run_eim_cluster(
+      cluster, g, DiffusionModel::IndependentCascade, params, options);
+
+  expect_same_answer(reference, failed);
+  EXPECT_EQ(failed.failed_nodes, std::vector<std::uint32_t>{1u});
+  EXPECT_EQ(failed.collective_retries, 0u);
+}
+
 TEST(ClusterFailover, StragglerChangesOnlyModeledTime) {
   const Graph g = make_graph();
   const imm::ImmParams params = make_params();
@@ -427,11 +451,9 @@ TEST(ClusterFailover, QuorumLossThrowsWithExitCodeSix) {
   gpusim::ClusterFaultPlan plan;
   plan.node_losses.push_back({2, 1, -1.0});
   cluster.set_fault_plan(plan);
-  MultiNodeOptions node_options;
-  node_options.quorum = 3;  // any loss is fatal
   try {
     (void)run_eim_cluster(cluster, g, DiffusionModel::IndependentCascade, params, {},
-                          node_options);
+                          3);  // quorum 3: any loss is fatal
     FAIL() << "expected ClusterQuorumError";
   } catch (const support::ClusterQuorumError& e) {
     EXPECT_EQ(e.alive_nodes(), 2u);
@@ -441,9 +463,9 @@ TEST(ClusterFailover, QuorumLossThrowsWithExitCodeSix) {
 }
 
 TEST(ClusterFailover, QuorumLossDegradesGracefullyWhenOptedIn) {
-  // Acceptance point (c): with node_degrade, quorum loss freezes the
-  // committed prefix, publishes best-effort seeds, and reports the sample
-  // shortfall — mirroring OomPolicy::Degrade.
+  // Acceptance point (c): under DegradePolicy::Degrade, quorum loss freezes
+  // the committed prefix, publishes best-effort seeds, and reports the
+  // sample shortfall — the same switch and report as a device OOM.
   const Graph g = make_graph();
   const imm::ImmParams params = make_params();
 
@@ -454,20 +476,62 @@ TEST(ClusterFailover, QuorumLossDegradesGracefullyWhenOptedIn) {
   support::metrics::MetricsRegistry registry;
   EimOptions options;
   options.metrics = &registry;
-  MultiNodeOptions node_options;
-  node_options.quorum = 3;
-  node_options.node_degrade = true;
+  options.degrade_policy = DegradePolicy::Degrade;
   const MultiNodeResult result = run_eim_cluster(
-      cluster, g, DiffusionModel::IndependentCascade, params, options, node_options);
+      cluster, g, DiffusionModel::IndependentCascade, params, options, 3);
 
   EXPECT_TRUE(result.degraded);
   EXPECT_GT(result.degrade_shortfall_samples, 0u);
   EXPECT_EQ(result.seeds.size(), params.k);
   EXPECT_GT(result.num_sets, 0u);
   EXPECT_EQ(result.failed_nodes, std::vector<std::uint32_t>{2u});
-  EXPECT_EQ(registry.counter("cluster.degraded").value(), 1u);
+  EXPECT_EQ(registry.counter("degrade.activations").value(), 1u);
   EXPECT_EQ(registry.counter("cluster.node_lost").value(), 1u);
   EXPECT_GT(registry.counter("cluster.reshard_samples").value(), 0u);
+}
+
+TEST(ClusterFailover, OomAndQuorumLossFillOneShortfallReport) {
+  // One policy, one report: a device OOM and a quorum loss on a cluster
+  // both freeze theta once and report the samples it fell short by.
+  const Graph g = make_graph();
+  const imm::ImmParams params = make_params();
+  const auto expect_degraded_once = [&](const MultiNodeResult& result,
+                                        support::metrics::MetricsRegistry& registry) {
+    EXPECT_TRUE(result.degraded);
+    EXPECT_GT(result.degrade_shortfall_samples, 0u);
+    EXPECT_GT(result.degrade_shortfall_bytes, 0u);
+    EXPECT_EQ(result.seeds.size(), params.k);
+    EXPECT_EQ(registry.counter("degrade.activations").value(), 1u);
+    EXPECT_EQ(registry.gauge("degrade.shortfall_samples").value(),
+              result.degrade_shortfall_samples);
+  };
+
+  gpusim::ClusterSpec spec;
+  spec.num_nodes = 2;
+  spec.node.device = gpusim::make_benchmark_device(1);
+  spec.node.device.global_memory_bytes = 96 << 10;
+  gpusim::Cluster small(spec);
+  support::metrics::MetricsRegistry oom_registry;
+  EimOptions options;
+  options.sampler_blocks = 16;
+  options.degrade_policy = DegradePolicy::Degrade;
+  options.metrics = &oom_registry;
+  const MultiNodeResult oom =
+      run_eim_cluster(small, g, DiffusionModel::IndependentCascade, params, options);
+  expect_degraded_once(oom, oom_registry);
+  EXPECT_TRUE(oom.failed_nodes.empty());
+
+  gpusim::Cluster cluster = make_cluster(3);
+  gpusim::ClusterFaultPlan plan;
+  plan.node_losses.push_back({2, 1, -1.0});
+  cluster.set_fault_plan(plan);
+  support::metrics::MetricsRegistry quorum_registry;
+  options = {};
+  options.degrade_policy = DegradePolicy::Degrade;
+  options.metrics = &quorum_registry;
+  const MultiNodeResult quorum = run_eim_cluster(
+      cluster, g, DiffusionModel::IndependentCascade, params, options, 3);
+  expect_degraded_once(quorum, quorum_registry);
 }
 
 TEST(ClusterFailover, LosingEveryNodeThrowsEvenWithDegrade) {
@@ -477,10 +541,10 @@ TEST(ClusterFailover, LosingEveryNodeThrowsEvenWithDegrade) {
   plan.node_losses.push_back({0, 1, -1.0});
   plan.node_losses.push_back({1, 2, -1.0});
   cluster.set_fault_plan(plan);
-  MultiNodeOptions node_options;
-  node_options.node_degrade = true;  // degrade cannot save an empty cluster
+  EimOptions options;
+  options.degrade_policy = DegradePolicy::Degrade;  // cannot save an empty cluster
   EXPECT_THROW((void)run_eim_cluster(cluster, g, DiffusionModel::IndependentCascade,
-                                     make_params(), {}, node_options),
+                                     make_params(), options),
                support::ClusterQuorumError);
 }
 

@@ -52,19 +52,6 @@ TEST(DeviceRrrCollection, DecodeSetMatchesElementForBothEncodings) {
   }
 }
 
-TEST(DeviceRrrCollection, CountsTrackCommits) {
-  gpusim::Device device = make_device();
-  DeviceRrrCollection col(device, 50, true);
-  col.reserve(3, 16);
-  (void)col.try_commit(0, std::vector<VertexId>{1, 2});
-  (void)col.try_commit(1, std::vector<VertexId>{2, 3});
-  (void)col.try_commit(2, std::vector<VertexId>{2});
-  EXPECT_EQ(col.counts()[1], 1u);
-  EXPECT_EQ(col.counts()[2], 3u);
-  EXPECT_EQ(col.counts()[3], 1u);
-  EXPECT_EQ(col.counts()[0], 0u);
-}
-
 TEST(DeviceRrrCollection, CommitFailsWhenFull) {
   gpusim::Device device = make_device();
   DeviceRrrCollection col(device, 50, true);
@@ -73,7 +60,6 @@ TEST(DeviceRrrCollection, CommitFailsWhenFull) {
   EXPECT_FALSE(col.try_commit(1, std::vector<VertexId>{3, 4}));
   // Rollback: failed commit leaves no trace.
   EXPECT_EQ(col.total_elements(), 2u);
-  EXPECT_EQ(col.counts()[3], 0u);
   // Growth fixes it.
   col.reserve(2, 8);
   EXPECT_TRUE(col.try_commit(1, std::vector<VertexId>{3, 4}));

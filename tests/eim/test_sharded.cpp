@@ -181,7 +181,7 @@ TEST(ShardedDriver, ModeledChargesPinned) {
   tiny.global_memory_bytes = 160 << 10;
   EimOptions degrade;
   degrade.sampler_blocks = 16;
-  degrade.oom_policy = OomPolicy::Degrade;
+  degrade.degrade_policy = DegradePolicy::Degrade;
   const EimResult degraded =
       run_single(g, degrade, DiffusionModel::IndependentCascade, tiny);
   expect_pinned(degraded, {4, 108, 16, 5, 350, 3, 177, 1}, 0.0,

@@ -244,7 +244,7 @@ TEST(Spill, SpillThenDegradeHandlesAnImpossibleBudget) {
   gpusim::Device device(gpusim::make_benchmark_device(256));
   EimOptions options;
   options.spill = spill;
-  options.oom_policy = OomPolicy::Degrade;
+  options.degrade_policy = DegradePolicy::Degrade;
   const EimResult result =
       run_eim(device, g, DiffusionModel::IndependentCascade, make_params(), options);
   EXPECT_TRUE(result.degraded);

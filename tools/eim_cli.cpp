@@ -9,13 +9,18 @@
 //
 // Prints the seed set, the device metrics, and (with --verify N) a forward
 // Monte-Carlo estimate of the expected spread over N cascades.
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <functional>
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "eim/baselines/curipples.hpp"
@@ -75,18 +80,17 @@ struct CliOptions {
   std::uint32_t nodes = 0;  ///< >0 selects the modeled cluster tier
   std::uint32_t devices_per_node = 1;
   std::uint32_t quorum = 1;
-  bool node_degrade = false;
   gpusim::ClusterFaultPlan cluster_faults;  ///< --kill-node/--link-fault/--straggler
   std::uint64_t memory_mb = 512;
   std::uint64_t device_mem_budget = 0;  ///< >0 caps the RRR device footprint
-  std::string spill_policy;             ///< off|spill|degrade ("" = infer)
+  std::string spill_policy;             ///< off|spill ("" = infer)
   std::string spill_dir;                ///< cold-tier directory (default temp)
   std::uint64_t spill_host_budget = 0;  ///< compressed host tier cap (bytes)
   std::uint32_t verify_trials = 0;
   std::string draw_mode = "exact";  ///< exact|skip (eim only)
   bool no_log_encoding = false;
   bool no_source_elim = false;
-  bool oom_degrade = false;
+  bool degrade = false;  ///< DegradePolicy::Degrade (eim only)
   bool json = false;
   std::string metrics_json;  ///< write an eim.metrics.v3 report here ("-" = stdout)
   std::string trace_out;     ///< write a Chrome trace-event file here ("-" = stdout)
@@ -111,12 +115,9 @@ void print_usage() {
       "  --nodes <n>          modeled cluster: shard eIM over n nodes (eim\n"
       "                       only; see docs/RESILIENCE.md, Cluster failover)\n"
       "  --devices-per-node <n>  simulated GPUs inside each node (default 1)\n"
-      "  --quorum <n>         minimum alive nodes; dropping below exits with\n"
-      "                       code 6 (cluster_lost) unless --node-degrade\n"
-      "  --node-degrade       below quorum, publish best-effort seeds from\n"
-      "                       the committed samples plus the shortfall\n"
-      "                       instead of failing (cluster analogue of\n"
-      "                       --oom-degrade)\n"
+      "  --quorum <n>         minimum alive nodes (1..nodes); dropping below\n"
+      "                       exits with code 6 (cluster_lost) unless\n"
+      "                       --degrade\n"
       "  --kill-node <i@o>    fault script: node i dies at collective\n"
       "                       ordinal o (repeatable)\n"
       "  --link-fault <i@o>   fault script: node i's link drops its o-th\n"
@@ -129,12 +130,12 @@ void print_usage() {
       "                       memory and disk instead of truncating the run\n"
       "                       (implies --spill-policy spill; eim only, per\n"
       "                       device; see docs/RESILIENCE.md)\n"
-      "  --spill-policy off|spill|degrade  what device OOM does to the RRR\n"
-      "                       store: off = fail/degrade as --oom-degrade\n"
-      "                       says, spill = evict cold sets down the tier\n"
-      "                       hierarchy (full theta, bit-identical seeds),\n"
-      "                       degrade = spill first and degrade only if the\n"
-      "                       tiers themselves are exhausted\n"
+      "  --spill-policy off|spill  what device OOM does to the RRR store:\n"
+      "                       off = fail or degrade as --degrade says (no\n"
+      "                       other spill flag allowed), spill = evict cold\n"
+      "                       sets down the tier hierarchy (full theta,\n"
+      "                       bit-identical seeds); with --degrade the run\n"
+      "                       degrades only once the tiers are exhausted\n"
       "  --spill-dir <path>   directory for the disk tier's block files\n"
       "                       (default: a fresh temp directory, removed on\n"
       "                       exit)\n"
@@ -152,8 +153,10 @@ void print_usage() {
       "                       the writing run's mode\n"
       "  --no-log-encoding    disable the Section 3.1 compression\n"
       "  --no-source-elim     disable the Section 3.4 heuristic\n"
-      "  --oom-degrade        on device OOM, return best-effort seeds from\n"
-      "                       the sets that fit instead of failing (eim only)\n"
+      "  --degrade            on device OOM or quorum loss, stop growing\n"
+      "                       theta and return best-effort seeds from the\n"
+      "                       committed sets plus the shortfall instead of\n"
+      "                       failing (eim only)\n"
       "  --json               print the result as a JSON object\n"
       "  --metrics-json <path|->  write an eim.metrics.v3 run report (phase\n"
       "                       timers, histograms, memory high-water mark,\n"
@@ -181,16 +184,37 @@ void print_usage() {
       "  --list-datasets      print the registry and exit");
 }
 
-/// Split a fault-script operand of the form "<node>@<value>" — e.g.
-/// `--kill-node 1@4`. `rest` points at the text after the '@'.
-bool parse_indexed(const char* s, std::uint32_t& node, const char*& rest) {
-  const char* at = std::strchr(s, '@');
-  if (at == nullptr || at == s || *(at + 1) == '\0') {
-    std::fprintf(stderr, "error: expected <node>@<value>, got '%s'\n", s);
+/// Parse all of `text` as a T no smaller than `min`, or print why not. A
+/// sign on an unsigned flag, trailing junk, overflow and NaN all fail.
+template <typename T>
+bool parse_number(const std::string& flag, std::string_view text, T& out,
+                  std::type_identity_t<T> min = T{}) {
+  const char* const end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, out);
+  if (ec == std::errc{} && stop == end && out >= min) return true;
+  std::ostringstream floor;
+  floor << min;
+  std::fprintf(stderr, "error: %s expects a number >= %s, got '%.*s'\n", flag.c_str(),
+               floor.str().c_str(), static_cast<int>(text.size()), text.data());
+  return false;
+}
+
+/// Parse a fault-script operand "<node>@<value>" — e.g. `--kill-node 1@4` —
+/// and raise `nodes_named` past `node`.
+template <typename T>
+bool parse_indexed(const std::string& flag, std::string_view text, std::uint32_t& node,
+                   T& value, std::uint64_t& nodes_named) {
+  const std::size_t at = text.find('@');
+  if (at == std::string_view::npos) {
+    std::fprintf(stderr, "error: %s expects <node>@<value>, got '%.*s'\n", flag.c_str(),
+                 static_cast<int>(text.size()), text.data());
     return false;
   }
-  node = static_cast<std::uint32_t>(std::atoi(s));
-  rest = at + 1;
+  if (!parse_number(flag, text.substr(0, at), node) ||
+      !parse_number(flag, text.substr(at + 1), value)) {
+    return false;
+  }
+  nodes_named = std::max(nodes_named, std::uint64_t{node} + 1);
   return true;
 }
 
@@ -201,6 +225,7 @@ std::optional<CliOptions> parse(int argc, char** argv, int& exit_code) {
   opt.params.k = 50;
   opt.params.epsilon = 0.13;
   exit_code = support::kExitBadArgs;
+  std::uint64_t fault_nodes = 0;  // 1 + the highest node a fault script names
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -241,56 +266,56 @@ std::optional<CliOptions> parse(int argc, char** argv, int& exit_code) {
         return std::nullopt;
       }
     } else if (arg == "--k" && (value = next())) {
-      opt.params.k = static_cast<std::uint32_t>(std::atoi(value));
+      if (!parse_number(arg, value, opt.params.k, 1)) return std::nullopt;
     } else if (arg == "--eps" && (value = next())) {
-      opt.params.epsilon = std::atof(value);
+      if (!parse_number(arg, value, opt.params.epsilon)) return std::nullopt;
+      if (!(opt.params.epsilon > 0.0 && opt.params.epsilon < 1.0)) {
+        std::fprintf(stderr, "error: --eps must lie strictly between 0 and 1, got '%s'\n",
+                     value);
+        return std::nullopt;
+      }
     } else if (arg == "--seed" && (value = next())) {
-      opt.params.rng_seed = static_cast<std::uint64_t>(std::atoll(value));
+      if (!parse_number(arg, value, opt.params.rng_seed)) return std::nullopt;
     } else if (arg == "--devices" && (value = next())) {
-      opt.devices = static_cast<std::uint32_t>(std::atoi(value));
+      if (!parse_number(arg, value, opt.devices, 1)) return std::nullopt;
     } else if (arg == "--nodes" && (value = next())) {
-      opt.nodes = static_cast<std::uint32_t>(std::atoi(value));
+      if (!parse_number(arg, value, opt.nodes, 1)) return std::nullopt;
     } else if (arg == "--devices-per-node" && (value = next())) {
-      opt.devices_per_node = static_cast<std::uint32_t>(std::atoi(value));
+      if (!parse_number(arg, value, opt.devices_per_node, 1)) return std::nullopt;
     } else if (arg == "--quorum" && (value = next())) {
-      opt.quorum = static_cast<std::uint32_t>(std::atoi(value));
-    } else if (arg == "--node-degrade") {
-      opt.node_degrade = true;
+      if (!parse_number(arg, value, opt.quorum, 1)) return std::nullopt;
     } else if (arg == "--kill-node" && (value = next())) {
-      std::uint32_t node = 0;
-      const char* at = nullptr;
-      if (!parse_indexed(value, node, at)) return std::nullopt;
-      opt.cluster_faults.node_losses.push_back(
-          {node, static_cast<std::uint64_t>(std::atoll(at)), -1.0});
+      auto& loss = opt.cluster_faults.node_losses.emplace_back();
+      if (!parse_indexed(arg, value, loss.node, loss.collective_ordinal, fault_nodes)) {
+        return std::nullopt;
+      }
     } else if (arg == "--link-fault" && (value = next())) {
-      std::uint32_t node = 0;
-      const char* at = nullptr;
-      if (!parse_indexed(value, node, at)) return std::nullopt;
-      opt.cluster_faults.link_faults.push_back(
-          {node, static_cast<std::uint64_t>(std::atoll(at))});
+      auto& fault = opt.cluster_faults.link_faults.emplace_back();
+      if (!parse_indexed(arg, value, fault.node, fault.transfer_ordinal, fault_nodes)) {
+        return std::nullopt;
+      }
     } else if (arg == "--straggler" && (value = next())) {
-      std::uint32_t node = 0;
-      const char* at = nullptr;
-      if (!parse_indexed(value, node, at)) return std::nullopt;
-      opt.cluster_faults.slowdowns.push_back({node, std::atof(at), 0});
+      auto& slow = opt.cluster_faults.slowdowns.emplace_back();
+      if (!parse_indexed(arg, value, slow.node, slow.factor, fault_nodes)) {
+        return std::nullopt;
+      }
     } else if (arg == "--memory-mb" && (value = next())) {
-      opt.memory_mb = static_cast<std::uint64_t>(std::atoll(value));
+      if (!parse_number(arg, value, opt.memory_mb)) return std::nullopt;
     } else if (arg == "--device-mem-budget" && (value = next())) {
-      opt.device_mem_budget = static_cast<std::uint64_t>(std::atoll(value));
+      if (!parse_number(arg, value, opt.device_mem_budget)) return std::nullopt;
     } else if (arg == "--spill-policy" && (value = next())) {
       opt.spill_policy = value;
-      if (opt.spill_policy != "off" && opt.spill_policy != "spill" &&
-          opt.spill_policy != "degrade") {
-        std::fprintf(stderr, "error: --spill-policy must be off|spill|degrade, got '%s'\n",
+      if (opt.spill_policy != "off" && opt.spill_policy != "spill") {
+        std::fprintf(stderr, "error: --spill-policy must be off|spill, got '%s'\n",
                      value);
         return std::nullopt;
       }
     } else if (arg == "--spill-dir" && (value = next())) {
       opt.spill_dir = value;
     } else if (arg == "--spill-host-budget" && (value = next())) {
-      opt.spill_host_budget = static_cast<std::uint64_t>(std::atoll(value));
+      if (!parse_number(arg, value, opt.spill_host_budget)) return std::nullopt;
     } else if (arg == "--verify" && (value = next())) {
-      opt.verify_trials = static_cast<std::uint32_t>(std::atoi(value));
+      if (!parse_number(arg, value, opt.verify_trials)) return std::nullopt;
     } else if (arg == "--draw-mode" && (value = next())) {
       opt.draw_mode = value;
       if (opt.draw_mode != "exact" && opt.draw_mode != "skip") {
@@ -302,8 +327,8 @@ std::optional<CliOptions> parse(int argc, char** argv, int& exit_code) {
       opt.no_log_encoding = true;
     } else if (arg == "--no-source-elim") {
       opt.no_source_elim = true;
-    } else if (arg == "--oom-degrade") {
-      opt.oom_degrade = true;
+    } else if (arg == "--degrade") {
+      opt.degrade = true;
     } else if (arg == "--json") {
       opt.json = true;
     } else if (arg == "--metrics-json" && (value = next())) {
@@ -313,13 +338,7 @@ std::optional<CliOptions> parse(int argc, char** argv, int& exit_code) {
     } else if (arg == "--profile-out" && (value = next())) {
       opt.profile_out = value;
     } else if (arg == "--profile-hz" && (value = next())) {
-      const int hz = std::atoi(value);
-      if (hz <= 0) {
-        std::fprintf(stderr, "error: --profile-hz must be positive, got '%s'\n",
-                     value);
-        return std::nullopt;
-      }
-      opt.profile_hz = static_cast<std::uint32_t>(hz);
+      if (!parse_number(arg, value, opt.profile_hz, 1)) return std::nullopt;
     } else if (arg == "--checkpoint" && (value = next())) {
       opt.checkpoint_dir = value;
     } else if (arg == "--resume" && (value = next())) {
@@ -331,6 +350,17 @@ std::optional<CliOptions> parse(int argc, char** argv, int& exit_code) {
     }
   }
   if (opt.dataset.empty() && opt.file.empty()) opt.dataset = "WV";
+  // Cross-flag ranges; cluster flags without --nodes are refused in main.
+  if (opt.nodes > 0 && opt.quorum > opt.nodes) {
+    std::fprintf(stderr, "error: --quorum %u exceeds --nodes %u\n", opt.quorum,
+                 opt.nodes);
+    return std::nullopt;
+  }
+  if (opt.nodes > 0 && fault_nodes > opt.nodes) {
+    std::fprintf(stderr, "error: fault script names node %u of a %u-node cluster\n",
+                 static_cast<unsigned>(fault_nodes - 1), opt.nodes);
+    return std::nullopt;
+  }
   return opt;
 }
 
@@ -354,24 +384,31 @@ int main(int argc, char** argv) {
     return report_error(support::InvalidArgumentError(
         "--nodes requires --algo eim (got '" + opt.algo + "')"));
   }
-  if (opt.nodes == 0 && (!opt.cluster_faults.empty() || opt.node_degrade ||
-                         opt.quorum != 1 || opt.devices_per_node != 1)) {
+  if (opt.nodes == 0 && (!opt.cluster_faults.empty() || opt.quorum != 1 ||
+                         opt.devices_per_node != 1)) {
     return report_error(support::InvalidArgumentError(
-        "cluster options (--quorum/--node-degrade/--devices-per-node/"
-        "--kill-node/--link-fault/--straggler) require --nodes"));
+        "cluster options (--quorum/--devices-per-node/--kill-node/--link-fault/"
+        "--straggler) require --nodes"));
+  }
+  if (opt.degrade && opt.algo != "eim") {
+    return report_error(support::InvalidArgumentError(
+        "--degrade requires --algo eim (got '" + opt.algo + "')"));
   }
   // The tiered-store flags configure eIM's spill hierarchy (one per device,
-  // on every topology); the other engines have none.
-  const bool spill_requested =
-      opt.device_mem_budget > 0 || !opt.spill_dir.empty() ||
-      opt.spill_host_budget > 0 ||
-      (!opt.spill_policy.empty() && opt.spill_policy != "off");
-  if (spill_requested) {
-    if (opt.algo != "eim") {
-      return report_error(support::InvalidArgumentError(
-          "spill options (--device-mem-budget/--spill-policy/--spill-dir/"
-          "--spill-host-budget) require --algo eim (got '" + opt.algo + "')"));
-    }
+  // on every topology); the other engines have none. `off` refuses them
+  // rather than letting them switch spilling back on.
+  const bool spill_flags =
+      opt.device_mem_budget > 0 || !opt.spill_dir.empty() || opt.spill_host_budget > 0;
+  if (opt.spill_policy == "off" && spill_flags) {
+    return report_error(support::InvalidArgumentError(
+        "--spill-policy off conflicts with --device-mem-budget/--spill-dir/"
+        "--spill-host-budget"));
+  }
+  const bool spill_requested = spill_flags || opt.spill_policy == "spill";
+  if (spill_requested && opt.algo != "eim") {
+    return report_error(support::InvalidArgumentError(
+        "spill options (--device-mem-budget/--spill-policy/--spill-dir/"
+        "--spill-host-budget) require --algo eim (got '" + opt.algo + "')"));
   }
   // A cluster's width comes from --devices-per-node; refuse --devices
   // rather than silently ignore it.
@@ -471,13 +508,9 @@ int main(int argc, char** argv) {
     options.log_encode = !opt.no_log_encoding;
     options.eliminate_sources = !opt.no_source_elim;
     if (opt.draw_mode == "skip") options.draw_mode = eim_impl::DrawMode::Skip;
-    if (opt.oom_degrade) options.oom_policy = eim_impl::OomPolicy::Degrade;
+    if (opt.degrade) options.degrade_policy = eim_impl::DegradePolicy::Degrade;
     if (spill_requested) {
-      // --spill-policy degrade: spill, then degrade once the tiers are full.
       options.spill.policy = eim_impl::SpillPolicy::Spill;
-      if (opt.spill_policy == "degrade") {
-        options.oom_policy = eim_impl::OomPolicy::Degrade;
-      }
       options.spill.device_budget_bytes = opt.device_mem_budget;
       options.spill.host_budget_bytes = opt.spill_host_budget;
       options.spill.dir = opt.spill_dir;
@@ -504,12 +537,8 @@ int main(int argc, char** argv) {
       spec.node.device = gpusim::make_benchmark_device(opt.memory_mb);
       gpusim::Cluster cluster(spec);
       cluster.set_fault_plan(opt.cluster_faults);
-      eim_impl::MultiNodeOptions node_options;
-      node_options.quorum = opt.quorum;
-      node_options.node_degrade = opt.node_degrade;
       const auto clustered = eim_impl::run_eim_cluster(cluster, g, opt.model,
-                                                       opt.params, options,
-                                                       node_options);
+                                                       opt.params, options, opt.quorum);
       result = clustered;
       cluster_result = clustered;
       if (!machine_stdout) {
@@ -615,18 +644,15 @@ int main(int argc, char** argv) {
   if (artifact_exit != support::kExitOk) return artifact_exit;
 
   // A degraded run exits 0 but is not the run that was asked for: surface
-  // the shortfall as one machine-parseable stderr record, uniformly across
-  // tiers (byte-denominated always; sample-denominated when clustered).
+  // the shortfall as one machine-parseable stderr record, the same on every
+  // topology and for either cause.
   if (result.degraded) {
     support::JsonWriter w(std::cerr);
     w.begin_object()
         .field("warning", "degraded")
-        .field("degrade_shortfall_bytes", result.degrade_shortfall_bytes);
-    if (cluster_result.has_value()) {
-      w.field("degrade_shortfall_samples",
-              cluster_result->degrade_shortfall_samples);
-    }
-    w.end_object();
+        .field("degrade_shortfall_samples", result.degrade_shortfall_samples)
+        .field("degrade_shortfall_bytes", result.degrade_shortfall_bytes)
+        .end_object();
     std::cerr << "\n";
   }
 
@@ -652,7 +678,8 @@ int main(int argc, char** argv) {
         .field("estimated_spread", result.estimated_spread)
         .field("degraded", result.degraded);
     if (result.degraded) {
-      w.field("degrade_shortfall_bytes", result.degrade_shortfall_bytes);
+      w.field("degrade_shortfall_samples", result.degrade_shortfall_samples)
+          .field("degrade_shortfall_bytes", result.degrade_shortfall_bytes);
     }
     if (spill_requested) {
       w.field("spilled_sets", result.spilled_sets)
@@ -670,10 +697,6 @@ int main(int argc, char** argv) {
         w.value(static_cast<std::uint64_t>(n));
       }
       w.end_array();
-      if (cluster_result->degraded) {
-        w.field("degrade_shortfall_samples",
-                cluster_result->degrade_shortfall_samples);
-      }
     }
     if (opt.verify_trials > 0) {
       const auto spread = diffusion::estimate_spread(g, opt.model, result.seeds,
@@ -707,19 +730,11 @@ int main(int argc, char** argv) {
     }
   }
   if (result.degraded) {
-    if (cluster_result.has_value() &&
-        cluster_result->degrade_shortfall_samples > 0) {
-      std::printf(
-          "DEGRADED: cluster fell below quorum %llu samples short of the "
-          "full run; seeds are best-effort over the committed prefix\n",
-          static_cast<unsigned long long>(
-              cluster_result->degrade_shortfall_samples));
-    } else {
-      std::printf(
-          "DEGRADED: device memory ran out %llu bytes short; seeds are "
-          "best-effort over the sets that fit\n",
-          static_cast<unsigned long long>(result.degrade_shortfall_bytes));
-    }
+    std::printf(
+        "DEGRADED: theta stopped %llu samples (%llu bytes) short of the full "
+        "run; seeds are best-effort over the committed prefix\n",
+        static_cast<unsigned long long>(result.degrade_shortfall_samples),
+        static_cast<unsigned long long>(result.degrade_shortfall_bytes));
   }
   std::printf("coverage-based spread estimate: %.1f of %u vertices\n",
               result.estimated_spread, g.num_vertices());
