@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <optional>
 #include <span>
 
 #include "eim/diffusion/forward.hpp"
@@ -225,60 +226,54 @@ void BM_BitPackedStoreReleaseBulk(benchmark::State& state) {
 }
 BENCHMARK(BM_BitPackedStoreReleaseBulk);
 
-// A commit tail that also keeps per-vertex frequency counts C: publish
-// each 64-slot slice into R and bump C. Staged = publish pass + separate
-// counts walk; fused = counts ride the publish accumulator via the
-// store_release_range callback.
-void BM_RrrCommitStaged(benchmark::State& state) {
-  encoding::BitPackedArray packed(1 << 16, 14);
-  std::vector<std::uint32_t> values(1 << 16);
-  std::vector<std::uint32_t> counts(1 << 14, 0);
+// The RRR commit path: 1024 sets of 64 members admitted in slot order into
+// a log-encoded collection and published into R. Staged = the samplers'
+// form, one admit() over the whole run of lengths and then a publish pass;
+// fused = the serial one-set form, try_commit per set.
+template <class Commit>
+void run_rrr_commit(benchmark::State& state, Commit&& commit) {
+  constexpr std::size_t kSets = 1024;
+  constexpr std::size_t kLen = 64;
+  gpusim::Device device(gpusim::make_benchmark_device(64));
+  std::vector<std::uint32_t> values(kSets * kLen);
   for (std::size_t i = 0; i < values.size(); ++i) {
     values[i] = static_cast<std::uint32_t>(i) & 0x3FFFu;
   }
+  std::optional<eim_impl::DeviceRrrCollection> collection;
   for (auto _ : state) {
     state.PauseTiming();
-    packed.clear();
+    collection.reset();
+    collection.emplace(device, 1u << 14, /*log_encode=*/true);
+    collection->reserve(kSets, values.size());
     state.ResumeTiming();
-    for (std::size_t first = 0; first < values.size(); first += 64) {
-      const std::span<const std::uint32_t> slice(values.data() + first, 64);
-      packed.store_release_range(first, slice);
-      for (const std::uint32_t v : slice) {
-        std::atomic_ref<std::uint32_t>(counts[v]).fetch_add(1,
-                                                            std::memory_order_relaxed);
-      }
-    }
-    benchmark::DoNotOptimize(counts.data());
+    commit(*collection, std::span<const std::uint32_t>(values), kLen);
+    benchmark::DoNotOptimize(collection->total_elements());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(values.size()));
 }
+
+void BM_RrrCommitStaged(benchmark::State& state) {
+  run_rrr_commit(state, [](eim_impl::DeviceRrrCollection& collection,
+                           std::span<const std::uint32_t> values, std::size_t len) {
+    const std::vector<std::uint32_t> lengths(values.size() / len,
+                                             static_cast<std::uint32_t>(len));
+    const std::uint64_t admitted = collection.admit(lengths);
+    for (std::uint64_t i = 0; i < admitted; ++i) {
+      collection.publish(i, values.subspan(i * len, len));
+    }
+  });
+}
 BENCHMARK(BM_RrrCommitStaged);
 
 void BM_RrrCommitFused(benchmark::State& state) {
-  encoding::BitPackedArray packed(1 << 16, 14);
-  std::vector<std::uint32_t> values(1 << 16);
-  std::vector<std::uint32_t> counts(1 << 14, 0);
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    values[i] = static_cast<std::uint32_t>(i) & 0x3FFFu;
-  }
-  std::uint32_t* const cp = counts.data();
-  for (auto _ : state) {
-    state.PauseTiming();
-    packed.clear();
-    state.ResumeTiming();
-    for (std::size_t first = 0; first < values.size(); first += 64) {
-      packed.store_release_range(
-          first, std::span<const std::uint32_t>(values.data() + first, 64),
-          [cp](std::uint32_t v) {
-            std::atomic_ref<std::uint32_t>(cp[v]).fetch_add(1,
-                                                            std::memory_order_relaxed);
-          });
+  run_rrr_commit(state, [](eim_impl::DeviceRrrCollection& collection,
+                           std::span<const std::uint32_t> values, std::size_t len) {
+    for (std::size_t first = 0; first < values.size(); first += len) {
+      const bool ok = collection.try_commit(values.subspan(first, len));
+      EIM_CHECK_MSG(ok, "bench commit overflowed its reservation");
     }
-    benchmark::DoNotOptimize(counts.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(values.size()));
+  });
 }
 BENCHMARK(BM_RrrCommitFused);
 
@@ -372,10 +367,9 @@ struct SelectFixture {
       }
       std::sort(set.begin(), set.end());
       set.erase(std::unique(set.begin(), set.end()), set.end());
-      const bool ok = collection.try_commit(i, set);
+      const bool ok = collection.try_commit(set);
       EIM_CHECK_MSG(ok, "bench fixture overflowed its reservation");
     }
-    collection.set_num_sets(kSets);
   }
 
   static SelectFixture& instance() {

@@ -11,6 +11,7 @@
 # quarter-budget spill smoke (with and without an eighth-size host tier that
 # forces the disk tier, and on two devices) that must reproduce the
 # unconstrained seeds bit-identically, and a two-device OOM-degrade smoke, then
+# check that modeled time repeats bit-for-bit under `taskset -c 0`, then
 # run one small traced benchmark, validate the JSON artifacts it emits, and
 # diff its timings against the committed baseline. Finishes with a
 # Release-build perf smoke: bench_micro plus the fig7, multi-node, and
@@ -24,15 +25,28 @@
 # Usage: scripts/run_checks.sh [build-dir]
 #   build-dir defaults to build-asan (kept separate from the regular build).
 #
-# The benchmark diff is warn-only by default (modeled time shifts whenever
-# the cost model or the pipeline legitimately changes); export
-# EIM_CHECKS_BENCH_GATE=1 to make a regression beyond the threshold fatal.
-# Refresh the baseline with the command printed on mismatch.
+# Every benchmark diff is fatal: modeled time repeats bit-for-bit (commits
+# are decided in slot order), so a moved row means the cost model or the
+# pipeline changed. Refresh the baseline with the command printed on
+# mismatch when that change is intended.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="${1:-${repo_root}/build-asan}"
 jobs="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
+
+# bench_gate <bench_diff> <baseline> <fresh> [bench_diff flags...]: diff a
+# fresh envelope against its committed baseline; any modeled drift is fatal.
+bench_gate() {
+  local tool="$1" baseline="$2" fresh="$3"
+  shift 3
+  if ! "${tool}" "$@" "${baseline}" "${fresh}"; then
+    echo "bench_diff: modeled time moved vs ${baseline}." >&2
+    echo "If intentional, refresh the baseline:" >&2
+    echo "  cp ${fresh} ${baseline}" >&2
+    exit 1
+  fi
+}
 
 echo "== configure (${build_dir}, ASan+UBSan) =="
 cmake -B "${build_dir}" -S "${repo_root}" \
@@ -282,6 +296,29 @@ for pair in "--metrics-json - --trace-out -" \
   fi
 done
 
+echo "== CLI modeled-clock determinism: plain vs taskset -c 0 =="
+# Commits are decided in slot order, so modeled time and peak device bytes
+# must not depend on how many cores the host schedules the pool threads on.
+if command -v taskset > /dev/null 2>&1; then
+  det_tmp="$(mktemp -d)"
+  for extra in "" "--model lt" "--algo gim" "--nodes 2 --devices-per-node 2"; do
+    # shellcheck disable=SC2086
+    "${cli}" --dataset WV --k 50 --json ${extra} > "${det_tmp}/plain.json"
+    # shellcheck disable=SC2086
+    taskset -c 0 "${cli}" --dataset WV --k 50 --json ${extra} > "${det_tmp}/pinned.json"
+    python3 - "${det_tmp}/plain.json" "${det_tmp}/pinned.json" "${extra:-ic}" <<'EOF'
+import json, sys
+plain, pinned = (json.load(open(path)) for path in sys.argv[1:3])
+for key in ("device_seconds", "peak_device_bytes"):
+    assert plain[key] == pinned[key], \
+        f"{sys.argv[3]}: {key} differs: plain {plain[key]!r} vs taskset {pinned[key]!r}"
+EOF
+  done
+  rm -rf "${det_tmp}"
+else
+  echo "SKIP: taskset not found; modeled-clock determinism smoke not run"
+fi
+
 echo "== traced benchmark + artifact validation =="
 bench_tmp="$(mktemp -d)"
 trap 'rm -rf "${bench_tmp}"' EXIT
@@ -294,19 +331,7 @@ EIM_BENCH_DATASETS=WV EIM_BENCH_FAST=1 \
 
 echo "== benchmark regression diff vs committed baseline =="
 baseline="${repo_root}/bench/baselines/BENCH_fig7_ic_WV_fast.json"
-if "${build_dir}/tools/bench_diff" "${baseline}" "${bench_tmp}/BENCH_fig7_ic.json"; then
-  :
-else
-  diff_exit=$?
-  echo "bench_diff: modeled time moved vs ${baseline} (exit ${diff_exit})."
-  echo "If intentional, refresh the baseline:"
-  echo "  cp ${bench_tmp}/BENCH_fig7_ic.json ${baseline}"
-  if [[ "${EIM_CHECKS_BENCH_GATE:-0}" == "1" ]]; then
-    echo "EIM_CHECKS_BENCH_GATE=1 — treating the regression as fatal."
-    exit "${diff_exit}"
-  fi
-  echo "Warn-only (set EIM_CHECKS_BENCH_GATE=1 to gate on this)."
-fi
+bench_gate "${build_dir}/tools/bench_diff" "${baseline}" "${bench_tmp}/BENCH_fig7_ic.json"
 
 echo "== Release perf smoke (bench_micro + wall-clock diff, warn-only) =="
 # Wall-clock numbers from a sanitizer build are meaningless, so the perf
@@ -352,19 +377,8 @@ fi
 # deserves an intentional baseline refresh, not a tolerance window. The
 # profiled run feeding this diff also proves observation changes nothing.
 echo "-- fig7 WV fast: modeled time gated bit-identical, wall warn-only --"
-if "${perf_dir}/tools/bench_diff" --threshold 0 "${baseline}" "${bench_tmp}/BENCH_fig7_ic_release.json"; then
-  :
-else
-  diff_exit=$?
-  echo "bench_diff (Release): modeled time moved vs ${baseline} (exit ${diff_exit})."
-  echo "If intentional, refresh the baseline:"
-  echo "  cp ${bench_tmp}/BENCH_fig7_ic_release.json ${baseline}"
-  if [[ "${EIM_CHECKS_BENCH_GATE:-0}" == "1" ]]; then
-    echo "EIM_CHECKS_BENCH_GATE=1 — treating the regression as fatal."
-    exit "${diff_exit}"
-  fi
-  echo "Warn-only (set EIM_CHECKS_BENCH_GATE=1 to gate on this)."
-fi
+bench_gate "${perf_dir}/tools/bench_diff" "${baseline}" \
+  "${bench_tmp}/BENCH_fig7_ic_release.json" --threshold 0
 
 echo "-- multi-node scaling curve: modeled time gated bit-identical --"
 # Full-envelope run (WV, k=50, eps=0.02 — the fig7 envelope): the committed
@@ -375,19 +389,8 @@ mn_baseline="${repo_root}/bench/baselines/BENCH_multi_node.json"
 EIM_BENCH_JSON="${bench_tmp}/BENCH_multi_node.json" \
   "${perf_dir}/bench/bench_multi_node"
 "${perf_dir}/tools/bench_diff" --validate "${bench_tmp}/BENCH_multi_node.json"
-if "${perf_dir}/tools/bench_diff" --threshold 0 "${mn_baseline}" "${bench_tmp}/BENCH_multi_node.json"; then
-  :
-else
-  diff_exit=$?
-  echo "bench_diff: cluster modeled time moved vs ${mn_baseline} (exit ${diff_exit})."
-  echo "If intentional, refresh the baseline:"
-  echo "  cp ${bench_tmp}/BENCH_multi_node.json ${mn_baseline}"
-  if [[ "${EIM_CHECKS_BENCH_GATE:-0}" == "1" ]]; then
-    echo "EIM_CHECKS_BENCH_GATE=1 — treating the regression as fatal."
-    exit "${diff_exit}"
-  fi
-  echo "Warn-only (set EIM_CHECKS_BENCH_GATE=1 to gate on this)."
-fi
+bench_gate "${perf_dir}/tools/bench_diff" "${mn_baseline}" \
+  "${bench_tmp}/BENCH_multi_node.json" --threshold 0
 
 echo "-- spill tax curve: modeled time gated bit-identical --"
 # Fig7's WV cell replayed under a device budget of 1/4 its own footprint:
@@ -398,19 +401,8 @@ spill_baseline="${repo_root}/bench/baselines/BENCH_spill.json"
 EIM_BENCH_FAST=1 EIM_BENCH_JSON="${bench_tmp}/BENCH_spill.json" \
   "${perf_dir}/bench/bench_spill"
 "${perf_dir}/tools/bench_diff" --validate "${bench_tmp}/BENCH_spill.json"
-if "${perf_dir}/tools/bench_diff" --threshold 0 "${spill_baseline}" "${bench_tmp}/BENCH_spill.json"; then
-  :
-else
-  diff_exit=$?
-  echo "bench_diff: spill modeled time moved vs ${spill_baseline} (exit ${diff_exit})."
-  echo "If intentional, refresh the baseline:"
-  echo "  cp ${bench_tmp}/BENCH_spill.json ${spill_baseline}"
-  if [[ "${EIM_CHECKS_BENCH_GATE:-0}" == "1" ]]; then
-    echo "EIM_CHECKS_BENCH_GATE=1 — treating the regression as fatal."
-    exit "${diff_exit}"
-  fi
-  echo "Warn-only (set EIM_CHECKS_BENCH_GATE=1 to gate on this)."
-fi
+bench_gate "${perf_dir}/tools/bench_diff" "${spill_baseline}" \
+  "${bench_tmp}/BENCH_spill.json" --threshold 0
 
 echo "-- draw-mode spread equivalence: Exact vs Skip seeds (hard gate) --"
 # bench_quality's second section runs eIM in both draw modes on the fig7/

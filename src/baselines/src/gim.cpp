@@ -1,7 +1,6 @@
 #include "eim/baselines/gim.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 
 #include "eim/eim/rrr_collection.hpp"
@@ -32,8 +31,8 @@ class GimSampler {
         num_blocks_(device.spec().num_sms * 2),
         traversal_{&g, model, /*plan=*/nullptr, params.rng_seed,
                    /*eliminate_sources=*/false},
-        stamps_(g.num_vertices()) {
-    scratch_.resize(num_blocks_);
+        scratch_(support::ThreadPool::global().size() + 1),
+        temp_capacity_(num_blocks_, 0) {
     // Each block keeps its visited bitmap M in global memory (the queue
     // itself lives in shared memory until it spills).
     bitmap_pool_ = gpusim::DeviceBuffer<std::uint8_t>(
@@ -49,25 +48,23 @@ class GimSampler {
   }
 
   void sample_to(DeviceRrrCollection& collection, std::uint64_t target) {
-    if (collection.num_sets() >= target) return;
-
-    std::vector<std::uint64_t> pending;
-    for (std::uint64_t i = collection.num_sets(); i < target; ++i) pending.push_back(i);
-
+    const std::uint64_t base = collection.num_sets();
     int wave = 0;
     std::uint64_t max_failed_len = 0;
-    while (!pending.empty()) {
+    while (collection.num_sets() < target) {
       EIM_CHECK_MSG(++wave <= 64, "gIM sampler failed to converge on capacity");
-      const std::uint64_t have = collection.num_sets();
-      const double avg = have > 0 && collection.total_elements() > 0
+      // Commits are a slot-order prefix: the pending samples are the
+      // uncommitted suffix, and a sample's id is its slot.
+      const std::uint64_t first = collection.num_sets();
+      const std::uint64_t pending = target - first;
+      const double avg = base > 0 && collection.total_elements() > 0
                              ? static_cast<double>(collection.total_elements()) /
-                                   static_cast<double>(have)
+                                   static_cast<double>(base)
                              : 8.0;
       // Doubling growth: gIM reserves aggressively and uncompressed.
-      const auto giant_slots = std::min<std::uint64_t>(pending.size(), num_blocks_ * 4u);
+      const auto giant_slots = std::min<std::uint64_t>(pending, num_blocks_ * 4u);
       const auto estimated = collection.total_elements() +
-                             (static_cast<std::uint64_t>(avg * 2.0) + 1) *
-                                 static_cast<std::uint64_t>(pending.size()) +
+                             (static_cast<std::uint64_t>(avg * 2.0) + 1) * pending +
                              max_failed_len * giant_slots + 4096;
       collection.reserve(target, estimated);
 
@@ -82,67 +79,52 @@ class GimSampler {
         device_->charge_allocation_event("gIM padded slots");
       }
 
-      for (auto& s : scratch_) s.failed.clear();
-
-      device_->launch_blocks("gim::sample", num_blocks_, [&](BlockContext& ctx) {
-        BlockScratch& scratch = scratch_[ctx.block_id()];
-        const eim_impl::StampPool::Lease lease(stamps_, scratch);
-        for (std::uint64_t slot = ctx.block_id(); slot < pending.size();
-             slot += num_blocks_) {
-          ctx.charge_atomic_global(1);
-          const std::uint64_t sample_index = pending[slot];
-          SharedQueue sink{*this};
-          (void)traversal_.generate(ctx, scratch, sample_index, sink);
-          if (collection.try_commit(sample_index, scratch.queue)) {
-            charge_commit(ctx, scratch,
-                          static_cast<std::uint32_t>(scratch.queue.size()));
-          } else {
-            scratch.failed.push_back(sample_index);
-            scratch.max_failed_len =
-                std::max<std::uint64_t>(scratch.max_failed_len, scratch.queue.size());
-          }
+      const auto generate = [&](BlockContext& ctx, eim_impl::TraversalScratch& scratch,
+                                std::uint64_t slot) -> std::uint32_t {
+        ctx.charge_atomic_global(1);
+        SharedQueue sink{config_.shared_queue_entries};
+        (void)traversal_.generate(ctx, scratch, first + slot, sink);
+        return sink.spill_size;
+      };
+      // The in-kernel mallocs are priced in slot order, so each one's heap
+      // pressure comes from its ordinal, not from the host schedule.
+      const auto settle = [&](BlockContext& ctx, const eim_impl::WaveSlot& slot,
+                              bool admitted) {
+        if (slot.note != 0) {
+          charge_malloc(ctx, std::uint64_t{slot.note} * sizeof(VertexId) * 2);
         }
-      });
-
-      pending.clear();
-      for (auto& s : scratch_) {
-        pending.insert(pending.end(), s.failed.begin(), s.failed.end());
-        max_failed_len = std::max(max_failed_len, s.max_failed_len);
-        s.max_failed_len = 0;
-      }
-      std::sort(pending.begin(), pending.end());
+        if (admitted) {
+          charge_commit(ctx, slot.length);
+        } else {
+          max_failed_len = std::max<std::uint64_t>(max_failed_len, slot.length);
+        }
+      };
+      eim_impl::run_wave(*device_, "gim::sample", num_blocks_, pending, scratch_,
+                         collection, generate, settle);
     }
-    collection.set_num_sets(target);
   }
 
   [[nodiscard]] std::uint64_t malloc_count() const noexcept {
-    return malloc_count_.load(std::memory_order_relaxed);
+    return malloc_count_;
   }
 
  private:
-  struct BlockScratch : eim_impl::TraversalScratch {
-    std::vector<std::uint64_t> failed;
-    std::uint64_t max_failed_len = 0;  ///< largest set that failed to fit
-    std::uint64_t temp_capacity = 0;   ///< this block's temp RRR buffer slots
-  };
-
   /// gIM's queue sink for one sample: shared memory while the queue fits,
-  /// global after the spill. The spill itself mallocs a global buffer and
-  /// copies the shared contents out.
+  /// global after the spill. The spill mallocs a global buffer — priced
+  /// later, in slot order — and copies the shared contents out.
   struct SharedQueue {
-    GimSampler& sampler;
-    bool spilled = false;  ///< the queue escaped shared memory
+    std::uint64_t shared_queue_entries;
+    std::uint32_t spill_size = 0;  ///< queue size when it escaped shared memory
 
-    void dequeue(BlockContext& ctx) noexcept {
-      spilled ? ctx.charge_global(1) : ctx.charge_shared(1);
+    void dequeue(BlockContext& ctx) const noexcept {
+      spill_size != 0 ? ctx.charge_global(1) : ctx.charge_shared(1);
     }
-    void enqueue(BlockContext& ctx, std::size_t queue_size) {
-      if (!spilled && queue_size > sampler.config_.shared_queue_entries) {
-        spilled = true;
-        sampler.charge_malloc(ctx, queue_size * sizeof(VertexId) * 2);
+    void enqueue(BlockContext& ctx, std::size_t queue_size) noexcept {
+      if (spill_size == 0 && queue_size > shared_queue_entries) {
+        spill_size = static_cast<std::uint32_t>(queue_size);
         ctx.charge_global(ctx.warp_chunks(queue_size));  // evacuate
       }
-      if (spilled) {
+      if (spill_size != 0) {
         ctx.charge_global(1);
         ctx.charge_atomic_global(1);
       } else {
@@ -164,30 +146,28 @@ class GimSampler {
     const std::uint64_t rounded = std::bit_ceil(std::max<std::uint64_t>(bytes, 1));
     const std::uint64_t waste = (rounded - bytes) / 4 + config_.malloc_header_bytes;
     device_->memory().allocate(waste);  // throws on exhaustion -> gIM's OOM
-    std::atomic_ref<std::uint64_t>(fragmentation_bytes_)
-        .fetch_add(waste, std::memory_order_relaxed);
+    fragmentation_bytes_ += waste;
   }
 
   /// The latency-and-bookkeeping part of a device malloc: base cost scaled
   /// by how crowded the heap already is (free-list search + global heap
   /// lock), plus the long-run fragmentation trickle.
   void charge_heap_latency(BlockContext& ctx) {
-    const std::uint64_t count =
-        malloc_count_.fetch_add(1, std::memory_order_relaxed);
+    const std::uint64_t count = malloc_count_++;
     const std::uint64_t base = device_->spec().costs.device_malloc;
     ctx.charge_device_malloc();
     ctx.add_cycles(base * count / config_.heap_pressure_scale);
     if (config_.frag_bytes_per_malloc > 0) {
       device_->memory().allocate(config_.frag_bytes_per_malloc);
-      std::atomic_ref<std::uint64_t>(fragmentation_bytes_)
-          .fetch_add(config_.frag_bytes_per_malloc, std::memory_order_relaxed);
+      fragmentation_bytes_ += config_.frag_bytes_per_malloc;
     }
   }
 
   /// Commit: write the queue into the block's temporary global RRR buffer,
   /// then copy it into the final collection (double traffic, §2.3). The
-  /// temp buffer is dynamically (re)allocated whenever a set outgrows it.
-  void charge_commit(BlockContext& ctx, BlockScratch& scratch, std::uint32_t len) {
+  /// temp buffer, one per block, is dynamically (re)allocated whenever a
+  /// set outgrows it.
+  void charge_commit(BlockContext& ctx, std::uint32_t len) {
     if (len == 0) {
       ctx.charge_atomic_global(1);
       return;
@@ -196,9 +176,10 @@ class GimSampler {
     // buffer (§2.3: "written from the queue to a temporary RRR set in
     // global memory") — the repeated malloc/free whose overhead grows with
     // heap pressure. Capacity growth additionally leaves fragmentation.
-    if (len > scratch.temp_capacity) {
-      scratch.temp_capacity = std::bit_ceil<std::uint64_t>(len) * 2;
-      charge_malloc(ctx, scratch.temp_capacity * sizeof(VertexId));
+    std::uint64_t& temp_capacity = temp_capacity_[ctx.block_id()];
+    if (len > temp_capacity) {
+      temp_capacity = std::bit_ceil<std::uint64_t>(len) * 2;
+      charge_malloc(ctx, temp_capacity * sizeof(VertexId));
     } else {
       charge_heap_latency(ctx);
     }
@@ -216,9 +197,9 @@ class GimSampler {
   GimConfig config_;
   std::uint32_t num_blocks_;
   eim_impl::Traversal traversal_;
-  std::vector<BlockScratch> scratch_;
-  eim_impl::StampPool stamps_;
-  std::atomic<std::uint64_t> malloc_count_{0};
+  std::vector<eim_impl::WaveScratch> scratch_;  ///< one per host pool thread
+  std::vector<std::uint64_t> temp_capacity_;    ///< per block: temp RRR buffer slots
+  std::uint64_t malloc_count_ = 0;              ///< in-kernel mallocs, in slot order
   std::uint64_t fragmentation_bytes_ = 0;
   std::uint64_t slot_width_ = 0;
   std::uint64_t padded_bytes_ = 0;

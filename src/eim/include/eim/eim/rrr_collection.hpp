@@ -5,25 +5,27 @@
 // frequency counts C that Alg. 2 (lines 21-28) updates atomically as sets
 // are committed. C is modeled by its device charge and the sampler's
 // commit atomics alone: selection counts from the merged host mirror.
-// Warps claim a slice of R with a CAS on the shared element
-// cursor — a claim either fits entirely or is never made, so the cursor is
-// monotone and never exceeds capacity — and publish their vertices
-// independently; the thread-safe packed store of §3.1 makes that safe under
-// log encoding. (The earlier fetch_add/fetch_sub "rollback" protocol let a
-// failed claim transiently push the cursor past capacity and then rewind it
-// below a concurrent success's slice, so a later commit could overlay — and
-// under log encoding OR-corrupt — a committed set. See
-// docs/OBSERVABILITY.md for the invariants and tests/stress for the
-// regression hammer.)
+//
+// Commits are decided in slot order (docs/OBSERVABILITY.md "Slot-order
+// commit contract"). A sampling wave generates its pending slots' sets,
+// then admit() takes the longest run of them, from the first on, whose
+// total length fits R's capacity; each admitted set's offset is the
+// exclusive prefix sum of the lengths before it — the ordered single-pass
+// form of Alg. 2's atomic offset claim (line 21). The first set that does
+// not fit closes admission until the next reserve(), so every later slot
+// re-runs next wave and the committed sets are always slots [0, num_sets()).
+// The decision reads only set lengths, never the host schedule, so modeled
+// time repeats bit-for-bit. Admitted slices do not overlap, so publish()
+// may run for many of them at once; the thread-safe packed store of §3.1
+// handles the boundary words neighbouring slices share.
 //
 // Capacity grows only *between* kernel waves (the sampler driver reserves
-// ahead); a warp that cannot fit its set reports failure and the driver
-// re-issues that sample in the next wave, which is how a fixed-capacity
-// GPU array is managed without in-kernel malloc.
+// ahead), which is how a fixed-capacity GPU array is managed without
+// in-kernel malloc.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "eim/encoding/bit_packed_array.hpp"
@@ -57,29 +59,40 @@ class DeviceRrrCollection {
   /// Make room for `num_sets` sets totalling up to `num_elements` vertices.
   /// Existing contents are preserved; device memory is re-charged (alloc
   /// new + copy + free old, exactly what a cudaMalloc/cudaMemcpy resize
-  /// costs).
+  /// costs). Reopens admission.
   void reserve(std::uint64_t num_sets, std::uint64_t num_elements);
 
-  /// Thread-safe commit path used from sampler blocks. Claims a slice of R
-  /// for set `set_index` with a CAS-retry loop — the claim succeeds only if
-  /// the whole set fits, so the element cursor never overshoots capacity
-  /// and never moves backwards. Returns false when capacity is insufficient
-  /// (the caller re-issues the sample after the driver grows the arrays).
-  /// `sorted_set` must be ascending. Updates O and the element cursor.
-  [[nodiscard]] bool try_commit(std::uint64_t set_index,
-                                std::span<const graph::VertexId> sorted_set);
+  /// Admit, in slot order, the sets of the next `lengths.size()` slots
+  /// (slot num_sets() first): the longest prefix whose total fits R's
+  /// capacity. Writes each admitted set's O entry (offset = exclusive scan
+  /// of the lengths) and advances num_sets() and the element cursor; every
+  /// rejected slot counts in rrr.commit_rejects. A rejection closes
+  /// admission until the next reserve(). Returns the number admitted; the
+  /// caller then publishes each of them. Serial.
+  [[nodiscard]] std::uint64_t admit(std::span<const std::uint32_t> lengths);
+
+  /// Write admitted set `set_index`'s members (ascending, as many as
+  /// admitted) into its slice of R. Distinct sets may publish concurrently.
+  void publish(std::uint64_t set_index, std::span<const graph::VertexId> sorted_set);
+
+  /// The serial one-set form: admit `sorted_set` at slot num_sets() and
+  /// publish it. Returns false when it does not fit (nothing is written).
+  /// The samplers admit whole runs; this form serves tests and benchmarks.
+  [[nodiscard]] bool try_commit(std::span<const graph::VertexId> sorted_set);
 
   [[nodiscard]] graph::VertexId num_vertices() const noexcept { return n_; }
-  /// Number of committed sets = high-water set index + 1 (driver-managed).
+  /// Number of committed sets; they are slots [0, num_sets()).
   [[nodiscard]] std::uint64_t num_sets() const noexcept { return num_sets_; }
-  void set_num_sets(std::uint64_t sets) noexcept { num_sets_ = sets; }
 
-  [[nodiscard]] std::uint64_t total_elements() const noexcept {
-    return element_cursor_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t total_elements() const noexcept { return element_cursor_; }
 
   [[nodiscard]] std::uint32_t set_length(std::uint64_t i) const noexcept {
     return lengths_[i];
+  }
+  /// Offset of set i's first member in the global element range (tests
+  /// check the exclusive-scan offsets through it).
+  [[nodiscard]] std::uint64_t set_start(std::uint64_t i) const noexcept {
+    return starts_[i];
   }
   /// Decode member j of set i. Device-resident sets only — a spilled set
   /// must stream through decode_set (the store has no per-element access).
@@ -128,9 +141,10 @@ class DeviceRrrCollection {
   [[nodiscard]] bool spill_active() const noexcept { return spill_ != nullptr; }
   /// True once any set has been evicted (selector preprocessing switches to
   /// the serial streaming path to keep staging-pool traffic deterministic).
-  [[nodiscard]] bool has_spilled() const noexcept { return spilled_any_; }
+  [[nodiscard]] bool has_spilled() const noexcept { return spilled_sets_ > 0; }
+  /// Evicted sets are always the committed prefix [0, spilled sets).
   [[nodiscard]] bool is_spilled(std::uint64_t i) const noexcept {
-    return spilled_any_ && spilled_[i] != 0;
+    return i < spilled_sets_;
   }
   [[nodiscard]] std::uint64_t element_capacity() const noexcept {
     return element_capacity_;
@@ -147,6 +161,8 @@ class DeviceRrrCollection {
   void grow_r(std::uint64_t num_elements);
   void allocate_r(std::uint64_t num_elements);
   [[nodiscard]] std::uint64_t current_r_bytes() const noexcept;
+  /// Device bytes of `elements` R slots as stored (packed or raw).
+  [[nodiscard]] std::uint64_t r_bytes_for(std::uint64_t elements) const noexcept;
   [[nodiscard]] std::uint64_t elements_for_bytes(std::uint64_t bytes) const noexcept;
   [[nodiscard]] std::uint64_t budget_device_elements() const noexcept;
 
@@ -160,12 +176,13 @@ class DeviceRrrCollection {
   std::vector<graph::VertexId> raw_;
   std::uint64_t element_capacity_ = 0;
 
-  // O, split into start+length so out-of-order commits need no ordering.
+  // O, split into start+length (the length indexes spilled sets too).
   std::vector<std::uint64_t> starts_;
   std::vector<std::uint32_t> lengths_;
 
-  std::atomic<std::uint64_t> element_cursor_{0};
+  std::uint64_t element_cursor_ = 0;
   std::uint64_t num_sets_ = 0;
+  bool admission_closed_ = false;  ///< a set was rejected since the last reserve
   std::uint64_t charged_bytes_ = 0;  ///< what we currently hold in the pool
 
   // Spill hierarchy (null/0 when detached). The device arrays hold the
@@ -174,13 +191,10 @@ class DeviceRrrCollection {
   TieredRrrStore* spill_ = nullptr;
   std::uint64_t device_budget_bytes_ = 0;
   std::uint64_t device_base_ = 0;
-  bool spilled_any_ = false;
-  std::vector<std::uint8_t> spilled_;    ///< per O slot: evicted to the store
-  std::vector<std::uint8_t> committed_;  ///< per O slot: published (spill only)
+  std::uint64_t spilled_sets_ = 0;  ///< sets [0, spilled_sets_) live in the store
 
   // Optional instrumentation (see attach_metrics); null when detached.
   support::metrics::Counter* commit_rejects_ = nullptr;
-  support::metrics::Counter* claim_cas_retries_ = nullptr;
   support::metrics::Counter* regrow_r_ = nullptr;
   support::metrics::Counter* regrow_o_ = nullptr;
   support::metrics::Histogram* set_size_hist_ = nullptr;

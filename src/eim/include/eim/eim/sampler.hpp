@@ -4,18 +4,21 @@
 // global-memory queue pool (eIM's replacement for gIM's shared-memory queue
 // + dynamic spill), so sampling performs *zero* in-kernel allocations. The
 // queue doubles as the RRR set: on completion it is sorted and committed
-// into the collection with one atomic offset claim (Fig. 2). The traversal
+// into the collection, whose slot-order admission stands for the kernel's
+// one ordered offset claim (Fig. 2; rrr_collection.hpp). The traversal
 // itself is the shared kernel in eim/traversal.hpp; this engine supplies
-// its queue sink, the capacity waves and the commit.
+// its queue sink, the capacity waves and the commit charges.
 //
 // Work distribution follows the paper's round-robin assignment: block b of
-// B takes the pending slots b, b + B, b + 2B, ... (see sample_assigned).
+// B takes the pending slots b, b + B, b + 2B, ... (see run_wave).
 //
 // Determinism contract: sample i draws from the stream
 // (rng_seed, derive_stream(imm::kSampleStreamTag, i, attempt)) and consumes
 // randomness in CSC order — the exact contract of the serial reference — so
 // eIM produces the *identical* collection R as run_imm_serial for identical
-// parameters, which the integration tests assert.
+// parameters, which the integration tests assert. Commits, and with them
+// the waves and every modeled charge, are decided in slot order, so they
+// repeat bit-for-bit on any host.
 #pragma once
 
 #include <cstdint>
@@ -62,7 +65,7 @@ class EimSampler {
                        std::span<const std::uint64_t> global_indices);
 
   /// Regenerate the decoded members of global sample `global_id` into `out`
-  /// (sorted, post source-elimination — exactly what try_commit stored).
+  /// (sorted, post source-elimination — exactly what was committed).
   /// Generation is deterministic per global id, so this is the spill
   /// store's quarantine-repair source for torn disk blocks: the rebuilt set
   /// is bit-identical to the evicted one. Runs as its own single-block
@@ -78,12 +81,6 @@ class EimSampler {
   [[nodiscard]] std::uint32_t num_blocks() const noexcept { return num_blocks_; }
 
  private:
-  struct BlockScratch : TraversalScratch {
-    std::vector<std::uint64_t> failed;  ///< commits deferred to next wave
-    std::uint64_t max_failed_len = 0;   ///< largest set that failed to fit
-    std::uint64_t discarded = 0;        ///< committed samples' regen count
-  };
-
   /// Meter the sort + commit traffic for a finished set of length `len`.
   void charge_commit(gpusim::BlockContext& ctx, std::uint32_t len) const;
 
@@ -99,8 +96,7 @@ class EimSampler {
   gpusim::DeviceBuffer<std::uint8_t> plan_charge_;
 
   Traversal traversal_;
-  std::vector<BlockScratch> scratch_;
-  StampPool stamps_;
+  std::vector<WaveScratch> scratch_;  ///< one per host pool thread
   std::uint64_t singletons_discarded_ = 0;
 };
 

@@ -12,6 +12,11 @@
 //    (gim.cpp). A sink has dequeue(ctx), enqueue(ctx, size after the push)
 //    and lt_chunk(ctx, lanes).
 //
+// Both engines also share the host execution of a sampling wave
+// (run_wave): slots generate in slot order, in bounded parallel runs on
+// per-thread scratch, and each run's commits are admitted in slot order, so
+// the modeled charges never depend on the host schedule.
+//
 // diffusion::RrrSampler stays a separate, serial implementation on purpose:
 // it is the independent reference the parity suites hold this kernel to.
 #pragma once
@@ -19,84 +24,33 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <utility>
+#include <functional>
+#include <span>
+#include <string>
 #include <vector>
 
-#include "eim/gpusim/context.hpp"
+#include "eim/eim/rrr_collection.hpp"
+#include "eim/gpusim/device.hpp"
 #include "eim/graph/draw_plan.hpp"
 #include "eim/graph/graph.hpp"
 #include "eim/graph/weights.hpp"
 #include "eim/imm/imm.hpp"
 #include "eim/support/rng.hpp"
+#include "eim/support/thread_pool.hpp"
 
 namespace eim::eim_impl {
 
-/// The visited bitmap M as an epoch-stamped n-word array: v is in the
-/// sample being generated iff stamp[v] == epoch, so starting a sample is
-/// one increment instead of clearing n bits.
-struct Stamps {
-  std::vector<std::uint32_t> stamp;
-  std::uint32_t epoch = 0;
-  Stamps* next_free = nullptr;  ///< free-list link while not checked out
-};
-
-/// One block's host scratch for the traversal.
+/// One host thread's scratch for the traversal. The visited bitmap M is an
+/// epoch-stamped n-word array — v is in the sample being generated iff
+/// stamp[v] == epoch, so starting a sample is one increment instead of
+/// clearing n bits — sized on the thread's first sample.
 struct TraversalScratch {
   std::vector<graph::VertexId> queue;  ///< the block's queue; becomes the RRR set
-  Stamps* marks = nullptr;             ///< M, leased while a block body runs
+  std::vector<std::uint32_t> stamp;    ///< M
+  std::uint32_t epoch = 0;
   support::FloatDrawBuffer draws;      ///< bulk activation draws (ExactDraws)
   std::uint64_t draws_skipped = 0;     ///< Bernoulli draws avoided (SkipDraws)
   std::uint64_t alias_picks = 0;       ///< O(1) LT picks taken (AliasPick)
-};
-
-/// Host stamp arrays for one sampler. A block's M is only live while its
-/// body runs, so the pool grows to the number of bodies the host ever ran
-/// at once (its thread count), not to one n-word array per simulated block.
-class StampPool {
- public:
-  explicit StampPool(graph::VertexId num_vertices) noexcept
-      : num_vertices_(num_vertices) {}
-
-  /// Checks an array out into `scratch.marks` for one block body and
-  /// returns it on scope exit (exceptions included).
-  class Lease {
-   public:
-    Lease(StampPool& pool, TraversalScratch& scratch) : pool_(pool), scratch_(scratch) {
-      {
-        const std::lock_guard lock(pool.mutex_);
-        if (pool.free_ != nullptr) {
-          scratch.marks = std::exchange(pool.free_, pool.free_->next_free);
-          return;
-        }
-      }
-      // Every array is checked out: one more body runs concurrently than
-      // ever before. Zero its n words outside the lock.
-      auto fresh = std::make_unique<Stamps>();
-      fresh->stamp.assign(pool.num_vertices_, 0);
-      const std::lock_guard lock(pool.mutex_);
-      pool.arrays_.push_back(std::move(fresh));
-      scratch.marks = pool.arrays_.back().get();
-    }
-    ~Lease() {
-      const std::lock_guard lock(pool_.mutex_);
-      scratch_.marks->next_free = pool_.free_;
-      pool_.free_ = std::exchange(scratch_.marks, nullptr);
-    }
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-
-   private:
-    StampPool& pool_;
-    TraversalScratch& scratch_;
-  };
-
- private:
-  graph::VertexId num_vertices_;
-  std::mutex mutex_;
-  std::vector<std::unique_ptr<Stamps>> arrays_;  ///< owns every array
-  Stamps* free_ = nullptr;                       ///< free-list head
 };
 
 /// IC draw policy: one activation draw per *unvisited* in-neighbor, in
@@ -286,10 +240,9 @@ template <class Draws, class Sink>
 [[gnu::noinline]] void bfs_ic(gpusim::BlockContext& ctx, TraversalScratch& scratch,
                               Draws&& draws, Sink& sink) {
   // Hoisted: queue.push_back writes through a uint32 pointer, so keeping
-  // stamp/epoch as locals spares a per-edge member reload (hot loop). The
-  // lease holds the array for the whole body, so its base is stable.
-  std::uint32_t* const stamp = scratch.marks->stamp.data();
-  const std::uint32_t epoch = scratch.marks->epoch;
+  // stamp/epoch as locals spares a per-edge member reload (hot loop).
+  std::uint32_t* const stamp = scratch.stamp.data();
+  const std::uint32_t epoch = scratch.epoch;
   std::vector<graph::VertexId>& queue = scratch.queue;
   const auto fire = [&](graph::VertexId v) {
     stamp[v] = epoch;  // mark BEFORE enqueue (Alg. 2 l.18)
@@ -309,14 +262,13 @@ template <class Draws, class Sink>
 template <class Pick, class Sink>
 [[gnu::noinline]] void walk_lt(gpusim::BlockContext& ctx, TraversalScratch& scratch,
                                Pick&& pick, Sink& sink) {
-  Stamps& marks = *scratch.marks;
   for (graph::VertexId u = scratch.queue.front(); pick.g.in_degree(u) != 0;) {
     const float tau = pick.rng.next_float();
     ctx.charge_alu(1);  // lane 0 draws tau (AliasPick: and splits bucket, coin)
     const graph::VertexId chosen = pick.pick(ctx, u, tau, sink);
     if (chosen == graph::kInvalidVertex) break;  // tau in the no-one gap
-    if (marks.stamp[chosen] == marks.epoch) break;  // walk closed a loop
-    marks.stamp[chosen] = marks.epoch;
+    if (scratch.stamp[chosen] == scratch.epoch) break;  // walk closed a loop
+    scratch.stamp[chosen] = scratch.epoch;
     scratch.queue.push_back(chosen);
     sink.enqueue(ctx, scratch.queue.size());
     u = chosen;
@@ -348,14 +300,14 @@ struct Traversal {
       ctx.charge_alu(2);  // lane 0 picks the source, seeds head/tail (Alg. 2 l.5-10)
 
       // Fresh epoch == "initialize M" without touching n words every sample.
-      Stamps& marks = *scratch.marks;
-      if (++marks.epoch == 0) {
-        std::fill(marks.stamp.begin(), marks.stamp.end(), 0u);
-        marks.epoch = 1;
+      if (scratch.stamp.empty()) scratch.stamp.assign(g->num_vertices(), 0u);
+      if (++scratch.epoch == 0) {
+        std::fill(scratch.stamp.begin(), scratch.stamp.end(), 0u);
+        scratch.epoch = 1;
       }
       scratch.queue.clear();
       scratch.queue.push_back(source);
-      marks.stamp[source] = marks.epoch;
+      scratch.stamp[source] = scratch.epoch;
 
       if (model == graph::DiffusionModel::IndependentCascade) {
         if (plan != nullptr) {
@@ -385,5 +337,94 @@ struct Traversal {
     return regenerated;
   }
 };
+
+/// run_wave runs a wave's slots on the host this many at a time.
+inline constexpr std::uint64_t kRunSlots = 4096;
+
+/// A sampling engine's scratch for one host pool thread: engines hold
+/// ThreadPool::global().size() + 1, indexed by ThreadPool::worker_slot().
+/// `staged` holds the sets the thread generated in the current run. It is
+/// reserved here, on the thread that builds the engine, with room for a
+/// whole run of sets averaging 64 members: grown on the pool threads
+/// instead, it spread over their malloc arenas and raised peak RSS.
+struct WaveScratch : TraversalScratch {
+  WaveScratch() { staged.reserve(kRunSlots * 64); }
+  std::vector<graph::VertexId> staged;
+};
+
+/// One generated slot of the current run.
+struct WaveSlot {
+  std::uint64_t cycles = 0;  ///< what generating it metered
+  std::uint64_t at = 0;      ///< its set's offset in its thread's staged buffer
+  std::uint32_t thread = 0;  ///< the worker slot that generated it
+  std::uint32_t length = 0;  ///< its set's length
+  std::uint32_t note = 0;    ///< what the engine's generate returned
+};
+
+/// Launch `label` as one sampling wave of `num_blocks` blocks over
+/// `num_slots` pending slots. Slot s meters onto block s % num_blocks
+/// (§3.2's round-robin assignment), so the per-block sums and the makespan
+/// do not depend on the host. On the host the slots run in slot order,
+/// kRunSlots at a time: generate(ctx, scratch, s) builds slot s's set in
+/// scratch.queue in parallel, one scratch per thread, and returns its note;
+/// collection.admit() then decides the run's commits in slot order, the
+/// admitted sets publish in parallel, and settle(ctx, slot, admitted)
+/// meters each slot's in-order step (commit charges, ordinal-priced
+/// mallocs) serially. Once admission closes, the wave's later runs still
+/// generate and are charged — every block works through all of its slots —
+/// but stage nothing, and admit() rejects them; they re-run next wave. So
+/// the run length never shows in the modeled charges.
+///
+/// Not a template, so its frames keep exported names for the profiler
+/// (engines pass lambdas, which would make an instantiation file-local).
+[[gnu::noinline]] inline void run_wave(
+    gpusim::Device& device, const std::string& label, std::uint32_t num_blocks,
+    std::uint64_t num_slots, std::vector<WaveScratch>& scratch,
+    DeviceRrrCollection& collection,
+    const std::function<std::uint32_t(gpusim::BlockContext&, TraversalScratch&,
+                                      std::uint64_t)>& generate,
+    const std::function<void(gpusim::BlockContext&, const WaveSlot&, bool)>& settle) {
+  support::ThreadPool& pool = support::ThreadPool::global();
+  const gpusim::DeviceSpec& spec = device.spec();
+  device.launch_metered(label, num_blocks, [&](std::span<std::uint64_t> block_cycles) {
+    std::vector<WaveSlot> slots;
+    std::vector<std::uint32_t> lengths;
+    bool open = true;  // no slot of this wave has been rejected yet
+    for (std::uint64_t begin = 0; begin < num_slots; begin += kRunSlots) {
+      const std::uint64_t count = std::min(kRunSlots, num_slots - begin);
+      slots.assign(count, WaveSlot{});
+      lengths.resize(count);
+      for (WaveScratch& s : scratch) s.staged.clear();
+      pool.parallel_for(0, count, [&](std::size_t i) {
+        const std::size_t thread = pool.worker_slot();
+        WaveScratch& s = scratch[thread];
+        gpusim::BlockContext ctx(static_cast<std::uint32_t>((begin + i) % num_blocks),
+                                 spec);
+        WaveSlot& slot = slots[i];
+        slot.note = generate(ctx, s, begin + i);
+        slot.cycles = ctx.cycles();
+        slot.at = s.staged.size();
+        slot.thread = static_cast<std::uint32_t>(thread);
+        slot.length = lengths[i] = static_cast<std::uint32_t>(s.queue.size());
+        if (open) s.staged.insert(s.staged.end(), s.queue.begin(), s.queue.end());
+      }, /*grain=*/16);  // fine chunks: the run ends in a barrier
+
+      const std::uint64_t admitted = collection.admit(lengths);
+      const std::uint64_t first_set = collection.num_sets() - admitted;
+      pool.parallel_for(0, admitted, [&](std::size_t i) {
+        const WaveSlot& slot = slots[i];
+        const graph::VertexId* set = scratch[slot.thread].staged.data() + slot.at;
+        collection.publish(first_set + i, std::span(set, slot.length));
+      });
+      for (std::uint64_t i = 0; i < count; ++i) {
+        const auto block = static_cast<std::uint32_t>((begin + i) % num_blocks);
+        gpusim::BlockContext ctx(block, spec);
+        settle(ctx, slots[i], i < admitted);
+        block_cycles[block] += slots[i].cycles + ctx.cycles();
+      }
+      open = open && admitted == count;
+    }
+  });
+}
 
 }  // namespace eim::eim_impl

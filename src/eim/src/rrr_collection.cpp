@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-
 #include <chrono>
+#include <numeric>
 
 #include "eim/eim/tiered_store.hpp"
 #include "eim/support/bits.hpp"
@@ -43,14 +43,12 @@ DeviceRrrCollection::~DeviceRrrCollection() {
 void DeviceRrrCollection::attach_metrics(support::metrics::MetricsRegistry* registry) {
   if (registry == nullptr) {
     commit_rejects_ = nullptr;
-    claim_cas_retries_ = nullptr;
     regrow_r_ = nullptr;
     regrow_o_ = nullptr;
     set_size_hist_ = nullptr;
     return;
   }
   commit_rejects_ = &registry->counter("rrr.commit_rejects");
-  claim_cas_retries_ = &registry->counter("rrr.claim_cas_retries");
   regrow_r_ = &registry->counter("rrr.regrow_r");
   regrow_o_ = &registry->counter("rrr.regrow_o");
   set_size_hist_ = &registry->histogram("rrr.set_size");
@@ -72,16 +70,19 @@ void DeviceRrrCollection::refund_device(std::uint64_t bytes) noexcept {
 
 void DeviceRrrCollection::attach_spill(TieredRrrStore* store,
                                        std::uint64_t device_budget_bytes) {
-  EIM_CHECK_MSG(element_cursor_.load(std::memory_order_relaxed) == 0,
-                "attach the spill store before any set is committed");
+  EIM_CHECK_MSG(num_sets_ == 0, "attach the spill store before any set is committed");
   spill_ = store;
   device_budget_bytes_ = device_budget_bytes;
-  spilled_.assign(starts_.size(), 0);
-  committed_.assign(starts_.size(), 0);
 }
 
 std::uint64_t DeviceRrrCollection::current_r_bytes() const noexcept {
   return log_encode_ ? packed_.storage_bytes() : raw_.size() * sizeof(VertexId);
+}
+
+std::uint64_t DeviceRrrCollection::r_bytes_for(std::uint64_t elements) const noexcept {
+  return log_encode_ ? support::div_ceil<std::uint64_t>(elements * bits_per_vertex_, 32) *
+                           sizeof(std::uint32_t)
+                     : elements * sizeof(VertexId);
 }
 
 std::uint64_t DeviceRrrCollection::elements_for_bytes(
@@ -101,35 +102,22 @@ std::uint64_t DeviceRrrCollection::budget_device_elements() const noexcept {
 
 void DeviceRrrCollection::spill_committed() {
   EIM_CHECK_MSG(spill_ != nullptr, "spill_committed without an attached store");
-  const std::uint64_t cursor = element_cursor_.load(std::memory_order_relaxed);
-  // The wave-boundary invariant makes this safe: between waves every claimed
-  // slice is published, so [device_base_, cursor) is exactly the union of
-  // the committed sets' slices and the device array can be dropped whole.
-  std::vector<std::uint64_t> ids;
-  std::vector<std::uint32_t> lens;
-  std::uint64_t total = 0;
-  for (std::uint64_t i = 0; i < starts_.size(); ++i) {
-    if (committed_[i] == 0 || spilled_[i] != 0) continue;
-    ids.push_back(i);
-    lens.push_back(lengths_[i]);
-    total += lengths_[i];
-  }
-  if (!ids.empty()) {
-    std::vector<VertexId> values(total);
-    std::uint64_t at = 0;
-    for (std::size_t j = 0; j < ids.size(); ++j) {
-      decode_set(ids[j], std::span<VertexId>(values.data() + at, lens[j]));
-      at += lens[j];
-    }
-    const std::uint64_t resident = cursor - device_base_;
-    const std::uint64_t raw_bytes =
-        log_encode_ ? support::div_ceil<std::uint64_t>(resident * bits_per_vertex_,
-                                                       32) *
-                          sizeof(std::uint32_t)
-                    : resident * sizeof(VertexId);
-    spill_->spill(ids, lens, values, raw_bytes);
-    for (const std::uint64_t i : ids) spilled_[i] = 1;
-    spilled_any_ = true;
+  // Between waves every admitted set is published, and the committed sets
+  // not yet spilled, [spilled_sets_, num_sets_), are exactly the device
+  // array's contents [device_base_, cursor) — so it drops whole.
+  const std::uint64_t resident = element_cursor_ - device_base_;
+  if (num_sets_ > spilled_sets_) {
+    std::vector<std::uint64_t> ids(num_sets_ - spilled_sets_);
+    std::iota(ids.begin(), ids.end(), spilled_sets_);
+    const std::span<const std::uint32_t> lens(lengths_.data() + spilled_sets_,
+                                              ids.size());
+    std::vector<VertexId> decoded(log_encode_ ? resident : 0);
+    if (log_encode_) packed_.decode_into(0, decoded);
+    const std::span<const VertexId> values =
+        log_encode_ ? std::span<const VertexId>(decoded)
+                    : std::span<const VertexId>(raw_.data(), resident);
+    spill_->spill(ids, lens, values, r_bytes_for(resident));
+    spilled_sets_ = num_sets_;
   }
   const std::uint64_t old_bytes = current_r_bytes();
   if (log_encode_) {
@@ -139,8 +127,8 @@ void DeviceRrrCollection::spill_committed() {
     raw_.shrink_to_fit();
   }
   refund_device(old_bytes);
-  device_base_ = cursor;
-  element_capacity_ = cursor;
+  device_base_ = element_cursor_;
+  element_capacity_ = element_cursor_;
 }
 
 void DeviceRrrCollection::allocate_r(std::uint64_t num_elements) {
@@ -149,27 +137,19 @@ void DeviceRrrCollection::allocate_r(std::uint64_t num_elements) {
   // [device_base_, cursor) is copied; spilled history stays below.
   const std::uint64_t dev_len = num_elements - device_base_;
   const std::uint64_t old_bytes = current_r_bytes();
+  charge_device(r_bytes_for(dev_len));
   if (log_encode_) {
-    const std::uint64_t new_bytes =
-        support::div_ceil<std::uint64_t>(dev_len * bits_per_vertex_, 32) *
-        sizeof(std::uint32_t);
-    charge_device(new_bytes);
     encoding::BitPackedArray grown(static_cast<std::size_t>(dev_len),
                                    bits_per_vertex_);
     // Same bit width, so the committed prefix is a straight word copy —
     // slots past the cursor are still zero on both sides.
-    const std::uint64_t used =
-        element_cursor_.load(std::memory_order_relaxed) - device_base_;
+    const std::uint64_t used = element_cursor_ - device_base_;
     grown.assign_prefix(packed_, static_cast<std::size_t>(used));
     packed_ = std::move(grown);
-    refund_device(old_bytes);
   } else {
-    const std::uint64_t new_bytes = dev_len * sizeof(VertexId);
-    charge_device(new_bytes);
-    raw_.resize(dev_len, 0);
-    // std::vector already moved the payload; refund the old footprint.
-    refund_device(old_bytes);
+    raw_.resize(dev_len, 0);  // std::vector moves the payload itself
   }
+  refund_device(old_bytes);
   element_capacity_ = num_elements;
   device_->charge_allocation_event("grow R");
   if (regrow_r_ != nullptr) regrow_r_->add();
@@ -182,9 +162,7 @@ void DeviceRrrCollection::grow_r(std::uint64_t num_elements) {
   if (spill_ != nullptr && device_budget_bytes_ > 0) {
     const std::uint64_t max_dev = budget_device_elements();
     if (num_elements - device_base_ > max_dev) {
-      if (element_cursor_.load(std::memory_order_relaxed) > device_base_) {
-        spill_committed();
-      }
+      if (element_cursor_ > device_base_) spill_committed();
       num_elements = std::min(
           num_elements, device_base_ + std::max<std::uint64_t>(max_dev, 1));
       if (num_elements <= element_capacity_) return;
@@ -213,6 +191,7 @@ void DeviceRrrCollection::grow_r(std::uint64_t num_elements) {
 }
 
 void DeviceRrrCollection::reserve(std::uint64_t num_sets, std::uint64_t num_elements) {
+  admission_closed_ = false;
   // O growth (start u64 + length u32 per set).
   if (num_sets > starts_.size()) {
     const std::uint64_t extra = (num_sets - starts_.size()) * (sizeof(std::uint64_t) +
@@ -220,10 +199,6 @@ void DeviceRrrCollection::reserve(std::uint64_t num_sets, std::uint64_t num_elem
     charge_device(extra);
     starts_.resize(num_sets, 0);
     lengths_.resize(num_sets, 0);
-    if (spill_ != nullptr) {
-      spilled_.resize(num_sets, 0);
-      committed_.resize(num_sets, 0);
-    }
     device_->charge_allocation_event("grow O");
     if (regrow_o_ != nullptr) regrow_o_->add();
   }
@@ -231,48 +206,45 @@ void DeviceRrrCollection::reserve(std::uint64_t num_sets, std::uint64_t num_elem
   if (num_elements > element_capacity_) grow_r(num_elements);
 }
 
-bool DeviceRrrCollection::try_commit(std::uint64_t set_index,
-                                     std::span<const VertexId> sorted_set) {
-  assert(std::is_sorted(sorted_set.begin(), sorted_set.end()));
-  EIM_CHECK_MSG(set_index < starts_.size(), "set index beyond reserved O capacity");
-
-  // Alg. 2 line 21: claim this set's slice of R. The claim is a CAS, not a
-  // fetch_add with a fetch_sub rollback: a blind add lets a failing claim
-  // transiently push the cursor past capacity, and its rollback can rewind
-  // the cursor below a slice a concurrent thread committed in between —
-  // the next claim then overlays that slice, which under log encoding ORs
-  // two sets' bits together. With the CAS the cursor only ever advances,
-  // and only by claims that fit entirely.
-  std::uint64_t offset = element_cursor_.load(std::memory_order_relaxed);
-  for (;;) {
-    if (offset + sorted_set.size() > element_capacity_) {
-      // Nothing was claimed, so nothing to undo; the driver grows R and
-      // re-issues the sample next wave.
-      if (commit_rejects_ != nullptr) commit_rejects_->add();
-      return false;
+std::uint64_t DeviceRrrCollection::admit(std::span<const std::uint32_t> lengths) {
+  EIM_CHECK_MSG(num_sets_ + lengths.size() <= starts_.size(),
+                "set index beyond reserved O capacity");
+  // Alg. 2 line 21 as an ordered single-pass claim: offsets are the
+  // exclusive scan of the lengths, and the first set past capacity ends the
+  // run — no later slot may fill the space in front of it.
+  std::uint64_t admitted = 0;
+  if (!admission_closed_) {
+    for (const std::uint32_t len : lengths) {
+      if (element_cursor_ + len > element_capacity_) break;
+      starts_[num_sets_] = element_cursor_;
+      lengths_[num_sets_] = len;
+      element_cursor_ += len;
+      ++num_sets_;
+      ++admitted;
+      if (set_size_hist_ != nullptr) set_size_hist_->observe(len);
     }
-    if (element_cursor_.compare_exchange_weak(offset, offset + sorted_set.size(),
-                                              std::memory_order_relaxed)) {
-      break;
-    }
-    if (claim_cas_retries_ != nullptr) claim_cas_retries_->add();
   }
+  const std::uint64_t rejected = lengths.size() - admitted;
+  if (rejected > 0) {
+    admission_closed_ = true;
+    if (commit_rejects_ != nullptr) commit_rejects_->add(rejected);
+  }
+  return admitted;
+}
 
-  starts_[set_index] = offset;
-  lengths_[set_index] = static_cast<std::uint32_t>(sorted_set.size());
-  // Distinct indices from concurrent blocks; bytes are separate objects.
-  if (spill_ != nullptr) committed_[set_index] = 1;
-  if (set_size_hist_ != nullptr) set_size_hist_->observe(sorted_set.size());
-
+void DeviceRrrCollection::publish(std::uint64_t set_index,
+                                  std::span<const VertexId> sorted_set) {
+  assert(std::is_sorted(sorted_set.begin(), sorted_set.end()));
+  assert(set_index < num_sets_ && sorted_set.size() == lengths_[set_index]);
   // Thresholded wall timing (kTimedPublishLen): short publishes cost less
   // than the clock reads, so only substantial slices are measured here.
   const bool timed =
       commit_publish_ != nullptr && sorted_set.size() >= kTimedPublishLen;
   const auto publish_start = timed ? std::chrono::steady_clock::now()
                                    : std::chrono::steady_clock::time_point{};
-  const std::uint64_t local = offset - device_base_;
+  const std::uint64_t local = starts_[set_index] - device_base_;
   if (log_encode_) {
-    // Bulk word-streaming publish of the claimed slice: only the boundary
+    // Bulk word-streaming publish of the admitted slice: only the boundary
     // containers shared with neighboring slices pay an atomic op.
     packed_.store_release_range(static_cast<std::size_t>(local), sorted_set);
   } else {
@@ -285,6 +257,12 @@ bool DeviceRrrCollection::try_commit(std::uint64_t set_index,
                         .count();
     commit_publish_->record_ns(ns > 0 ? static_cast<std::uint64_t>(ns) : 0u);
   }
+}
+
+bool DeviceRrrCollection::try_commit(std::span<const VertexId> sorted_set) {
+  const auto len = static_cast<std::uint32_t>(sorted_set.size());
+  if (admit(std::span<const std::uint32_t>(&len, 1)) == 0) return false;
+  publish(num_sets_ - 1, sorted_set);
   return true;
 }
 
@@ -306,12 +284,7 @@ void DeviceRrrCollection::decode_set(std::uint64_t i, std::span<VertexId> out) c
 std::uint64_t DeviceRrrCollection::stored_bytes() const noexcept {
   // Only the device-resident suffix counts — spilled history lives in the
   // store, whose compressed footprint is reported separately.
-  const std::uint64_t resident = total_elements() - device_base_;
-  const std::uint64_t r_bytes = log_encode_
-                                    ? support::div_ceil<std::uint64_t>(
-                                          resident * bits_per_vertex_, 32) *
-                                          sizeof(std::uint32_t)
-                                    : resident * sizeof(VertexId);
+  const std::uint64_t r_bytes = r_bytes_for(total_elements() - device_base_);
   // O is charged per reserved slot (reserve() sizes starts_), so report the
   // same footprint here; num_sets_ lags the reservation mid-run and would
   // under-report what the pool actually holds.

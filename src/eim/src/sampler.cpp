@@ -1,7 +1,6 @@
 #include "eim/eim/sampler.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "eim/graph/draw_plan.hpp"
 #include "eim/support/bits.hpp"
@@ -67,11 +66,11 @@ EimSampler::EimSampler(gpusim::Device& device, const graph::Graph& g,
                                               : device.spec().num_sms * 2),
       traversal_{&g, model, skip_plan(g, model, options), params.rng_seed,
                  options.eliminate_sources},
-      stamps_(g.num_vertices()) {
+      scratch_(support::ThreadPool::global().size() + 1) {
   // Persistent global-memory pool: per block, a queue of n vertex slots
   // plus the visited bitmap M (n bits). The device charge reflects the
   // kernel's packed layout and holds no host memory; the host's M arrays
-  // come from stamps_ (StampPool), so construction allocates none.
+  // are one per pool thread, sized on first use.
   const std::uint64_t per_block =
       static_cast<std::uint64_t>(g.num_vertices()) * sizeof(VertexId) +
       support::div_ceil<std::uint64_t>(g.num_vertices(), 8);
@@ -83,12 +82,11 @@ EimSampler::EimSampler(gpusim::Device& device, const graph::Graph& g,
     plan_charge_ = device.alloc<std::uint8_t>(traversal_.plan->bytes());
   }
 
-  scratch_.resize(num_blocks_);
   support::profiler::WallTimer* refill_timer =
       options.profile != nullptr ? &options.profile->timer("rng.refill") : nullptr;
   for (auto& s : scratch_) {
     s.queue.reserve(64);
-    // All blocks share one refill timer; the histogram is lock-free.
+    // All threads share one refill timer; the histogram is lock-free.
     s.draws.attach_refill_timer(refill_timer);
   }
 }
@@ -110,17 +108,6 @@ void EimSampler::sample_assigned(DeviceRrrCollection& collection,
   EIM_CHECK_MSG(traversal_.g->num_vertices() > 0, "cannot sample an empty graph");
   const std::uint64_t base = collection.num_sets();
   const std::uint64_t target = base + global_indices.size();
-
-  // Pending work: (local slot in the collection, global stream id).
-  struct PendingSample {
-    std::uint64_t local_slot;
-    std::uint64_t global_id;
-  };
-  std::vector<PendingSample> pending;
-  pending.reserve(global_indices.size());
-  for (std::uint64_t j = 0; j < global_indices.size(); ++j) {
-    pending.push_back(PendingSample{base + j, global_indices[j]});
-  }
 
   support::profiler::WallTimer* wave_w =
       options_.profile != nullptr ? &options_.profile->timer("sampler.wave") : nullptr;
@@ -168,22 +155,27 @@ void EimSampler::sample_assigned(DeviceRrrCollection& collection,
   int wave = 0;
   std::uint64_t max_failed_len = 0;
   const int max_waves = max_sampler_waves(collection.spill_active());
-  while (!pending.empty()) {
+  while (collection.num_sets() < target) {
     EIM_CHECK_MSG(++wave <= max_waves, "sampler failed to converge on capacity");
     support::trace::ScopedSpan wave_span(trace, trace_pid,
                                          support::trace::SpanCategory::Wave,
                                          "wave " + std::to_string(wave),
                                          device_->timeline().total_seconds());
+    // Commits are a slot-order prefix, so the pending slots are the
+    // uncommitted suffix.
+    const std::uint64_t first = collection.num_sets();
+    const auto pending = global_indices.subspan(first - base);
 
     // Reserve O for every set and R using the observed average set size
-    // (first wave: a generous default).
-    const std::uint64_t have_sets = collection.num_sets();
-    const double avg = have_sets > 0 && collection.total_elements() > 0
+    // (first wave: a generous default). The divisor is the set count before
+    // this call while the total includes this call's commits, so from the
+    // second wave on the average reads high.
+    const double avg = base > 0 && collection.total_elements() > 0
                            ? static_cast<double>(collection.total_elements()) /
-                                 static_cast<double>(have_sets)
+                                 static_cast<double>(base)
                            : 8.0;
     // Headroom: the running average with slack for every pending sample,
-    // plus room for the largest set that failed to fit last wave on every
+    // plus room for the largest set that failed to fit on every
     // concurrently active block — guarantees forward progress when
     // supercritical cascades produce sets far above the average (e.g.
     // com-Amazon's near-critical reverse BFS) without reserving the
@@ -193,75 +185,54 @@ void EimSampler::sample_assigned(DeviceRrrCollection& collection,
                            (static_cast<std::uint64_t>(avg * 1.5) + 1) *
                                static_cast<std::uint64_t>(pending.size()) +
                            max_failed_len * giant_slots + 4096;
-    try {
-      collection.reserve(target, estimated);
-      // Spill-budget progress guard: if the largest set that failed last
-      // wave cannot fit even in the freshly spilled-empty device array, no
-      // number of waves will ever commit it — surface that as OOM (which
-      // DegradePolicy::Degrade converts to a degrade) instead of spinning.
-      if (collection.spill_active() && max_failed_len > 0 &&
-          collection.element_capacity() - collection.total_elements() <
-              max_failed_len) {
-        throw support::DeviceOutOfMemoryError(
-            max_failed_len * sizeof(VertexId),
-            (collection.element_capacity() - collection.total_elements()) *
-                sizeof(VertexId));
-      }
-    } catch (const support::DeviceOutOfMemoryError&) {
-      // Publish the contiguous committed prefix before propagating so
-      // DegradePolicy::Degrade selects over every set that fully committed
-      // (pending is sorted by local slot; its front is the first gap).
-      collection.set_num_sets(pending.front().local_slot);
-      throw;
+    // An OOM propagates with num_sets() already at the committed prefix,
+    // which DegradePolicy::Degrade selects over.
+    collection.reserve(target, estimated);
+    // Spill-budget progress guard: if the largest set that failed to fit
+    // cannot fit even in the freshly spilled-empty device array, no number
+    // of waves will ever commit it — surface that as OOM (which
+    // DegradePolicy::Degrade converts to a degrade) instead of spinning.
+    if (collection.spill_active() && max_failed_len > 0 &&
+        collection.element_capacity() - collection.total_elements() < max_failed_len) {
+      throw support::DeviceOutOfMemoryError(
+          max_failed_len * sizeof(VertexId),
+          (collection.element_capacity() - collection.total_elements()) *
+              sizeof(VertexId));
     }
 
-    for (auto& s : scratch_) s.failed.clear();
-
-    // Transient launch faults fire before any block body runs, so a retry
-    // re-executes the whole wave against untouched scratch/collection state;
-    // the deterministic backoff lands on this device's timeline.
-    const auto wave_body = [&](gpusim::BlockContext& ctx) {
-          if (ctx.block_id() >= pending.size()) return;  // no sample this wave
-          BlockScratch& scratch = scratch_[ctx.block_id()];
-          const StampPool::Lease lease(stamps_, scratch);
-          GlobalPoolQueue sink{options_.lt_activation};
-          // Round-robin assignment of samples to blocks (§3.2: "a round
-          // robin assignment of RRR set creation between the GPU blocks").
-          // Strided slots keep per-block load statistically balanced and —
-          // unlike an atomic claim — make the modeled makespan independent
-          // of host scheduling, so runs are bit-reproducible.
-          for (std::uint64_t slot = ctx.block_id(); slot < pending.size();
-               slot += num_blocks_) {
-            ctx.charge_atomic_global(1);  // shared `count` bookkeeping
-
-            const PendingSample sample = pending[slot];
-            const std::uint32_t regenerated =
-                traversal_.generate(ctx, scratch, sample.global_id, sink);
-
-            // Commit (Fig. 2). Source elimination and the sort already
-            // happened inside generate(); queue holds the final set.
-            if (collection.try_commit(sample.local_slot, scratch.queue)) {
-              // Final queue length = the RRR set this sample produced (post
-              // source elimination); lock-free, safe from pool threads.
-              // Observed only here: a capacity-failed sample re-runs next
-              // wave and would otherwise be counted once per attempt.
-              if (queue_depth_h != nullptr) queue_depth_h->observe(scratch.queue.size());
-              charge_commit(ctx, static_cast<std::uint32_t>(scratch.queue.size()));
-              scratch.discarded += regenerated;
-            } else {
-              scratch.failed.push_back(slot);
-              scratch.max_failed_len =
-                  std::max<std::uint64_t>(scratch.max_failed_len, scratch.queue.size());
-            }
-          }
-        };
+    const auto generate = [&](BlockContext& ctx, TraversalScratch& scratch,
+                              std::uint64_t slot) -> std::uint32_t {
+      ctx.charge_atomic_global(1);  // shared `count` bookkeeping
+      GlobalPoolQueue sink{options_.lt_activation};
+      // Source elimination and the sort happen inside generate(); queue
+      // holds the final set. Returns the singleton regenerations.
+      return traversal_.generate(ctx, scratch, pending[slot], sink);
+    };
+    std::uint64_t discarded = 0;  // committed samples' regenerations
+    const auto settle = [&](BlockContext& ctx, const WaveSlot& slot, bool admitted) {
+      if (!admitted) {
+        max_failed_len = std::max<std::uint64_t>(max_failed_len, slot.length);
+        return;
+      }
+      // Observed only on commit: a rejected sample re-runs next wave and
+      // would otherwise be counted once per attempt.
+      if (queue_depth_h != nullptr) queue_depth_h->observe(slot.length);
+      charge_commit(ctx, slot.length);
+      discarded += slot.note;
+    };
     {
       // One wall entry per wave launch: the whole Monte Carlo BFS sweep for
       // this wave's pending samples, including host-pool dispatch.
       const support::profiler::ScopedWallTimer wave_wall(wave_w);
+      // Transient launch faults fire before any slot runs, so a retry
+      // re-executes the whole wave against untouched scratch/collection
+      // state; the deterministic backoff lands on this device's timeline.
       support::retry(
           options_.retry,
-          [&] { device_->launch_blocks("eim::sample", num_blocks_, wave_body); },
+          [&] {
+            run_wave(*device_, "eim::sample", num_blocks_, pending.size(), scratch_,
+                     collection, generate, settle);
+          },
           [&](std::uint32_t /*attempt*/, double backoff,
               const support::DeviceFaultError&) {
             device_->charge_backoff("eim::sample retry", backoff);
@@ -270,31 +241,20 @@ void EimSampler::sample_assigned(DeviceRrrCollection& collection,
           });
     }
 
-    std::vector<PendingSample> retry;
+    const std::uint64_t committed = collection.num_sets() - first;
+    singletons_discarded_ += discarded;
+    if (regens_c != nullptr) regens_c->add(discarded);
     for (auto& s : scratch_) {
-      for (const std::uint64_t slot : s.failed) retry.push_back(pending[slot]);
-      singletons_discarded_ += s.discarded;
-      if (regens_c != nullptr) regens_c->add(s.discarded);
-      s.discarded = 0;
       if (draws_skipped_c != nullptr) draws_skipped_c->add(s.draws_skipped);
       if (alias_picks_c != nullptr) alias_picks_c->add(s.alias_picks);
       s.draws_skipped = 0;
       s.alias_picks = 0;
-      max_failed_len = std::max(max_failed_len, s.max_failed_len);
-      s.max_failed_len = 0;
     }
     if (waves_c != nullptr) waves_c->add();
-    if (retries_c != nullptr) retries_c->add(retry.size());
-    if (committed_c != nullptr) committed_c->add(pending.size() - retry.size());
+    if (retries_c != nullptr) retries_c->add(pending.size() - committed);
+    if (committed_c != nullptr) committed_c->add(committed);
     wave_span.end(device_->timeline().total_seconds());
-    std::sort(retry.begin(), retry.end(),
-              [](const PendingSample& a, const PendingSample& b) {
-                return a.local_slot < b.local_slot;
-              });
-    pending = std::move(retry);
   }
-
-  collection.set_num_sets(target);
 }
 
 void EimSampler::resample_set(std::uint64_t global_id,
@@ -307,8 +267,8 @@ void EimSampler::resample_set(std::uint64_t global_id,
       options_.retry,
       [&] {
         device_->launch_blocks("eim::resample", 1, [&](gpusim::BlockContext& ctx) {
-          BlockScratch& scratch = scratch_[ctx.block_id()];
-          const StampPool::Lease lease(stamps_, scratch);
+          TraversalScratch& scratch =
+              scratch_[support::ThreadPool::global().worker_slot()];
           GlobalPoolQueue sink{options_.lt_activation};
           (void)traversal_.generate(ctx, scratch, global_id, sink);
           out.assign(scratch.queue.begin(), scratch.queue.end());
@@ -332,7 +292,7 @@ void EimSampler::charge_commit(BlockContext& ctx, std::uint32_t len) const {
   const std::uint32_t log_len = support::ceil_log2(std::max<std::uint32_t>(2, len));
   ctx.charge_alu(chunks * log_len * log_len);
 
-  ctx.charge_atomic_global(1);  // offset claim (Alg. 2 line 21)
+  ctx.charge_atomic_global(1);  // ordered offset claim (Alg. 2 line 21)
   ctx.charge_global(1);         // O[count + 1] store
 
   // Copy Q -> R (lines 23-27): one coalesced store per chunk — doubled for

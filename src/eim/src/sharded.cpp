@@ -268,29 +268,32 @@ void run_sharded(Fleet fleet, Interconnect& net, const graph::Graph& g,
 
   // Commit restored sets `ids` on flat device f straight from the snapshot
   // at the next local slots, then upload them. A spill-budgeted shard clamps
-  // its device horizon; extending it spills the committed prefix downward
-  // and makes room for the rest.
+  // its device horizon, so admission may stop short; reserving again spills
+  // the committed prefix downward and makes room for the rest.
   const auto recommit = [&](std::uint32_t f, std::span<const std::uint64_t> ids) {
     DeviceRrrCollection& shard = *shards[f];
+    std::vector<std::uint32_t> lengths(ids.size());
     std::uint64_t elems = 0;
-    for (const std::uint64_t id : ids) elems += ckpt->lengths[id];
-    const std::uint64_t first_slot = shard.num_sets();
-    const std::uint64_t end_slot = first_slot + ids.size();
-    shard.reserve(end_slot, shard.total_elements() + elems);
-    std::uint64_t remaining = elems;
-    for (std::uint64_t i = 0; i < ids.size(); ++i) {
-      const std::span<const VertexId> set(
-          ckpt->elements.data() + restore_starts[ids[i]], ckpt->lengths[ids[i]]);
-      if (!shard.try_commit(first_slot + i, set)) {
-        const std::uint64_t before = shard.element_capacity();
-        shard.reserve(end_slot, shard.total_elements() + remaining);
-        EIM_CHECK_MSG(
-            shard.element_capacity() > before && shard.try_commit(first_slot + i, set),
-            "checkpoint restore: set did not fit reserved shard capacity");
-      }
-      remaining -= set.size();
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      lengths[i] = ckpt->lengths[ids[i]];
+      elems += lengths[i];
     }
-    shard.set_num_sets(end_slot);
+    const std::uint64_t first = shard.num_sets();
+    const std::uint64_t end_elements = shard.total_elements() + elems;
+    for (std::uint64_t done = 0; done < ids.size();) {
+      const std::uint64_t before = shard.element_capacity();
+      shard.reserve(first + ids.size(), end_elements);
+      const std::uint64_t admitted =
+          shard.admit(std::span<const std::uint32_t>(lengths).subspan(done));
+      EIM_CHECK_MSG(admitted > 0 || shard.element_capacity() > before,
+                    "checkpoint restore: set did not fit reserved shard capacity");
+      for (std::uint64_t i = done; i < done + admitted; ++i) {
+        shard.publish(first + i, std::span<const VertexId>(
+                                     ckpt->elements.data() + restore_starts[ids[i]],
+                                     lengths[i]));
+      }
+      done += admitted;
+    }
     gpusim::Device& dev = *devices[f];
     const std::uint64_t bytes =
         elems * sizeof(VertexId) + ids.size() * sizeof(std::uint32_t);
@@ -302,28 +305,31 @@ void run_sharded(Fleet fleet, Interconnect& net, const graph::Graph& g,
   // prefix re-commit from the snapshot — their singleton draws already sit
   // in the restored total; only fresh ids re-sample from index-keyed
   // streams. Each part counts as committed once it fully lands, so a fault
-  // inside the restore upload respills each restored id once.
+  // inside the restore upload respills each restored id once. Commits land
+  // in slot order, so the shard always holds a prefix of assigned[f].
   const auto dispatch = [&](std::uint32_t f, std::span<const std::uint64_t> ids) {
     DeviceRrrCollection& shard = *shards[f];
     const std::uint64_t first = assigned[f].size();
     EIM_CHECK_MSG(first + ids.size() <= std::numeric_limits<std::uint32_t>::max(),
                   "shard holds more than 2^32 sets");
-    shard.set_num_sets(first);  // past an OOM-degraded tail's dead slots
     assigned[f].insert(assigned[f].end(), ids.begin(), ids.end());
     const auto restored = ids.first(static_cast<std::size_t>(
         std::lower_bound(ids.begin(), ids.end(), num_restored) - ids.begin()));
     const auto fresh = ids.subspan(restored.size());
-    if (!restored.empty()) {
-      recommit(f, restored);
-      publish(f, first, restored.size());
-    }
-    if (fresh.empty()) return;
     const std::uint64_t fresh_first = first + restored.size();
     try {
+      if (!restored.empty()) {
+        recommit(f, restored);
+        publish(f, first, restored.size());
+      }
       samplers[f]->sample_assigned(shard, fresh);
     } catch (const support::DeviceOutOfMemoryError&) {
-      // The sampler published its contiguous committed prefix.
-      publish(f, fresh_first, shard.num_sets() - fresh_first);
+      // Publish the sampler's committed prefix; the ids past the shard's
+      // commits stay unplaced.
+      if (shard.num_sets() > fresh_first) {
+        publish(f, fresh_first, shard.num_sets() - fresh_first);
+      }
+      assigned[f].resize(shard.num_sets());
       throw;
     }
     publish(f, fresh_first, fresh.size());

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 
 #include "eim/gpusim/context.hpp"
@@ -88,6 +89,13 @@ class Device {
   /// the CUDA original would.
   KernelStats launch_blocks(const std::string& label, std::uint32_t num_blocks,
                             const std::function<void(BlockContext&)>& body);
+
+  /// The same launch for a caller that schedules the blocks' host work
+  /// itself: `run` adds everything block b metered into block_cycles[b] —
+  /// its bodies, then any in-order step after them — before the makespan
+  /// is taken. Launch faults still fire before `run` is called.
+  KernelStats launch_metered(const std::string& label, std::uint32_t num_blocks,
+                             const std::function<void(std::span<std::uint64_t>)>& run);
 
   /// Launch a flat grid of `num_threads` scalar threads.
   KernelStats launch_grid(const std::string& label, std::uint64_t num_threads,

@@ -110,21 +110,28 @@ double Device::finish_kernel(const std::string& label, std::uint64_t units,
 
 KernelStats Device::launch_blocks(const std::string& label, std::uint32_t num_blocks,
                                   const std::function<void(BlockContext&)>& body) {
+  return launch_metered(label, num_blocks, [&](std::span<std::uint64_t> block_cycles) {
+    // Adaptive grain: per-block bodies are heavy, so the dispatch overhead
+    // of grain=1 used to dominate small launches; chunking stays dynamic via
+    // the pool's shared cursor.
+    support::ThreadPool::global().parallel_for(
+        0, num_blocks,
+        [&](std::size_t b) {
+          BlockContext ctx(static_cast<std::uint32_t>(b), spec_);
+          body(ctx);
+          block_cycles[b] = ctx.cycles();
+        },
+        /*grain=*/0);
+  });
+}
+
+KernelStats Device::launch_metered(
+    const std::string& label, std::uint32_t num_blocks,
+    const std::function<void(std::span<std::uint64_t>)>& run) {
   EIM_CHECK_MSG(num_blocks > 0, "kernel launched with zero blocks");
   check_launch_faults(label);
   std::vector<std::uint64_t> block_cycles(num_blocks, 0);
-
-  // Adaptive grain: per-block bodies are heavy (whole RRR waves), so the
-  // dispatch overhead of grain=1 used to dominate small launches; chunking
-  // stays dynamic via the pool's shared cursor.
-  support::ThreadPool::global().parallel_for(
-      0, num_blocks,
-      [&](std::size_t b) {
-        BlockContext ctx(static_cast<std::uint32_t>(b), spec_);
-        body(ctx);
-        block_cycles[b] = ctx.cycles();
-      },
-      /*grain=*/0);
+  run(block_cycles);
 
   KernelStats stats;
   stats.label = label;

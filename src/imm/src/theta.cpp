@@ -10,9 +10,12 @@ namespace eim::imm {
 double log_binomial(std::uint64_t n, std::uint64_t k) {
   if (k > n) return -std::numeric_limits<double>::infinity();
   if (k == 0 || k == n) return 0.0;
-  return std::lgamma(static_cast<double>(n) + 1.0) -
-         std::lgamma(static_cast<double>(k) + 1.0) -
-         std::lgamma(static_cast<double>(n - k) + 1.0);
+  // lgamma_r, not std::lgamma: that one also writes the global `signgam`, a
+  // data race when solves run on several threads at once.
+  int sign = 0;
+  return ::lgamma_r(static_cast<double>(n) + 1.0, &sign) -
+         ::lgamma_r(static_cast<double>(k) + 1.0, &sign) -
+         ::lgamma_r(static_cast<double>(n - k) + 1.0, &sign);
 }
 
 ThetaSchedule::ThetaSchedule(std::uint32_t num_vertices, const ImmParams& params)

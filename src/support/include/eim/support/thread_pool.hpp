@@ -139,6 +139,11 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
 
+  /// The calling thread's slot in [0, size()]: i + 1 on this pool's worker
+  /// i, 0 on any other thread. The threads running one parallel_for's
+  /// iterations hold distinct slots, so per-slot scratch needs no lock.
+  [[nodiscard]] std::size_t worker_slot() const noexcept;
+
   /// Enqueue a task; the returned future reports completion/exception.
   /// Accepts move-only callables (e.g. ones capturing a promise).
   std::future<void> submit(MoveOnlyTask task);

@@ -116,12 +116,9 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   }
 
   // Serial fast path: a range that fits one chunk, or a pool with a single
-  // worker, never touches the queue, the cursor, or the wake machinery. The
-  // single-worker case matters beyond overhead: handing chunks to the lone
-  // worker while the caller also drains buys no parallelism but makes the
-  // iteration interleaving scheduler-dependent — and racy-claim protocols
-  // (the RRR commit cursor) then produce machine-noisy modeled output.
-  // Caller-only execution keeps single-core runs bit-reproducible.
+  // worker, never touches the queue, the cursor, or the wake machinery.
+  // Handing chunks to a lone worker while the caller also drains buys no
+  // parallelism, only a thread handoff per call.
   const std::size_t chunks = div_ceil(items, grain);
   if (chunks <= 1 || workers_.size() <= 1) {
     for (std::size_t i = begin; i < end; ++i) fn(i);
@@ -175,6 +172,14 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   }
 
   if (state.failed.load()) std::rethrow_exception(state.error);
+}
+
+std::size_t ThreadPool::worker_slot() const noexcept {
+  const std::thread::id self = std::this_thread::get_id();
+  for (std::size_t i = 0; i < workers_.size(); ++i) {
+    if (workers_[i].get_id() == self) return i + 1;
+  }
+  return 0;
 }
 
 ThreadPool& ThreadPool::global() {

@@ -2,10 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <thread>
 #include <vector>
 
+#include "eim/eim/tiered_store.hpp"
 #include "eim/support/error.hpp"
 #include "eim/support/metrics.hpp"
 
@@ -20,9 +20,8 @@ TEST(DeviceRrrCollection, CommitAndDecode) {
   gpusim::Device device = make_device();
   DeviceRrrCollection col(device, 100, /*log_encode=*/true);
   col.reserve(2, 16);
-  EXPECT_TRUE(col.try_commit(0, std::vector<VertexId>{3, 17, 42}));
-  EXPECT_TRUE(col.try_commit(1, std::vector<VertexId>{42}));
-  col.set_num_sets(2);
+  EXPECT_TRUE(col.try_commit(std::vector<VertexId>{3, 17, 42}));
+  EXPECT_TRUE(col.try_commit(std::vector<VertexId>{42}));
   EXPECT_EQ(col.num_sets(), 2u);
   EXPECT_EQ(col.total_elements(), 4u);
   EXPECT_EQ(col.set_length(0), 3u);
@@ -37,10 +36,9 @@ TEST(DeviceRrrCollection, DecodeSetMatchesElementForBothEncodings) {
     gpusim::Device device = make_device();
     DeviceRrrCollection col(device, 5000, log_encode);
     col.reserve(3, 32);
-    ASSERT_TRUE(col.try_commit(0, std::vector<VertexId>{5, 17, 4093}));
-    ASSERT_TRUE(col.try_commit(1, std::vector<VertexId>{}));
-    ASSERT_TRUE(col.try_commit(2, std::vector<VertexId>{0, 1, 2, 3, 4999}));
-    col.set_num_sets(3);
+    ASSERT_TRUE(col.try_commit(std::vector<VertexId>{5, 17, 4093}));
+    ASSERT_TRUE(col.try_commit(std::vector<VertexId>{}));
+    ASSERT_TRUE(col.try_commit(std::vector<VertexId>{0, 1, 2, 3, 4999}));
     for (std::uint64_t i = 0; i < 3; ++i) {
       std::vector<VertexId> out(col.set_length(i));
       col.decode_set(i, out);
@@ -56,13 +54,14 @@ TEST(DeviceRrrCollection, CommitFailsWhenFull) {
   gpusim::Device device = make_device();
   DeviceRrrCollection col(device, 50, true);
   col.reserve(2, 3);
-  EXPECT_TRUE(col.try_commit(0, std::vector<VertexId>{1, 2}));
-  EXPECT_FALSE(col.try_commit(1, std::vector<VertexId>{3, 4}));
-  // Rollback: failed commit leaves no trace.
+  EXPECT_TRUE(col.try_commit(std::vector<VertexId>{1, 2}));
+  EXPECT_FALSE(col.try_commit(std::vector<VertexId>{3, 4}));
+  // A rejected set is not admitted: the cursor stays at the committed prefix.
+  EXPECT_EQ(col.num_sets(), 1u);
   EXPECT_EQ(col.total_elements(), 2u);
   // Growth fixes it.
   col.reserve(2, 8);
-  EXPECT_TRUE(col.try_commit(1, std::vector<VertexId>{3, 4}));
+  EXPECT_TRUE(col.try_commit(std::vector<VertexId>{3, 4}));
   EXPECT_EQ(col.element(1, 0), 3u);
 }
 
@@ -70,9 +69,9 @@ TEST(DeviceRrrCollection, GrowthPreservesContents) {
   gpusim::Device device = make_device();
   DeviceRrrCollection col(device, 1000, true);
   col.reserve(4, 4);
-  (void)col.try_commit(0, std::vector<VertexId>{7, 999});
+  (void)col.try_commit(std::vector<VertexId>{7, 999});
   col.reserve(4, 1000);
-  (void)col.try_commit(1, std::vector<VertexId>{0, 1, 2});
+  (void)col.try_commit(std::vector<VertexId>{0, 1, 2});
   EXPECT_EQ(col.element(0, 0), 7u);
   EXPECT_EQ(col.element(0, 1), 999u);
   EXPECT_EQ(col.element(1, 2), 2u);
@@ -82,8 +81,7 @@ TEST(DeviceRrrCollection, EmptySetsCommitCleanly) {
   gpusim::Device device = make_device();
   DeviceRrrCollection col(device, 10, true);
   col.reserve(1, 4);
-  EXPECT_TRUE(col.try_commit(0, {}));
-  col.set_num_sets(1);
+  EXPECT_TRUE(col.try_commit({}));
   EXPECT_EQ(col.set_length(0), 0u);
   EXPECT_EQ(col.total_elements(), 0u);
 }
@@ -97,11 +95,9 @@ TEST(DeviceRrrCollection, LogEncodingShrinksStorage) {
   std::vector<VertexId> set;
   for (VertexId v = 0; v < 10; ++v) set.push_back(v * 100);
   for (std::uint64_t i = 0; i < 100; ++i) {
-    (void)packed.try_commit(i, set);
-    (void)raw.try_commit(i, set);
+    (void)packed.try_commit(set);
+    (void)raw.try_commit(set);
   }
-  packed.set_num_sets(100);
-  raw.set_num_sets(100);
   // 14-bit ids packed vs 32-bit raw: R shrinks by >half; O and C match.
   EXPECT_LT(packed.stored_bytes(), raw.stored_bytes());
   EXPECT_EQ(packed.raw_equivalent_bytes(), raw.raw_equivalent_bytes());
@@ -130,24 +126,34 @@ TEST(DeviceRrrCollection, OutOfMemoryPropagates) {
 }
 
 TEST(DeviceRrrCollection, ConcurrentCommitsAreSafe) {
+  // One admit over the whole run, then the admitted slices publish from
+  // four threads at once — the samplers' publish step.
   gpusim::Device device = make_device();
   constexpr std::uint64_t kSets = 2000;
   DeviceRrrCollection col(device, 1 << 12, true);
   col.reserve(kSets, kSets * 3);
 
+  const auto set_for = [](std::uint64_t i) {
+    const auto v = static_cast<VertexId>(i & 0xFFF);
+    std::vector<VertexId> set{v};
+    if (v + 1 < (1 << 12)) set.push_back(v + 1);
+    return set;
+  };
+  std::vector<std::uint32_t> lengths(kSets);
+  for (std::uint64_t i = 0; i < kSets; ++i) {
+    lengths[i] = static_cast<std::uint32_t>(set_for(i).size());
+  }
+  ASSERT_EQ(col.admit(lengths), kSets);
+
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&col, t] {
+    threads.emplace_back([&col, &set_for, t] {
       for (std::uint64_t i = static_cast<std::uint64_t>(t); i < kSets; i += 4) {
-        const auto v = static_cast<VertexId>(i & 0xFFF);
-        std::vector<VertexId> set{v};
-        if (v + 1 < (1 << 12)) set.push_back(v + 1);
-        ASSERT_TRUE(col.try_commit(i, set));
+        col.publish(i, set_for(i));
       }
     });
   }
   for (auto& th : threads) th.join();
-  col.set_num_sets(kSets);
 
   // Every set decodes to what its writer stored.
   for (std::uint64_t i = 0; i < kSets; ++i) {
@@ -156,36 +162,75 @@ TEST(DeviceRrrCollection, ConcurrentCommitsAreSafe) {
   }
 }
 
-TEST(DeviceRrrCollection, CursorNeverOvershootsCapacityUnderContention) {
-  // Default-suite smoke version of tests/stress/test_commit_stress.cpp: the
-  // CAS claim makes the element cursor monotone and bounded by capacity even
-  // while most commits are failing at the boundary. (The old
-  // fetch_add/fetch_sub rollback violated both observably.)
+TEST(DeviceRrrCollection, AdmitsLongestPrefixThatFits) {
   gpusim::Device device = make_device();
-  constexpr std::uint64_t kCapacity = 64;
-  DeviceRrrCollection col(device, 1 << 10, true);
-  col.reserve(512, kCapacity);
+  support::metrics::MetricsRegistry registry;
+  DeviceRrrCollection col(device, 100, true);
+  col.attach_metrics(&registry);
+  col.reserve(8, 10);
+  const std::vector<std::uint32_t> lengths{3, 4, 5, 1};
+  EXPECT_EQ(col.admit(lengths), 2u);  // 3 + 4 fit; 5 would reach 12 > 10
+  EXPECT_EQ(col.num_sets(), 2u);
+  EXPECT_EQ(col.total_elements(), 7u);
+  EXPECT_EQ(registry.counter("rrr.commit_rejects").value(), 2u);
+}
 
-  std::atomic<std::uint64_t> violations{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&col, &violations, t] {
-      std::uint64_t watermark = 0;
-      for (std::uint64_t i = static_cast<std::uint64_t>(t); i < 512; i += 4) {
-        std::vector<VertexId> set(i % 8 == 0 ? 2 : kCapacity + 8);
-        for (std::size_t j = 0; j < set.size(); ++j) {
-          set[j] = static_cast<VertexId>(j);
-        }
-        (void)col.try_commit(i, set);
-        const std::uint64_t seen = col.total_elements();
-        if (seen > kCapacity || seen < watermark) violations.fetch_add(1);
-        watermark = std::max(watermark, seen);
-      }
-    });
+TEST(DeviceRrrCollection, SmallSetAfterRejectedSetIsRejected) {
+  gpusim::Device device = make_device();
+  DeviceRrrCollection col(device, 100, false);
+  col.reserve(8, 6);
+  // Slot 1 (3 members) does not fit behind slot 0; slot 2 (1 member) would,
+  // but a later slot never fills the space in front of a rejected one.
+  EXPECT_EQ(col.admit(std::vector<std::uint32_t>{4, 3, 1}), 1u);
+  EXPECT_FALSE(col.try_commit(std::vector<VertexId>{9}));
+  EXPECT_EQ(col.total_elements(), 4u);
+  // The next reserve reopens admission at the first rejected slot.
+  col.reserve(8, 6);
+  EXPECT_TRUE(col.try_commit(std::vector<VertexId>{9}));
+  EXPECT_EQ(col.num_sets(), 2u);
+  EXPECT_EQ(col.element(1, 0), 9u);
+}
+
+TEST(DeviceRrrCollection, OffsetsAreExclusiveScanOfLengths) {
+  gpusim::Device device = make_device();
+  DeviceRrrCollection col(device, 100, true);
+  col.reserve(8, 64);
+  const std::vector<std::uint32_t> lengths{3, 0, 5, 2};
+  ASSERT_EQ(col.admit(lengths), lengths.size());
+  // A second run continues the scan.
+  ASSERT_EQ(col.admit(std::vector<std::uint32_t>{7}), 1u);
+  const std::vector<std::uint64_t> starts{0, 3, 3, 8, 10};
+  for (std::uint64_t i = 0; i < starts.size(); ++i) {
+    EXPECT_EQ(col.set_start(i), starts[i]) << "set " << i;
   }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(violations.load(), 0u);
-  EXPECT_LE(col.total_elements(), kCapacity);
+  EXPECT_EQ(col.total_elements(), 17u);
+}
+
+TEST(DeviceRrrCollection, SpilledSetsAreTheCommittedPrefix) {
+  gpusim::Device device = make_device();
+  TieredRrrStore store(device, TieredStoreOptions{});
+  DeviceRrrCollection col(device, 1000, true);
+  col.attach_spill(&store, 0);
+  const auto set_for = [](std::uint64_t i) {
+    return std::vector<VertexId>{static_cast<VertexId>(i), static_cast<VertexId>(i + 500)};
+  };
+  col.reserve(6, 12);
+  for (std::uint64_t i = 0; i < 3; ++i) ASSERT_TRUE(col.try_commit(set_for(i)));
+  col.spill_committed();
+  for (std::uint64_t i = 3; i < 5; ++i) {
+    col.reserve(6, col.total_elements() + 2);
+    ASSERT_TRUE(col.try_commit(set_for(i)));
+  }
+  EXPECT_TRUE(col.has_spilled());
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(col.is_spilled(i), i < 3) << "set " << i;
+    std::vector<VertexId> out(col.set_length(i));
+    col.decode_set(i, out);
+    EXPECT_EQ(out, set_for(i)) << "set " << i;
+  }
+  col.spill_committed();
+  EXPECT_EQ(store.spilled_sets(), 5u);
+  for (std::uint64_t i = 0; i < 5; ++i) EXPECT_TRUE(col.is_spilled(i));
 }
 
 TEST(DeviceRrrCollection, MetricsCountRejectsAndRegrows) {
@@ -196,12 +241,12 @@ TEST(DeviceRrrCollection, MetricsCountRejectsAndRegrows) {
 
   col.reserve(4, 4);  // first O + R growth
   const std::vector<VertexId> big{1, 2, 3, 4, 5, 6};
-  EXPECT_FALSE(col.try_commit(0, big));
-  EXPECT_FALSE(col.try_commit(1, big));
+  EXPECT_FALSE(col.try_commit(big));
+  EXPECT_FALSE(col.try_commit(big));
   EXPECT_EQ(registry.counter("rrr.commit_rejects").value(), 2u);
 
   col.reserve(4, 64);  // R regrows, O stays
-  EXPECT_TRUE(col.try_commit(0, big));
+  EXPECT_TRUE(col.try_commit(big));
   EXPECT_EQ(registry.counter("rrr.commit_rejects").value(), 2u);
   EXPECT_EQ(registry.counter("rrr.regrow_r").value(), 2u);
   EXPECT_EQ(registry.counter("rrr.regrow_o").value(), 1u);
@@ -213,8 +258,7 @@ TEST(DeviceRrrCollection, StoredBytesChargeReservedOffsets) {
   gpusim::Device device = make_device();
   DeviceRrrCollection col(device, 100, false);
   col.reserve(10, 32);
-  (void)col.try_commit(0, std::vector<VertexId>{1, 2});
-  col.set_num_sets(1);
+  (void)col.try_commit(std::vector<VertexId>{1, 2});
 
   const std::uint64_t o_bytes = 10 * (sizeof(std::uint64_t) + sizeof(std::uint32_t));
   const std::uint64_t c_bytes = 100 * sizeof(std::uint32_t);

@@ -86,10 +86,9 @@ TEST(GpuSeedSelector, SaturatedSelectionChargesAllKPicks) {
   collection.reserve(3, 16);
   const std::vector<VertexId> s0{0};
   const std::vector<VertexId> s2{0, 1};
-  ASSERT_TRUE(collection.try_commit(0, s0));
-  ASSERT_TRUE(collection.try_commit(1, s0));
-  ASSERT_TRUE(collection.try_commit(2, s2));
-  collection.set_num_sets(3);
+  ASSERT_TRUE(collection.try_commit(s0));
+  ASSERT_TRUE(collection.try_commit(s0));
+  ASSERT_TRUE(collection.try_commit(s2));
 
   device.timeline().reset();
   support::metrics::MetricsRegistry registry;

@@ -164,17 +164,16 @@ TEST(ShardedDriver, ModeledChargesPinned) {
                 {8635, 32011, 1237, 0x1.a0026f7e632fep-11, 0x1.61f73852a4342p-16, 0.0,
                  0x1.8d09490e41ff6p-10});
 
-  // Spill at a quarter of the unconstrained footprint. Spilled runs' modeled
-  // seconds vary with host scheduling on larger graphs, so only the answer
-  // is pinned.
+  // Spill at a quarter of the unconstrained footprint.
   EimOptions quarter;
   quarter.spill.policy = SpillPolicy::Spill;
   quarter.spill.device_budget_bytes = solo.rrr_bytes / 4;
   const EimResult spilled = run_single(g, quarter);
-  EXPECT_EQ(spilled.seeds, kSeeds);
-  EXPECT_EQ(spilled.num_sets, 7358u);
-  EXPECT_EQ(spilled.total_elements, 34104u);
-  EXPECT_GT(spilled.spilled_sets, 0u);
+  expect_pinned(spilled, 0.0,
+                {7358, 34104, 3393, 0x1.4160cd4c6d034p-10, 0x1.bc71b5cfdb1f1p-14, 0.0,
+                 0x1.0a540e8b98459p-9});
+  EXPECT_EQ(spilled.spilled_sets, 5057u);
+  EXPECT_EQ(spilled.peak_device_bytes, 552254u);
 
   // OOM degrade on a 160 KB device with a 16-block sampler pool.
   gpusim::DeviceSpec tiny = gpusim::make_benchmark_device(1);

@@ -1,24 +1,21 @@
 // Concurrency stress tests for the RRR-commit path (ctest label: stress).
 //
-// These hammer DeviceRrrCollection::try_commit from many threads at a
-// contested capacity boundary and assert the claim-protocol invariants
-// documented in docs/OBSERVABILITY.md:
+// Commits follow the slot-order contract in docs/OBSERVABILITY.md: a serial
+// admit() decides which slots of a run fit and gives each its offset (the
+// exclusive scan of the lengths), then many threads publish the admitted
+// slices at once. These tests drive that protocol the way the samplers do
+// — admit a run, publish it from many threads, regrow, re-admit the
+// rejected tail — with short sets, so neighbouring slices share packed
+// words on almost every boundary, and assert:
 //
-//   (a) the element cursor never exceeds the reserved capacity — not even
-//       transiently — so no claim is ever published past the end of R;
-//   (b) the cursor is monotone non-decreasing: committed slices are never
-//       reclaimed;
-//   (c) every committed set decodes to exactly what its writer published
-//       (no slice overlays another, which under log encoding would OR two
-//       sets' bits together and violate store_release's "slot holds zero"
+//   (a) every committed set decodes to exactly what was published (no slice
+//       overlays another, which under log encoding would OR two sets' bits
+//       together and violate store_release's "slot holds zero"
 //       precondition);
-//   (d) after the dust settles the cursor equals the committed footprint.
-//
-// The historical fetch_add/fetch_sub rollback violates (a) and (b) on every
-// contested failure — a concurrent observer sees the cursor past capacity
-// while a failed claim awaits its rollback, and sees it rewind after — and
-// via the rewind-over-a-committed-slice interleave violates (c). The
-// CAS-retry claim makes all four invariants unconditional.
+//   (b) the element cursor equals the admitted footprint and never exceeds
+//       the reserved capacity;
+//   (c) offsets and admission counts are identical across repeats, whatever
+//       the thread interleaving of the publishes.
 //
 // Excluded from the default ctest run (registered under the `stress`
 // configuration); run via `ctest -C stress -L stress` or the `stress`
@@ -27,7 +24,7 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -38,195 +35,118 @@ namespace {
 using graph::VertexId;
 
 constexpr VertexId kNumVertices = 1 << 12;
+constexpr std::uint64_t kSets = 20'000;
+constexpr std::uint64_t kRunSlots = 1024;
 
-struct HammerConfig {
-  bool log_encode = true;
-  int threads = 8;
-  int passes = 1500;
-  std::uint64_t capacity = 256;
-  std::uint64_t sets_per_thread = 512;
-  /// Every 16th set is small enough to fit; the rest always exceed
-  /// capacity, so failed (contested) claims dominate for the whole run
-  /// while successes keep trickling in.
-  std::uint32_t oversized_len() const {
-    return static_cast<std::uint32_t>(capacity + 32);
-  }
-};
+int stress_threads() {
+  return static_cast<int>(std::max(8u, std::thread::hardware_concurrency() * 2));
+}
 
-/// Deterministic payload for set `i`: a short ascending run for the sets
-/// that can fit, an always-oversized one otherwise.
-std::vector<VertexId> payload_for(std::uint64_t i, const HammerConfig& cfg) {
-  const std::uint64_t local = i % cfg.sets_per_thread;
-  const std::uint32_t len = local % 16 == 0
-                                ? static_cast<std::uint32_t>(local % 4 + 1)
-                                : cfg.oversized_len();
-  const auto base = static_cast<VertexId>((i * 131) % (kNumVertices - cfg.capacity - 40));
+/// Deterministic payload for set `i`: an ascending run of 0-6 members.
+std::vector<VertexId> payload_for(std::uint64_t i) {
+  const auto len = static_cast<std::uint32_t>((i * 5) % 7);
+  const auto base = static_cast<VertexId>((i * 131) % (kNumVertices - 8));
   std::vector<VertexId> set(len);
   for (std::uint32_t j = 0; j < len; ++j) set[j] = base + static_cast<VertexId>(j);
   return set;
 }
 
-struct HammerOutcome {
-  std::vector<std::uint8_t> committed;
-  std::uint64_t overshoots = 0;  ///< observations of cursor > capacity
-  std::uint64_t rewinds = 0;     ///< observations of the cursor decreasing
-  std::uint64_t successes = 0;
-  std::uint64_t committed_elements = 0;
+struct CommitOutcome {
+  std::vector<std::uint64_t> starts;    ///< every set's offset
+  std::vector<std::uint64_t> admitted;  ///< sets admitted per run, in order
+  std::uint64_t overshoots = 0;         ///< cursor observed past capacity
 };
 
-/// Race try_commit across threads; every worker doubles as an observer of
-/// the shared element cursor between its own attempts.
-HammerOutcome hammer(DeviceRrrCollection& col, const HammerConfig& cfg) {
-  const std::uint64_t sets =
-      cfg.sets_per_thread * static_cast<std::uint64_t>(cfg.threads);
-  HammerOutcome out;
-  out.committed.assign(sets, 0);
-  std::atomic<std::uint64_t> overshoots{0};
-  std::atomic<std::uint64_t> rewinds{0};
+/// Commit kSets sets in kRunSlots-slot runs starting from a small capacity:
+/// each run is admitted, then its slices publish from `threads` threads
+/// striped over the slots; a rejection regrows R and re-admits the tail.
+CommitOutcome commit_all(DeviceRrrCollection& col, int threads) {
+  std::vector<std::vector<VertexId>> payloads(kSets);
+  for (std::uint64_t i = 0; i < kSets; ++i) payloads[i] = payload_for(i);
 
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(cfg.threads));
-  for (int t = 0; t < cfg.threads; ++t) {
-    workers.emplace_back([&col, &cfg, &out, &overshoots, &rewinds, t] {
-      const std::uint64_t begin =
-          static_cast<std::uint64_t>(t) * cfg.sets_per_thread;
-      std::uint64_t watermark = 0;
-      for (int p = 0; p < cfg.passes; ++p) {
-        for (std::uint64_t i = begin; i < begin + cfg.sets_per_thread; ++i) {
-          if (out.committed[i] == 0 && col.try_commit(i, payload_for(i, cfg))) {
-            out.committed[i] = 1;
-          }
-          const std::uint64_t seen = col.total_elements();
-          if (seen > cfg.capacity) overshoots.fetch_add(1, std::memory_order_relaxed);
-          if (seen < watermark) rewinds.fetch_add(1, std::memory_order_relaxed);
-          watermark = std::max(watermark, seen);
-        }
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-
-  out.overshoots = overshoots.load();
-  out.rewinds = rewinds.load();
-  for (std::uint64_t i = 0; i < sets; ++i) {
-    if (out.committed[i] != 0) {
-      ++out.successes;
-      out.committed_elements += payload_for(i, cfg).size();
-    }
-  }
-  return out;
-}
-
-/// Count committed sets whose stored bytes no longer decode to what their
-/// writer published — any nonzero value means a slice was overlaid.
-std::uint64_t count_corrupted(const DeviceRrrCollection& col, const HammerConfig& cfg,
-                              const std::vector<std::uint8_t>& committed) {
-  std::uint64_t corrupted = 0;
-  for (std::uint64_t i = 0; i < committed.size(); ++i) {
-    if (committed[i] == 0) continue;
-    const std::vector<VertexId> expect = payload_for(i, cfg);
-    bool ok = col.set_length(i) == expect.size();
-    for (std::uint32_t j = 0; ok && j < expect.size(); ++j) {
-      ok = col.element(i, j) == expect[j];
-    }
-    corrupted += ok ? 0 : 1;
-  }
-  return corrupted;
-}
-
-void run_protocol_test(bool log_encode) {
-  HammerConfig cfg;
-  cfg.log_encode = log_encode;
-  cfg.threads =
-      static_cast<int>(std::max(8u, std::thread::hardware_concurrency() * 2));
-
-  gpusim::Device device(gpusim::make_benchmark_device(256));
-  DeviceRrrCollection col(device, kNumVertices, log_encode);
-  const std::uint64_t sets =
-      cfg.sets_per_thread * static_cast<std::uint64_t>(cfg.threads);
-  col.reserve(sets, cfg.capacity);
-
-  const HammerOutcome out = hammer(col, cfg);
-  col.set_num_sets(sets);
-
-  // The boundary must actually have been contested: some sets fit, the
-  // oversized majority did not.
-  ASSERT_GT(out.successes, 0u);
-  ASSERT_LT(out.successes, sets);
-
-  EXPECT_EQ(out.overshoots, 0u)
-      << "cursor observed past reserved capacity " << out.overshoots
-      << " times: claims are published beyond the end of R";
-  EXPECT_EQ(out.rewinds, 0u)
-      << "cursor observed rewinding " << out.rewinds
-      << " times: committed slices can be reclaimed and overlaid";
-  EXPECT_EQ(count_corrupted(col, cfg, out.committed), 0u)
-      << "committed sets decoded to foreign bits";
-  EXPECT_EQ(col.total_elements(), out.committed_elements)
-      << "cursor desynced from the committed footprint";
-}
-
-TEST(CommitStress, ClaimProtocolHoldsUnderContentionLogEncoded) {
-  run_protocol_test(/*log_encode=*/true);
-}
-
-TEST(CommitStress, ClaimProtocolHoldsUnderContentionRaw) {
-  run_protocol_test(/*log_encode=*/false);
-}
-
-TEST(CommitStress, FailedSetsCommitCleanlyAfterRegrow) {
-  // Drive the full driver protocol: hammer, grow, re-issue the failures —
-  // every set must eventually land and decode, and the element cursor must
-  // account for exactly the committed payload.
-  constexpr std::uint64_t kSets = 8'000;
-  const int threads =
-      std::max(4, static_cast<int>(std::thread::hardware_concurrency()));
-
-  auto payload = [](std::uint64_t i) {
-    const auto len = static_cast<std::uint32_t>(i % 8 + 1);
-    const auto base = static_cast<VertexId>((i * 131) % (kNumVertices - 8));
-    std::vector<VertexId> set(len);
-    for (std::uint32_t j = 0; j < len; ++j) set[j] = base + static_cast<VertexId>(j);
-    return set;
-  };
-
-  gpusim::Device device(gpusim::make_benchmark_device(256));
-  DeviceRrrCollection col(device, kNumVertices, /*log_encode=*/true);
-  std::uint64_t capacity = 2'048;
+  CommitOutcome out;
+  std::uint64_t capacity = 4'096;
   col.reserve(kSets, capacity);
+  while (col.num_sets() < kSets) {
+    const std::uint64_t first = col.num_sets();
+    const std::uint64_t count = std::min(kRunSlots, kSets - first);
+    std::vector<std::uint32_t> lengths(count);
+    for (std::uint64_t i = 0; i < count; ++i) {
+      lengths[i] = static_cast<std::uint32_t>(payloads[first + i].size());
+    }
+    const std::uint64_t admitted = col.admit(lengths);
+    out.admitted.push_back(admitted);
+    if (col.total_elements() > col.element_capacity()) ++out.overshoots;
 
-  std::vector<std::uint8_t> done(kSets, 0);
-  for (int wave = 0; wave < 64; ++wave) {
     std::vector<std::thread> workers;
+    workers.reserve(static_cast<std::size_t>(threads));
     for (int t = 0; t < threads; ++t) {
       workers.emplace_back([&, t] {
-        for (std::uint64_t i = static_cast<std::uint64_t>(t); i < kSets;
+        for (auto i = static_cast<std::uint64_t>(t); i < admitted;
              i += static_cast<std::uint64_t>(threads)) {
-          if (done[i] == 0 && col.try_commit(i, payload(i))) done[i] = 1;
+          col.publish(first + i, payloads[first + i]);
         }
       });
     }
     for (auto& w : workers) w.join();
 
-    bool all_done = true;
-    for (const std::uint8_t d : done) all_done = all_done && d != 0;
-    if (all_done) break;
-    capacity *= 2;
-    col.reserve(kSets, capacity);
-  }
-  col.set_num_sets(kSets);
-
-  std::uint64_t elements = 0;
-  for (std::uint64_t i = 0; i < kSets; ++i) {
-    ASSERT_NE(done[i], 0u) << "set " << i << " never fit";
-    const auto expect = payload(i);
-    elements += expect.size();
-    ASSERT_EQ(col.set_length(i), expect.size());
-    for (std::uint32_t j = 0; j < expect.size(); ++j) {
-      ASSERT_EQ(col.element(i, j), expect[j]) << "set " << i << " member " << j;
+    if (admitted < count) {
+      capacity *= 2;
+      col.reserve(kSets, capacity);
     }
   }
-  EXPECT_EQ(col.total_elements(), elements);
+  for (std::uint64_t i = 0; i < kSets; ++i) out.starts.push_back(col.set_start(i));
+  return out;
+}
+
+void expect_exact_commits(bool log_encode) {
+  gpusim::Device device(gpusim::make_benchmark_device(256));
+  DeviceRrrCollection col(device, kNumVertices, log_encode);
+  const CommitOutcome out = commit_all(col, stress_threads());
+
+  // The capacity boundary must actually have been hit.
+  ASSERT_GT(out.admitted.size(), kSets / kRunSlots + 1);
+  EXPECT_EQ(out.overshoots, 0u) << "cursor ran past the reserved capacity";
+
+  std::uint64_t footprint = 0;
+  std::uint64_t corrupted = 0;
+  std::vector<VertexId> decoded;
+  for (std::uint64_t i = 0; i < kSets; ++i) {
+    const std::vector<VertexId> expect = payload_for(i);
+    footprint += expect.size();
+    decoded.assign(col.set_length(i), 0);
+    col.decode_set(i, decoded);
+    if (decoded != expect) ++corrupted;
+  }
+  EXPECT_EQ(corrupted, 0u) << "committed sets decoded to foreign bits";
+  EXPECT_EQ(col.total_elements(), footprint)
+      << "cursor desynced from the admitted footprint";
+}
+
+constexpr int kPasses = 50;
+
+TEST(CommitStress, AdmittedSlicesPublishExactlyLogEncoded) {
+  for (int pass = 0; pass < kPasses; ++pass) expect_exact_commits(/*log_encode=*/true);
+}
+
+TEST(CommitStress, AdmittedSlicesPublishExactlyRaw) {
+  for (int pass = 0; pass < kPasses; ++pass) expect_exact_commits(/*log_encode=*/false);
+}
+
+TEST(CommitStress, OffsetsRepeatAcrossRuns) {
+  const int threads = stress_threads();
+  CommitOutcome reference;
+  for (int repeat = 0; repeat < 10; ++repeat) {
+    gpusim::Device device(gpusim::make_benchmark_device(256));
+    DeviceRrrCollection col(device, kNumVertices, /*log_encode=*/true);
+    CommitOutcome out = commit_all(col, threads);
+    if (repeat == 0) {
+      reference = std::move(out);
+      continue;
+    }
+    ASSERT_EQ(out.admitted, reference.admitted) << "repeat " << repeat;
+    ASSERT_EQ(out.starts, reference.starts) << "repeat " << repeat;
+  }
 }
 
 }  // namespace

@@ -12,7 +12,8 @@
 // first frame, scanning leaf to root, that matches a known hot-path bucket:
 //
 //   sampler   Monte Carlo RRR generation (EimSampler, the shared traversal
-//             kernel's BFS + walk and policies, RrrSampler)
+//             kernel's BFS + walk and policies, the slot-order wave runner
+//             and its commits, RrrSampler)
 //   rng.skip  fast-draw arithmetic: geometric skip-ahead draws and
 //             alias-table picks (--draw-mode skip)
 //   rng.gen   Philox block generation and bulk refills
@@ -94,8 +95,9 @@ std::vector<Bucket> make_buckets() {
       {"sampler",
        {"EimSampler", "RrrSampler", "bfs_ic", "walk_lt", "sample_ic", "sample_lt",
         "sample_into", "sample_rrr", "sample_assigned", "sample_to", "generate",
-        "launch_blocks", "try_commit", "wave_body", "Traversal", "ExactDraws",
-        "SkipDraws", "ScanPick", "AliasPick", "StampPool"},
+        "launch_blocks", "launch_metered", "run_wave", "DeviceRrrCollection::admit",
+        "DeviceRrrCollection::publish", "Traversal", "ExactDraws", "SkipDraws",
+        "ScanPick", "AliasPick"},
        0},
       {"selector",
        {"SeedSelector", "GpuSeedSelector", "LazyArgMax", "build_inverted_index",
