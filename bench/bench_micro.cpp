@@ -227,11 +227,9 @@ void BM_BitPackedStoreReleaseBulk(benchmark::State& state) {
 BENCHMARK(BM_BitPackedStoreReleaseBulk);
 
 // The RRR commit path: 1024 sets of 64 members admitted in slot order into
-// a log-encoded collection and published into R. Staged = the samplers'
-// form, one admit() over the whole run of lengths and then a publish pass;
-// fused = the serial one-set form, try_commit per set.
-template <class Commit>
-void run_rrr_commit(benchmark::State& state, Commit&& commit) {
+// a log-encoded collection and published into R, the samplers' form: one
+// admit() over the whole run of lengths, then a publish pass.
+void BM_RrrCommitStaged(benchmark::State& state) {
   constexpr std::size_t kSets = 1024;
   constexpr std::size_t kLen = 64;
   gpusim::Device device(gpusim::make_benchmark_device(64));
@@ -239,6 +237,8 @@ void run_rrr_commit(benchmark::State& state, Commit&& commit) {
   for (std::size_t i = 0; i < values.size(); ++i) {
     values[i] = static_cast<std::uint32_t>(i) & 0x3FFFu;
   }
+  const std::vector<std::uint32_t> lengths(kSets, static_cast<std::uint32_t>(kLen));
+  const std::span<const std::uint32_t> all(values);
   std::optional<eim_impl::DeviceRrrCollection> collection;
   for (auto _ : state) {
     state.PauseTiming();
@@ -246,36 +246,16 @@ void run_rrr_commit(benchmark::State& state, Commit&& commit) {
     collection.emplace(device, 1u << 14, /*log_encode=*/true);
     collection->reserve(kSets, values.size());
     state.ResumeTiming();
-    commit(*collection, std::span<const std::uint32_t>(values), kLen);
+    const std::uint64_t admitted = collection->admit(lengths);
+    for (std::uint64_t i = 0; i < admitted; ++i) {
+      collection->publish(i, all.subspan(i * kLen, kLen));
+    }
     benchmark::DoNotOptimize(collection->total_elements());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(values.size()));
 }
-
-void BM_RrrCommitStaged(benchmark::State& state) {
-  run_rrr_commit(state, [](eim_impl::DeviceRrrCollection& collection,
-                           std::span<const std::uint32_t> values, std::size_t len) {
-    const std::vector<std::uint32_t> lengths(values.size() / len,
-                                             static_cast<std::uint32_t>(len));
-    const std::uint64_t admitted = collection.admit(lengths);
-    for (std::uint64_t i = 0; i < admitted; ++i) {
-      collection.publish(i, values.subspan(i * len, len));
-    }
-  });
-}
 BENCHMARK(BM_RrrCommitStaged);
-
-void BM_RrrCommitFused(benchmark::State& state) {
-  run_rrr_commit(state, [](eim_impl::DeviceRrrCollection& collection,
-                           std::span<const std::uint32_t> values, std::size_t len) {
-    for (std::size_t first = 0; first < values.size(); first += len) {
-      const bool ok = collection.try_commit(values.subspan(first, len));
-      EIM_CHECK_MSG(ok, "bench commit overflowed its reservation");
-    }
-  });
-}
-BENCHMARK(BM_RrrCommitFused);
 
 void BM_VarintRoundTrip(benchmark::State& state) {
   support::RandomStream rng(5, 5);
@@ -367,8 +347,11 @@ struct SelectFixture {
       }
       std::sort(set.begin(), set.end());
       set.erase(std::unique(set.begin(), set.end()), set.end());
-      const bool ok = collection.try_commit(set);
-      EIM_CHECK_MSG(ok, "bench fixture overflowed its reservation");
+      const auto len = static_cast<std::uint32_t>(set.size());
+      const std::uint64_t admitted =
+          collection.admit(std::span<const std::uint32_t>(&len, 1));
+      EIM_CHECK_MSG(admitted == 1, "bench fixture overflowed its reservation");
+      collection.publish(i, set);
     }
   }
 

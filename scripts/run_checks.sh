@@ -215,11 +215,13 @@ for key in ("seeds", "rrr_sets"):
 EOF
 # A flag the driver would otherwise ignore or misread is refused with exit 2:
 # malformed or out-of-range numbers, fault scripts naming a node past
-# --nodes, and spill flags that would override --spill-policy off.
+# --nodes, spill flags that would override --spill-policy off, --devices on
+# an engine that runs on one device, and the retired TIM engine.
 for bad in "--nodes 2 --devices 4" "--nodes 2 --quorum abc" "--k 0" "--devices 0" \
            "--nodes 2 --kill-node 7@1" "--nodes 2 --quorum 3" "--eps 1" \
            "--spill-policy off --device-mem-budget 20000" \
-           "--spill-policy off --spill-host-budget 5000"; do
+           "--spill-policy off --spill-host-budget 5000" \
+           "--algo tim" "--algo gim --devices 3"; do
   status=0
   # shellcheck disable=SC2086
   "${cli}" "${mg_args[@]}" ${bad} > /dev/null 2>&1 || status=$?

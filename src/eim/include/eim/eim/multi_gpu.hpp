@@ -15,11 +15,13 @@
 // exactly as on one device. A device lost mid-run (DeviceLostError, or a
 // transient fault past the retry budget) has its residual shard
 // regenerated on the survivors from the same streams, so the seeds stay
-// bit-identical; only the modeled time and shard layout change
-// (docs/RESILIENCE.md).
+// bit-identical; only the modeled time and shard layout change, and the
+// primary pays one broadcast of the respilled sample ids. The result is the
+// EimResult every topology returns: communication_seconds holds the count
+// reductions and pick exchanges, failed_domains the lost devices' indices
+// (docs/RESILIENCE.md, "Failover report").
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "eim/eim/options.hpp"
@@ -30,28 +32,15 @@
 
 namespace eim::eim_impl {
 
-struct MultiGpuResult : EimResult {
-  std::uint32_t num_devices = 1;
-  /// Modeled seconds spent in count all-reduce / pick broadcast.
-  double communication_seconds = 0.0;
-  /// Devices (indices into the input vector) decommissioned by failover.
-  std::vector<std::uint32_t> failed_devices;
-  /// RRR sets that had to be regenerated on survivors after device loss.
-  std::uint64_t failover_regenerated_sets = 0;
-  /// Interconnect bytes spent redistributing lost shards' sample indices.
-  std::uint64_t failover_transfer_bytes = 0;
-};
-
 /// Run eIM across `devices.size()` simulated GPUs. Seeds (and every other
 /// algorithmic output) are identical to the single-device run with the same
 /// parameters; only the modeled time changes. Device loss mid-run triggers
 /// deterministic failover (see above) as long as one device survives;
 /// losing every device rethrows the last device's fault (DeviceLostError,
 /// or DeviceFaultError when its retry budget ran out).
-[[nodiscard]] MultiGpuResult run_eim_multi(std::vector<gpusim::Device*> devices,
-                                           const graph::Graph& g,
-                                           graph::DiffusionModel model,
-                                           const imm::ImmParams& params,
-                                           const EimOptions& options = {});
+[[nodiscard]] EimResult run_eim_multi(std::vector<gpusim::Device*> devices,
+                                      const graph::Graph& g, graph::DiffusionModel model,
+                                      const imm::ImmParams& params,
+                                      const EimOptions& options = {});
 
 }  // namespace eim::eim_impl

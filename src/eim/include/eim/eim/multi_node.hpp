@@ -24,10 +24,15 @@
 //    same switch that governs device OOM — keeps the committed prefix, stops
 //    extending theta, and publishes best-effort seeds with `degraded` and
 //    the shortfall (docs/RESILIENCE.md, "Degradation").
+//
+// The result is the EimResult every topology returns: communication_seconds
+// holds the network ledger's transfer seconds (collectives and reshards,
+// backoff excluded), failed_domains the dead nodes in death order, and
+// respilled_samples the sample ids resharded off them. Collective retries
+// are the `collective.retries` counter.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "eim/eim/options.hpp"
 #include "eim/gpusim/cluster.hpp"
@@ -37,18 +42,9 @@
 
 namespace eim::eim_impl {
 
-struct MultiNodeResult : EimResult {
-  std::uint32_t num_nodes = 1;
-  std::uint32_t devices_per_node = 1;
-  /// Modeled seconds on the cluster network (collectives + resharding).
-  double communication_seconds = 0.0;
-  /// Nodes decommissioned by failover, in death order.
-  std::vector<std::uint32_t> failed_nodes;
-  /// Sample ids resharded off dead nodes onto survivors.
-  std::uint64_t reshard_samples = 0;
-  /// Collective attempts that were retried after a transient link fault.
-  std::uint64_t collective_retries = 0;
-};
+/// Every topology returns EimResult; this spelling stays for callers that
+/// still use it (the repository benchmark).
+using MultiNodeResult = EimResult;
 
 /// Run eIM across every device of `cluster`. Seeds (and every other
 /// algorithmic output) are identical to the single-device run with the same
@@ -56,11 +52,10 @@ struct MultiNodeResult : EimResult {
 /// at least `quorum` (1..node count) nodes stay alive. Checkpoints written
 /// by any topology (single-device, multi-GPU, any node count) resume here
 /// bit-identically, and vice versa.
-[[nodiscard]] MultiNodeResult run_eim_cluster(gpusim::Cluster& cluster,
-                                              const graph::Graph& g,
-                                              graph::DiffusionModel model,
-                                              const imm::ImmParams& params,
-                                              const EimOptions& options = {},
-                                              std::uint32_t quorum = 1);
+[[nodiscard]] EimResult run_eim_cluster(gpusim::Cluster& cluster, const graph::Graph& g,
+                                        graph::DiffusionModel model,
+                                        const imm::ImmParams& params,
+                                        const EimOptions& options = {},
+                                        std::uint32_t quorum = 1);
 
 }  // namespace eim::eim_impl

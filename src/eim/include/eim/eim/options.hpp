@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "eim/imm/params.hpp"
 #include "eim/support/retry.hpp"
@@ -151,7 +152,9 @@ struct EimOptions {
   const CheckpointState* resume = nullptr;
 };
 
-/// ImmResult plus the device-side metrics the paper's figures report.
+/// ImmResult plus the device-side metrics the paper's figures report. One
+/// result for every topology: run_eim, run_eim_multi and run_eim_cluster
+/// all return it.
 struct EimResult : imm::ImmResult {
   /// Modeled device seconds (kernel + transfer + allocation).
   double device_seconds = 0.0;
@@ -182,6 +185,20 @@ struct EimResult : imm::ImmResult {
   std::uint64_t spilled_sets = 0;
   /// Compressed footprint of the spilled sets across host + disk tiers.
   std::uint64_t spill_bytes_compressed = 0;
+  /// Modeled seconds of traffic between failure domains, as the
+  /// interconnect prices it: multi-GPU counts its count reductions and pick
+  /// exchanges, a cluster its network ledger's transfer time (reshards
+  /// included), and one device none.
+  double communication_seconds = 0.0;
+  /// Failure domains retired by failover, in order of death: device indices
+  /// for run_eim_multi, node indices for run_eim_cluster.
+  std::vector<std::uint32_t> failed_domains;
+  /// Committed RRR sets the retired domains held, regenerated on survivors.
+  std::uint64_t regenerated_sets = 0;
+  /// Sample ids respilled onto survivors: the regenerated sets plus the
+  /// retired domains' in-flight batches. The survivors receive each as an
+  /// 8-byte id.
+  std::uint64_t respilled_samples = 0;
 };
 
 }  // namespace eim::eim_impl

@@ -75,11 +75,6 @@ class DeviceRrrCollection {
   /// admitted) into its slice of R. Distinct sets may publish concurrently.
   void publish(std::uint64_t set_index, std::span<const graph::VertexId> sorted_set);
 
-  /// The serial one-set form: admit `sorted_set` at slot num_sets() and
-  /// publish it. Returns false when it does not fit (nothing is written).
-  /// The samplers admit whole runs; this form serves tests and benchmarks.
-  [[nodiscard]] bool try_commit(std::span<const graph::VertexId> sorted_set);
-
   [[nodiscard]] graph::VertexId num_vertices() const noexcept { return n_; }
   /// Number of committed sets; they are slots [0, num_sets()).
   [[nodiscard]] std::uint64_t num_sets() const noexcept { return num_sets_; }
@@ -88,11 +83,6 @@ class DeviceRrrCollection {
 
   [[nodiscard]] std::uint32_t set_length(std::uint64_t i) const noexcept {
     return lengths_[i];
-  }
-  /// Offset of set i's first member in the global element range (tests
-  /// check the exclusive-scan offsets through it).
-  [[nodiscard]] std::uint64_t set_start(std::uint64_t i) const noexcept {
-    return starts_[i];
   }
   /// Decode member j of set i. Device-resident sets only — a spilled set
   /// must stream through decode_set (the store has no per-element access).

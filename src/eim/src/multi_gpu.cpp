@@ -2,7 +2,6 @@
 
 #include <string>
 
-#include "eim/gpusim/timeline_trace.hpp"
 #include "eim/support/error.hpp"
 #include "eim/support/metrics.hpp"
 #include "eim/support/trace.hpp"
@@ -16,8 +15,8 @@ namespace {
 /// the primary's link, serialized on its copy engine.
 class HostPcie final : public Interconnect {
  public:
-  HostPcie(MultiGpuResult& result, const EimOptions& options)
-      : result_(result), metrics_(options.metrics), trace_(options.trace) {
+  HostPcie(EimResult& result, const EimOptions& options)
+      : result_(result), metrics_(options.metrics) {
     if (metrics_ != nullptr) {
       count_allreduces_ = &metrics_->counter("multi.count_allreduces");
       pick_broadcasts_ = &metrics_->counter("multi.pick_broadcasts");
@@ -48,30 +47,13 @@ class HostPcie final : public Interconnect {
     result_.communication_seconds += primary.timeline().transfer_seconds() - before;
   }
 
-  // Charge the redistribution broadcast of the respilled sample indices on
-  // the (possibly just-promoted) primary.
-  void domain_lost(const Fleet& fleet, std::uint32_t d, std::uint64_t regenerated,
+  // Broadcast the respilled sample indices from the (possibly just-promoted)
+  // primary.
+  void domain_lost(const Fleet& fleet, std::uint32_t /*domain*/,
                    std::uint64_t respilled) override {
-    result_.failover_regenerated_sets += regenerated;
-    result_.failed_devices.push_back(d);
-    if (fleet.alive.empty()) return;  // no survivor: the driver rethrows the fault
-    gpusim::Device& primary = fleet.primary();
-    const std::uint64_t bytes = respilled * sizeof(std::uint64_t);
-    if (bytes > 0) {
-      primary.transfer_to_device("failover redistribution", bytes);
-      result_.failover_transfer_bytes += bytes;
-    }
-    if (metrics_ != nullptr) {
-      metrics_->counter("multi.failover_events").add();
-      metrics_->counter("multi.failover_regenerated_sets").add(regenerated);
-      metrics_->counter("multi.failover_transfer_bytes").add(bytes);
-    }
-    gpusim::mark_instant(trace_, *fleet.domains[d].front(), "device.lost",
-                         "respilled=" + std::to_string(respilled));
-    if (bytes > 0) {
-      gpusim::mark_instant(trace_, primary, "failover.redistribute",
-                           "bytes=" + std::to_string(bytes));
-    }
+    if (fleet.alive.empty() || respilled == 0) return;
+    fleet.primary().transfer_to_device("failover redistribution",
+                                       respilled * sizeof(std::uint64_t));
   }
 
   void finish() override {
@@ -81,18 +63,17 @@ class HostPcie final : public Interconnect {
   }
 
  private:
-  MultiGpuResult& result_;
+  EimResult& result_;
   support::metrics::MetricsRegistry* metrics_;
-  support::trace::TraceRecorder* trace_;
   support::metrics::Counter* count_allreduces_ = nullptr;
   support::metrics::Counter* pick_broadcasts_ = nullptr;
 };
 
 }  // namespace
 
-MultiGpuResult run_eim_multi(std::vector<gpusim::Device*> devices,
-                             const graph::Graph& g, graph::DiffusionModel model,
-                             const imm::ImmParams& params, const EimOptions& options) {
+EimResult run_eim_multi(std::vector<gpusim::Device*> devices, const graph::Graph& g,
+                        graph::DiffusionModel model, const imm::ImmParams& params,
+                        const EimOptions& options) {
   EIM_CHECK_MSG(!devices.empty(), "need at least one device");
   for (gpusim::Device* d : devices) EIM_CHECK_MSG(d != nullptr, "null device");
   // One failure domain and one trace track per device; the samplers resolve
@@ -107,8 +88,7 @@ MultiGpuResult run_eim_multi(std::vector<gpusim::Device*> devices,
     }
   }
 
-  MultiGpuResult result;
-  result.num_devices = static_cast<std::uint32_t>(devices.size());
+  EimResult result;
   HostPcie pcie(result, options);
   run_sharded(std::move(fleet), pcie, g, model, params, options, result);
   return result;

@@ -20,7 +20,7 @@ class ClusterNetwork final : public Interconnect {
  public:
   // Construct after the device tracks are registered: the fabric's track
   // comes last.
-  ClusterNetwork(gpusim::Cluster& cluster, MultiNodeResult& result,
+  ClusterNetwork(gpusim::Cluster& cluster, EimResult& result,
                  const EimOptions& options)
       : cluster_(cluster),
         result_(result),
@@ -53,28 +53,19 @@ class ClusterNetwork final : public Interconnect {
     if (metrics_ != nullptr) metrics_->counter("cluster.pick_exchanges").add();
   }
 
-  // Charge the reshard manifest to the survivors; the driver then enforces
-  // quorum.
-  void domain_lost(const Fleet& fleet, std::uint32_t n, std::uint64_t /*regenerated*/,
+  // Survivors receive the dead shard's sample-id manifest. Charged as a
+  // plain network transfer: recovery traffic must not consume collective
+  // ordinals, or fault scripts keyed to them would shift under failover.
+  // The driver enforces quorum afterwards.
+  void domain_lost(const Fleet& fleet, std::uint32_t n,
                    std::uint64_t respilled) override {
     cluster_.mark_node_lost(n);
-    result_.failed_nodes.push_back(n);
-    result_.reshard_samples += respilled;
-    gpusim::mark_instant(trace_, *fleet.domains[n].front(), "node.lost",
-                         "respilled=" + std::to_string(respilled));
     if (fleet.alive.empty()) {
       throw support::ClusterQuorumError("every node lost", 0, fleet.quorum);
     }
-    // Survivors receive the dead shard's sample-id manifest. Charged as a
-    // plain network transfer — recovery traffic must not consume collective
-    // ordinals, or fault scripts keyed to them would shift under failover.
-    const std::uint64_t bytes = respilled * sizeof(std::uint64_t);
-    if (bytes > 0) cluster_.charge_transfer("reshard", bytes, fleet.alive);
-    if (metrics_ != nullptr) {
-      metrics_->counter("cluster.node_lost").add();
-      metrics_->counter("cluster.reshard_samples").add(respilled);
+    if (respilled > 0) {
+      cluster_.charge_transfer("reshard", respilled * sizeof(std::uint64_t), fleet.alive);
     }
-    if (bytes > 0) mark("reshard", "bytes=" + std::to_string(bytes));
   }
 
   [[nodiscard]] const gpusim::DeviceTimeline& ledger() const override {
@@ -135,7 +126,6 @@ class ClusterNetwork final : public Interconnect {
           [&] { return (cluster_.*collective)(label, bytes, fleet.alive); },
           [&](std::uint32_t retry_index, double backoff_seconds,
               const support::DeviceFaultError&) {
-            ++result_.collective_retries;
             cluster_.charge_backoff(label + " backoff", backoff_seconds);
             if (metrics_ != nullptr) {
               metrics_->counter("collective.retries").add();
@@ -157,7 +147,7 @@ class ClusterNetwork final : public Interconnect {
   }
 
   gpusim::Cluster& cluster_;
-  MultiNodeResult& result_;
+  EimResult& result_;
   support::RetryPolicy retry_;
   support::metrics::MetricsRegistry* metrics_;
   support::trace::TraceRecorder* trace_;
@@ -167,10 +157,9 @@ class ClusterNetwork final : public Interconnect {
 
 }  // namespace
 
-MultiNodeResult run_eim_cluster(gpusim::Cluster& cluster, const graph::Graph& g,
-                                graph::DiffusionModel model,
-                                const imm::ImmParams& params, const EimOptions& options,
-                                std::uint32_t quorum) {
+EimResult run_eim_cluster(gpusim::Cluster& cluster, const graph::Graph& g,
+                          graph::DiffusionModel model, const imm::ImmParams& params,
+                          const EimOptions& options, std::uint32_t quorum) {
   const std::uint32_t num_nodes = cluster.num_nodes();
   const std::uint32_t devices_per_node = cluster.spec().node.num_devices;
   EIM_CHECK_MSG(quorum >= 1, "quorum must be at least 1");
@@ -181,7 +170,7 @@ MultiNodeResult run_eim_cluster(gpusim::Cluster& cluster, const graph::Graph& g,
   // run; the driver keys everything off the alive set, never raw indices.
   // One trace track per alive device plus one for the cluster fabric
   // (registered by ClusterNetwork); collective instants ride on the fabric
-  // track, node.lost on the dying node's track.
+  // track, the driver's domain.lost on the dying node's track.
   Fleet fleet;
   fleet.quorum = quorum;
   for (std::uint32_t n = 0; n < num_nodes; ++n) {
@@ -200,9 +189,7 @@ MultiNodeResult run_eim_cluster(gpusim::Cluster& cluster, const graph::Graph& g,
   EIM_CHECK_MSG(fleet.alive.size() >= quorum,
                 "cluster is below quorum before the run starts");
 
-  MultiNodeResult result;
-  result.num_nodes = num_nodes;
-  result.devices_per_node = devices_per_node;
+  EimResult result;
   ClusterNetwork network(cluster, result, options);
   run_sharded(std::move(fleet), network, g, model, params, options, result);
   return result;

@@ -58,8 +58,6 @@ class LocalDevice final : public Interconnect {
     return make_scan_kernel_pricer(device_, options_.scan, num_vertices_, num_sets,
                                    options_.metrics);
   }
-  void domain_lost(const Fleet& /*fleet*/, std::uint32_t /*domain*/,
-                   std::uint64_t /*regenerated*/, std::uint64_t /*respilled*/) override {}
   void finish() override { result_.device_seconds = device_.timeline().total_seconds(); }
 
  private:

@@ -259,13 +259,6 @@ void DeviceRrrCollection::publish(std::uint64_t set_index,
   }
 }
 
-bool DeviceRrrCollection::try_commit(std::span<const VertexId> sorted_set) {
-  const auto len = static_cast<std::uint32_t>(sorted_set.size());
-  if (admit(std::span<const std::uint32_t>(&len, 1)) == 0) return false;
-  publish(num_sets_ - 1, sorted_set);
-  return true;
-}
-
 void DeviceRrrCollection::decode_set(std::uint64_t i, std::span<VertexId> out) const {
   assert(out.size() == lengths_[i]);
   if (is_spilled(i)) {

@@ -348,10 +348,10 @@ void run_sharded(Fleet fleet, Interconnect& net, const graph::Graph& g,
 
   // Retire `domain` because of `cause`: respill every sample id its devices
   // had committed (plus the caller's `in_flight` ids) into `todo`, free its
-  // device-side state, and let the interconnect charge (or refuse) the
-  // recovery. Retiring the last domain rethrows `cause`; leaving fewer than
-  // quorum degrades or throws. A degraded run still regenerates `todo`: the
-  // freeze only stops later theta growth.
+  // device-side state, record the loss, and let the interconnect charge (or
+  // refuse) the recovery. Retiring the last domain rethrows `cause`; leaving
+  // fewer than quorum degrades or throws. A degraded run still regenerates
+  // `todo`: the freeze only stops later theta growth.
   const auto decommission = [&](std::uint32_t domain, std::vector<std::uint64_t>& todo,
                                 const std::vector<std::uint64_t>& in_flight,
                                 const std::exception_ptr& cause) {
@@ -374,7 +374,18 @@ void run_sharded(Fleet fleet, Interconnect& net, const graph::Graph& g,
     }
     todo.insert(todo.end(), in_flight.begin(), in_flight.end());
     alive.erase(std::find(alive.begin(), alive.end(), domain));
-    net.domain_lost(fleet, domain, regenerated, regenerated + in_flight.size());
+    const std::uint64_t respilled = regenerated + in_flight.size();
+    result.failed_domains.push_back(domain);
+    result.regenerated_sets += regenerated;
+    result.respilled_samples += respilled;
+    if (metrics != nullptr) {
+      metrics->counter("failover.domains_lost").add();
+      metrics->counter("failover.regenerated_sets").add(regenerated);
+      metrics->counter("failover.respilled_samples").add(respilled);
+    }
+    gpusim::mark_instant(trace, *fleet.domains[domain].front(), "domain.lost",
+                         "respilled=" + std::to_string(respilled));
+    net.domain_lost(fleet, domain, respilled);
     if (alive.empty()) std::rethrow_exception(cause);
     const auto survivors = static_cast<std::uint32_t>(alive.size());
     if (survivors >= fleet.quorum) return;

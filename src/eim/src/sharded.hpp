@@ -8,7 +8,10 @@
 // retires the device's whole domain and the survivors regenerate its ids —
 // except ids in a restored checkpoint prefix, which re-commit from the
 // snapshot (re-sampling them would count their singleton draws twice).
-// Retiring the last domain rethrows whatever killed it. Under
+// Retiring the last domain rethrows whatever killed it. The driver records
+// every retirement once, whatever the topology: EimResult's failover
+// fields, the failover.* counters and a domain.lost trace instant; the
+// interconnect only charges the recovery transfer. Under
 // DegradePolicy::Degrade an OOM freezes theta at the smallest sample id not
 // yet committed, and falling below the fleet's quorum freezes it once the
 // step in flight completes. Selection is greedy_select on the merged host
@@ -68,26 +71,25 @@ class Interconnect {
   virtual std::unique_ptr<PickPricer> pick_pricer(const Fleet& fleet,
                                                   std::span<const Placement> placement,
                                                   std::uint64_t num_sets);
-  /// `domain` has left `fleet.alive`, respilling `respilled` sample ids (the
-  /// `regenerated` it had committed plus its in-flight batch) onto the
-  /// survivors. Charges the recovery, or throws when the run cannot
-  /// continue; with no survivor left the driver rethrows the fault itself,
-  /// and below quorum the driver degrades or throws.
-  virtual void domain_lost(const Fleet& fleet, std::uint32_t domain,
-                           std::uint64_t regenerated, std::uint64_t respilled) = 0;
+  /// `domain` has left `fleet.alive`, respilling `respilled` sample ids onto
+  /// the survivors; the driver has already recorded the loss. Charges the
+  /// recovery transfer, or throws when the run cannot continue; with no
+  /// survivor left the driver rethrows the fault itself, and below quorum
+  /// the driver degrades or throws. One device has nothing to charge.
+  virtual void domain_lost(const Fleet& /*fleet*/, std::uint32_t /*domain*/,
+                           std::uint64_t /*respilled*/) {}
   /// The interconnect's own modeled ledger; empty when its traffic is
   /// charged to the primary device's timeline.
   virtual const gpusim::DeviceTimeline& ledger() const { return no_ledger_; }
   /// Publish the interconnect's end-of-run results, metrics and trace
-  /// ledger; `result`'s EimResult fields are final by then.
+  /// ledger; the driver's result fields are final by then.
   virtual void finish() = 0;
 
  private:
   gpusim::DeviceTimeline no_ledger_;
 };
 
-/// Run eIM over `fleet`, filling `result`'s EimResult fields, then let `net`
-/// publish its own.
+/// Run eIM over `fleet`, filling `result`, then let `net` finish it.
 void run_sharded(Fleet fleet, Interconnect& net, const graph::Graph& g,
                  graph::DiffusionModel model, const imm::ImmParams& params,
                  const EimOptions& options, EimResult& result);

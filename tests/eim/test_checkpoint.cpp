@@ -280,7 +280,7 @@ TEST(Checkpoint, MultiGpuResumeOntoDifferentDeviceCount) {
   const imm::ImmParams params = make_params();
 
   DevicePool ref_pool(2);
-  const MultiGpuResult reference =
+  const EimResult reference =
       run_eim_multi(ref_pool.ptrs, g, DiffusionModel::IndependentCascade, params);
 
   // Interrupt a fresh 2-device checkpointed run partway through.
@@ -307,10 +307,9 @@ TEST(Checkpoint, MultiGpuResumeOntoDifferentDeviceCount) {
     DevicePool pool(d);
     EimOptions options;
     options.resume = &ckpt;
-    const MultiGpuResult resumed =
+    const EimResult resumed =
         run_eim_multi(pool.ptrs, g, DiffusionModel::IndependentCascade, params, options);
     expect_same_answer(reference, resumed);
-    EXPECT_EQ(resumed.num_devices, d);
   }
 }
 
@@ -324,7 +323,7 @@ TEST(Checkpoint, ResumeThenDeviceLossDoesNotDoubleCountSingletons) {
   const imm::ImmParams params = make_params();
 
   DevicePool ref_pool(3);
-  const MultiGpuResult reference =
+  const EimResult reference =
       run_eim_multi(ref_pool.ptrs, g, DiffusionModel::IndependentCascade, params);
 
   TempDir dir("eim_ckpt_loss_after_resume");
@@ -353,11 +352,11 @@ TEST(Checkpoint, ResumeThenDeviceLossDoesNotDoubleCountSingletons) {
     pool.ptrs[victim]->set_fault_plan(plan);
     EimOptions options;
     options.resume = &ckpt;
-    const MultiGpuResult resumed = run_eim_multi(
+    const EimResult resumed = run_eim_multi(
         pool.ptrs, g, DiffusionModel::IndependentCascade, params, options);
     expect_same_answer(reference, resumed);
-    ASSERT_EQ(resumed.failed_devices.size(), 1u);
-    EXPECT_EQ(resumed.failed_devices[0], victim);
+    ASSERT_EQ(resumed.failed_domains.size(), 1u);
+    EXPECT_EQ(resumed.failed_domains[0], victim);
   }
 }
 
@@ -388,7 +387,7 @@ TEST(Checkpoint, FaultOnRestoreUploadRespillsEachRestoredSetOnce) {
   const imm::ImmParams params = make_params();
 
   DevicePool ref_pool(3);
-  const MultiGpuResult reference =
+  const EimResult reference =
       run_eim_multi(ref_pool.ptrs, g, DiffusionModel::IndependentCascade, params);
 
   TempDir dir("eim_ckpt_restore_fault");
@@ -405,15 +404,15 @@ TEST(Checkpoint, FaultOnRestoreUploadRespillsEachRestoredSetOnce) {
     pool.ptrs[victim]->set_fault_plan(plan);
     EimOptions options;
     options.resume = &ckpt;
-    const MultiGpuResult resumed = run_eim_multi(
+    const EimResult resumed = run_eim_multi(
         pool.ptrs, g, DiffusionModel::IndependentCascade, params, options);
     expect_same_answer(reference, resumed);
-    EXPECT_EQ(resumed.failed_devices, std::vector<std::uint32_t>{victim});
+    EXPECT_EQ(resumed.failed_domains, std::vector<std::uint32_t>{victim});
     // Nothing was committed on the victim; its whole stripe of the restored
     // prefix (ids congruent to `victim` mod 3) was in flight.
-    EXPECT_EQ(resumed.failover_regenerated_sets, 0u);
+    EXPECT_EQ(resumed.regenerated_sets, 0u);
     const std::uint64_t stripe = (restored + 2 - victim) / 3;
-    EXPECT_EQ(resumed.failover_transfer_bytes, stripe * sizeof(std::uint64_t));
+    EXPECT_EQ(resumed.respilled_samples, stripe);
   }
 }
 
@@ -424,7 +423,7 @@ TEST(Checkpoint, TransientFaultOnRestoreUploadIsRetried) {
   const imm::ImmParams params = make_params();
 
   DevicePool ref_pool(3);
-  const MultiGpuResult reference =
+  const EimResult reference =
       run_eim_multi(ref_pool.ptrs, g, DiffusionModel::IndependentCascade, params);
 
   TempDir dir("eim_ckpt_restore_retry");
@@ -439,11 +438,11 @@ TEST(Checkpoint, TransientFaultOnRestoreUploadIsRetried) {
     pool.ptrs[victim]->set_fault_plan(plan);
     EimOptions options;
     options.resume = &ckpt;
-    const MultiGpuResult resumed = run_eim_multi(
+    const EimResult resumed = run_eim_multi(
         pool.ptrs, g, DiffusionModel::IndependentCascade, params, options);
     expect_same_answer(reference, resumed);
-    EXPECT_TRUE(resumed.failed_devices.empty()) << "victim " << victim;
-    EXPECT_EQ(resumed.failover_regenerated_sets, 0u);
+    EXPECT_TRUE(resumed.failed_domains.empty()) << "victim " << victim;
+    EXPECT_EQ(resumed.regenerated_sets, 0u);
     EXPECT_EQ(pool.ptrs[victim]->fault_stats().transfer_faults, 1u);
   }
 }
@@ -458,7 +457,7 @@ TEST(Checkpoint, SecondLossWhileRecommittingAfterResumeKeepsTheAnswer) {
   const imm::ImmParams params = make_params();
 
   DevicePool ref_pool(3);
-  const MultiGpuResult reference =
+  const EimResult reference =
       run_eim_multi(ref_pool.ptrs, g, DiffusionModel::IndependentCascade, params);
 
   TempDir dir("eim_ckpt_second_loss");
@@ -483,10 +482,10 @@ TEST(Checkpoint, SecondLossWhileRecommittingAfterResumeKeepsTheAnswer) {
     gpusim::FaultPlan second_loss;
     second_loss.device_loss_kernel_ordinal = ordinal;
     pool.ptrs[0]->set_fault_plan(second_loss);
-    const MultiGpuResult resumed = run_eim_multi(
+    const EimResult resumed = run_eim_multi(
         pool.ptrs, g, DiffusionModel::IndependentCascade, params, options);
     expect_same_answer(reference, resumed);
-    EXPECT_EQ(resumed.failed_devices.size(), 2u);
+    EXPECT_EQ(resumed.failed_domains.size(), 2u);
   }
 }
 
@@ -506,7 +505,7 @@ TEST(Checkpoint, SingleAndMultiGpuCheckpointsAreInterchangeable) {
   DevicePool pool(2);
   EimOptions resume_options;
   resume_options.resume = &ckpt;
-  const MultiGpuResult resumed =
+  const EimResult resumed =
       run_eim_multi(pool.ptrs, g, DiffusionModel::IndependentCascade, params,
                     resume_options);
   expect_same_answer(reference, resumed);

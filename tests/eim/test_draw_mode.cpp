@@ -405,7 +405,7 @@ TEST(DrawModeEndToEnd, MultiGpuSkipMatchesSingleDeviceSkip) {
                                       params, skip_options());
 
   DevicePool pool(3);
-  const MultiGpuResult sharded = run_eim_multi(
+  const EimResult sharded = run_eim_multi(
       pool.ptrs, g, DiffusionModel::IndependentCascade, params, skip_options());
   expect_same_answer(reference, sharded);
 }

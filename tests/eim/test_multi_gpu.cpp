@@ -54,7 +54,7 @@ TEST(MultiGpu, SingleDeviceMatchesRegularPipeline) {
   const EimResult single = run_eim(solo, g, DiffusionModel::IndependentCascade, params);
 
   DevicePool pool(1);
-  const MultiGpuResult multi =
+  const EimResult multi =
       run_eim_multi(pool.ptrs, g, DiffusionModel::IndependentCascade, params);
 
   EXPECT_EQ(multi.seeds, single.seeds);
@@ -81,7 +81,6 @@ TEST_P(MultiGpuCounts, SeedsIdenticalAcrossDeviceCounts) {
   EXPECT_EQ(sharded.num_sets, reference.num_sets);
   EXPECT_EQ(sharded.total_elements, reference.total_elements);
   EXPECT_DOUBLE_EQ(sharded.lower_bound, reference.lower_bound);
-  EXPECT_EQ(sharded.num_devices, GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(DeviceCounts, MultiGpuCounts,
@@ -144,7 +143,7 @@ TEST(MultiGpuFailover, DeviceLossMidSamplingKeepsSeedsBitIdentical) {
   const imm::ImmParams params = make_params();
 
   DevicePool clean(4);
-  const MultiGpuResult reference =
+  const EimResult reference =
       run_eim_multi(clean.ptrs, g, DiffusionModel::IndependentCascade, params);
 
   DevicePool pool(4);
@@ -154,7 +153,7 @@ TEST(MultiGpuFailover, DeviceLossMidSamplingKeepsSeedsBitIdentical) {
   support::metrics::MetricsRegistry registry;
   EimOptions options;
   options.metrics = &registry;
-  const MultiGpuResult failed =
+  const EimResult failed =
       run_eim_multi(pool.ptrs, g, DiffusionModel::IndependentCascade, params, options);
 
   EXPECT_EQ(failed.seeds, reference.seeds);
@@ -162,19 +161,19 @@ TEST(MultiGpuFailover, DeviceLossMidSamplingKeepsSeedsBitIdentical) {
   EXPECT_EQ(failed.total_elements, reference.total_elements);
   EXPECT_DOUBLE_EQ(failed.lower_bound, reference.lower_bound);
 
-  ASSERT_EQ(failed.failed_devices.size(), 1u);
-  EXPECT_EQ(failed.failed_devices[0], 2u);
-  EXPECT_GT(failed.failover_transfer_bytes, 0u);
+  ASSERT_EQ(failed.failed_domains.size(), 1u);
+  EXPECT_EQ(failed.failed_domains[0], 2u);
+  EXPECT_GT(failed.respilled_samples, 0u);
   EXPECT_TRUE(pool.ptrs[2]->lost());
-  EXPECT_EQ(registry.counter("multi.failover_events").value(), 1u);
-  EXPECT_EQ(registry.counter("multi.failover_transfer_bytes").value(),
-            failed.failover_transfer_bytes);
+  EXPECT_EQ(registry.counter("failover.domains_lost").value(), 1u);
+  EXPECT_EQ(registry.counter("failover.respilled_samples").value(),
+            failed.respilled_samples);
   EXPECT_EQ(registry.counter("fault.device_lost").value(), 1u);
 
   // The fault-free run reports no failover at all.
-  EXPECT_TRUE(reference.failed_devices.empty());
-  EXPECT_EQ(reference.failover_transfer_bytes, 0u);
-  EXPECT_EQ(reference.failover_regenerated_sets, 0u);
+  EXPECT_TRUE(reference.failed_domains.empty());
+  EXPECT_EQ(reference.respilled_samples, 0u);
+  EXPECT_EQ(reference.regenerated_sets, 0u);
 }
 
 TEST(MultiGpuFailover, PrimaryLossPromotesASurvivor) {
@@ -182,20 +181,20 @@ TEST(MultiGpuFailover, PrimaryLossPromotesASurvivor) {
   const imm::ImmParams params = make_params();
 
   DevicePool clean(3);
-  const MultiGpuResult reference =
+  const EimResult reference =
       run_eim_multi(clean.ptrs, g, DiffusionModel::IndependentCascade, params);
 
   DevicePool pool(3);
   gpusim::FaultPlan plan;
   plan.device_loss_kernel_ordinal = 1;
   pool.ptrs[0]->set_fault_plan(plan);  // kill the primary itself
-  const MultiGpuResult failed =
+  const EimResult failed =
       run_eim_multi(pool.ptrs, g, DiffusionModel::IndependentCascade, params);
 
   EXPECT_EQ(failed.seeds, reference.seeds);
   EXPECT_EQ(failed.num_sets, reference.num_sets);
-  ASSERT_EQ(failed.failed_devices.size(), 1u);
-  EXPECT_EQ(failed.failed_devices[0], 0u);
+  ASSERT_EQ(failed.failed_domains.size(), 1u);
+  EXPECT_EQ(failed.failed_domains[0], 0u);
 }
 
 TEST(MultiGpuFailover, RetryExhaustionRetiresTheDevice) {
@@ -206,19 +205,19 @@ TEST(MultiGpuFailover, RetryExhaustionRetiresTheDevice) {
   const imm::ImmParams params = make_params();
 
   DevicePool clean(2);
-  const MultiGpuResult reference =
+  const EimResult reference =
       run_eim_multi(clean.ptrs, g, DiffusionModel::IndependentCascade, params);
 
   DevicePool pool(2);
   gpusim::FaultPlan plan;
   plan.kernel_fault_ordinals = {1, 2, 3};  // consecutive: defeats 3 attempts
   pool.ptrs[1]->set_fault_plan(plan);
-  const MultiGpuResult failed =
+  const EimResult failed =
       run_eim_multi(pool.ptrs, g, DiffusionModel::IndependentCascade, params);
 
   EXPECT_EQ(failed.seeds, reference.seeds);
-  ASSERT_EQ(failed.failed_devices.size(), 1u);
-  EXPECT_EQ(failed.failed_devices[0], 1u);
+  ASSERT_EQ(failed.failed_domains.size(), 1u);
+  EXPECT_EQ(failed.failed_domains[0], 1u);
   EXPECT_FALSE(pool.ptrs[1]->lost());  // retired, not dead: transient faults
 }
 
@@ -229,20 +228,20 @@ TEST(MultiGpuFailover, DeviceLossAtOrdinalZeroKeepsSeeds) {
   const imm::ImmParams params = make_params();
 
   DevicePool clean(3);
-  const MultiGpuResult reference =
+  const EimResult reference =
       run_eim_multi(clean.ptrs, g, DiffusionModel::IndependentCascade, params);
 
   DevicePool pool(3);
   gpusim::FaultPlan plan;
   plan.device_loss_kernel_ordinal = 0;
   pool.ptrs[1]->set_fault_plan(plan);
-  const MultiGpuResult failed =
+  const EimResult failed =
       run_eim_multi(pool.ptrs, g, DiffusionModel::IndependentCascade, params);
 
   EXPECT_EQ(failed.seeds, reference.seeds);
   EXPECT_EQ(failed.num_sets, reference.num_sets);
-  ASSERT_EQ(failed.failed_devices.size(), 1u);
-  EXPECT_EQ(failed.failed_devices[0], 1u);
+  ASSERT_EQ(failed.failed_domains.size(), 1u);
+  EXPECT_EQ(failed.failed_domains[0], 1u);
 }
 
 TEST(MultiGpuFailover, DeviceLossAtFinalWaveOrdinalFiresAndOneBeyondDoesNot) {
@@ -253,7 +252,7 @@ TEST(MultiGpuFailover, DeviceLossAtFinalWaveOrdinalFiresAndOneBeyondDoesNot) {
   const imm::ImmParams params = make_params();
 
   DevicePool clean(3);
-  const MultiGpuResult reference =
+  const EimResult reference =
       run_eim_multi(clean.ptrs, g, DiffusionModel::IndependentCascade, params);
   const std::uint64_t launches = clean.ptrs[1]->kernel_launch_ordinal();
   ASSERT_GT(launches, 0u);
@@ -262,21 +261,21 @@ TEST(MultiGpuFailover, DeviceLossAtFinalWaveOrdinalFiresAndOneBeyondDoesNot) {
   gpusim::FaultPlan last_plan;
   last_plan.device_loss_kernel_ordinal = launches - 1;
   at_last.ptrs[1]->set_fault_plan(last_plan);
-  const MultiGpuResult last =
+  const EimResult last =
       run_eim_multi(at_last.ptrs, g, DiffusionModel::IndependentCascade, params);
   EXPECT_EQ(last.seeds, reference.seeds);
   EXPECT_EQ(last.num_sets, reference.num_sets);
-  ASSERT_EQ(last.failed_devices.size(), 1u);
-  EXPECT_EQ(last.failed_devices[0], 1u);
+  ASSERT_EQ(last.failed_domains.size(), 1u);
+  EXPECT_EQ(last.failed_domains[0], 1u);
 
   DevicePool beyond(3);
   gpusim::FaultPlan beyond_plan;
   beyond_plan.device_loss_kernel_ordinal = launches;
   beyond.ptrs[1]->set_fault_plan(beyond_plan);
-  const MultiGpuResult never =
+  const EimResult never =
       run_eim_multi(beyond.ptrs, g, DiffusionModel::IndependentCascade, params);
   EXPECT_EQ(never.seeds, reference.seeds);
-  EXPECT_TRUE(never.failed_devices.empty());
+  EXPECT_TRUE(never.failed_domains.empty());
   EXPECT_FALSE(beyond.ptrs[1]->lost());
 }
 
@@ -287,7 +286,7 @@ TEST(MultiGpuFailover, TransientStagingFaultIsRetriedOnEitherDevice) {
   const Graph g = make_graph();
   const imm::ImmParams params = make_params();
   DevicePool clean(2);
-  const MultiGpuResult reference =
+  const EimResult reference =
       run_eim_multi(clean.ptrs, g, DiffusionModel::IndependentCascade, params);
 
   for (const std::uint32_t victim : {0u, 1u}) {
@@ -295,10 +294,10 @@ TEST(MultiGpuFailover, TransientStagingFaultIsRetriedOnEitherDevice) {
     gpusim::FaultPlan plan;
     plan.transfer_fault_ordinals = {0};  // the network CSC upload
     pool.ptrs[victim]->set_fault_plan(plan);
-    const MultiGpuResult retried =
+    const EimResult retried =
         run_eim_multi(pool.ptrs, g, DiffusionModel::IndependentCascade, params);
     EXPECT_EQ(retried.seeds, reference.seeds) << "victim " << victim;
-    EXPECT_TRUE(retried.failed_devices.empty());
+    EXPECT_TRUE(retried.failed_domains.empty());
     EXPECT_EQ(pool.ptrs[victim]->fault_stats().transfer_faults, 1u);
   }
 }
@@ -307,7 +306,7 @@ TEST(MultiGpuMemory, EveryShardSpillsToTheUnconstrainedSeeds) {
   const Graph g = make_graph();
   const imm::ImmParams params = make_params();
   DevicePool clean(2);
-  const MultiGpuResult reference =
+  const EimResult reference =
       run_eim_multi(clean.ptrs, g, DiffusionModel::IndependentCascade, params);
 
   // Each shard holds about half the collection; budget each device a
@@ -316,14 +315,14 @@ TEST(MultiGpuMemory, EveryShardSpillsToTheUnconstrainedSeeds) {
   EimOptions options;
   options.spill.policy = SpillPolicy::Spill;
   options.spill.device_budget_bytes = reference.rrr_bytes / 8;
-  const MultiGpuResult spilled =
+  const EimResult spilled =
       run_eim_multi(pool.ptrs, g, DiffusionModel::IndependentCascade, params, options);
   EXPECT_EQ(spilled.seeds, reference.seeds);
   EXPECT_EQ(spilled.num_sets, reference.num_sets);
   EXPECT_EQ(spilled.total_elements, reference.total_elements);
   EXPECT_GT(spilled.spilled_sets, 0u);
   EXPECT_FALSE(spilled.degraded);
-  EXPECT_TRUE(spilled.failed_devices.empty());
+  EXPECT_TRUE(spilled.failed_domains.empty());
 }
 
 TEST(MultiGpuMemory, LosingADeviceWhileItResamplesTornBlocksKeepsSeeds) {
@@ -336,7 +335,7 @@ TEST(MultiGpuMemory, LosingADeviceWhileItResamplesTornBlocksKeepsSeeds) {
   const Graph g = make_graph();
   const imm::ImmParams params = make_params();
   DevicePool clean(3);
-  const MultiGpuResult reference =
+  const EimResult reference =
       run_eim_multi(clean.ptrs, g, DiffusionModel::IndependentCascade, params);
 
   EimOptions options;
@@ -353,7 +352,7 @@ TEST(MultiGpuMemory, LosingADeviceWhileItResamplesTornBlocksKeepsSeeds) {
 
   DevicePool spilling(3);
   spilling.ptrs[1]->set_fault_plan(torn);
-  const MultiGpuResult spilled =
+  const EimResult spilled =
       run_eim_multi(spilling.ptrs, g, DiffusionModel::IndependentCascade, params, options);
   EXPECT_EQ(spilled.seeds, reference.seeds);
   EXPECT_GT(spilled.spilled_sets, 0u);
@@ -366,12 +365,13 @@ TEST(MultiGpuMemory, LosingADeviceWhileItResamplesTornBlocksKeepsSeeds) {
     gpusim::FaultPlan plan = torn;
     plan.device_loss_kernel_ordinal = o;
     pool.ptrs[1]->set_fault_plan(plan);
-    const MultiGpuResult lost =
+    const EimResult lost =
         run_eim_multi(pool.ptrs, g, DiffusionModel::IndependentCascade, params, options);
     EXPECT_EQ(lost.seeds, reference.seeds) << "loss at launch " << o;
     EXPECT_EQ(lost.num_sets, reference.num_sets) << "loss at launch " << o;
     EXPECT_EQ(lost.total_elements, reference.total_elements) << "loss at launch " << o;
-    EXPECT_EQ(lost.failed_devices, std::vector<std::uint32_t>{1u}) << "loss at launch " << o;
+    EXPECT_EQ(lost.failed_domains, std::vector<std::uint32_t>{1u})
+        << "loss at launch " << o;
   }
 }
 
@@ -397,7 +397,7 @@ TEST(MultiGpuMemory, OomDegradeSelectsOverTheCommittedPrefix) {
                support::DeviceOutOfMemoryError);
 
   options.degrade_policy = DegradePolicy::Degrade;
-  const MultiGpuResult degraded =
+  const EimResult degraded =
       run_eim_multi({&d0, &d1}, g, DiffusionModel::IndependentCascade, params, options);
   EXPECT_TRUE(degraded.degraded);
   EXPECT_GT(degraded.degrade_shortfall_bytes, 0u);

@@ -77,12 +77,11 @@ TEST(MultiNode, SingleNodeMatchesSingleDevicePipeline) {
   const EimResult single = run_eim(solo, g, DiffusionModel::IndependentCascade, params);
 
   gpusim::Cluster cluster = make_cluster(1);
-  const MultiNodeResult clustered =
+  const EimResult clustered =
       run_eim_cluster(cluster, g, DiffusionModel::IndependentCascade, params);
 
   expect_same_answer(single, clustered);
-  EXPECT_EQ(clustered.num_nodes, 1u);
-  EXPECT_TRUE(clustered.failed_nodes.empty());
+  EXPECT_TRUE(clustered.failed_domains.empty());
   EXPECT_FALSE(clustered.degraded);
 }
 
@@ -102,7 +101,6 @@ TEST_P(MultiNodeCounts, SeedsIdenticalAcrossNodeCounts) {
   const auto sharded =
       run_eim_cluster(cluster, g, DiffusionModel::IndependentCascade, params);
   expect_same_answer(reference, sharded);
-  EXPECT_EQ(sharded.num_nodes, GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(NodeCounts, MultiNodeCounts,
@@ -120,7 +118,6 @@ TEST(MultiNode, MultiDeviceNodesMatchAndMatchMultiGpu) {
   const auto sharded =
       run_eim_cluster(grid, g, DiffusionModel::IndependentCascade, params);
   expect_same_answer(reference, sharded);
-  EXPECT_EQ(sharded.devices_per_node, 2u);
 
   // Cross-tier parity: the single-host multi-GPU path agrees too.
   std::vector<std::unique_ptr<gpusim::Device>> owned;
@@ -157,7 +154,7 @@ TEST(ClusterFailover, KillingAnyNodeAtAnyCollectiveOrdinalKeepsSeeds) {
   const imm::ImmParams params = make_params();
 
   gpusim::Cluster clean = make_cluster(3);
-  const MultiNodeResult reference =
+  const EimResult reference =
       run_eim_cluster(clean, g, DiffusionModel::IndependentCascade, params);
   const std::uint64_t total_collectives = clean.collective_ordinal();
   ASSERT_GT(total_collectives, 2u);
@@ -167,11 +164,11 @@ TEST(ClusterFailover, KillingAnyNodeAtAnyCollectiveOrdinalKeepsSeeds) {
     gpusim::ClusterFaultPlan plan;
     plan.node_losses.push_back({1, ordinal, -1.0});
     cluster.set_fault_plan(plan);
-    const MultiNodeResult failed =
+    const EimResult failed =
         run_eim_cluster(cluster, g, DiffusionModel::IndependentCascade, params);
     ASSERT_EQ(failed.seeds, reference.seeds) << "loss at ordinal " << ordinal;
     ASSERT_EQ(failed.num_sets, reference.num_sets) << "loss at ordinal " << ordinal;
-    ASSERT_EQ(failed.failed_nodes, std::vector<std::uint32_t>{1u})
+    ASSERT_EQ(failed.failed_domains, std::vector<std::uint32_t>{1u})
         << "loss at ordinal " << ordinal;
     ASSERT_TRUE(cluster.node(1).lost());
   }
@@ -182,17 +179,17 @@ TEST(ClusterFailover, PrimaryNodeLossPromotesASurvivor) {
   const imm::ImmParams params = make_params();
 
   gpusim::Cluster clean = make_cluster(3);
-  const MultiNodeResult reference =
+  const EimResult reference =
       run_eim_cluster(clean, g, DiffusionModel::IndependentCascade, params);
 
   gpusim::Cluster cluster = make_cluster(3);
   gpusim::ClusterFaultPlan plan;
   plan.node_losses.push_back({0, 2, -1.0});  // kill the primary's node
   cluster.set_fault_plan(plan);
-  const MultiNodeResult failed =
+  const EimResult failed =
       run_eim_cluster(cluster, g, DiffusionModel::IndependentCascade, params);
   expect_same_answer(reference, failed);
-  EXPECT_EQ(failed.failed_nodes, std::vector<std::uint32_t>{0u});
+  EXPECT_EQ(failed.failed_domains, std::vector<std::uint32_t>{0u});
 }
 
 TEST(ClusterFailover, LossAtFinalOrdinalFiresAndOneBeyondDoesNot) {
@@ -203,7 +200,7 @@ TEST(ClusterFailover, LossAtFinalOrdinalFiresAndOneBeyondDoesNot) {
   const imm::ImmParams params = make_params();
 
   gpusim::Cluster clean = make_cluster(3);
-  const MultiNodeResult reference =
+  const EimResult reference =
       run_eim_cluster(clean, g, DiffusionModel::IndependentCascade, params);
   const std::uint64_t total = clean.collective_ordinal();
 
@@ -211,19 +208,19 @@ TEST(ClusterFailover, LossAtFinalOrdinalFiresAndOneBeyondDoesNot) {
   gpusim::ClusterFaultPlan last_plan;
   last_plan.node_losses.push_back({2, total - 1, -1.0});
   at_last.set_fault_plan(last_plan);
-  const MultiNodeResult last =
+  const EimResult last =
       run_eim_cluster(at_last, g, DiffusionModel::IndependentCascade, params);
   expect_same_answer(reference, last);
-  EXPECT_EQ(last.failed_nodes, std::vector<std::uint32_t>{2u});
+  EXPECT_EQ(last.failed_domains, std::vector<std::uint32_t>{2u});
 
   gpusim::Cluster beyond = make_cluster(3);
   gpusim::ClusterFaultPlan beyond_plan;
   beyond_plan.node_losses.push_back({2, total, -1.0});
   beyond.set_fault_plan(beyond_plan);
-  const MultiNodeResult never =
+  const EimResult never =
       run_eim_cluster(beyond, g, DiffusionModel::IndependentCascade, params);
   expect_same_answer(reference, never);
-  EXPECT_TRUE(never.failed_nodes.empty());
+  EXPECT_TRUE(never.failed_domains.empty());
   EXPECT_FALSE(beyond.node(2).lost());
 }
 
@@ -232,7 +229,7 @@ TEST(ClusterFailover, NodeLossByModeledTimeAlsoRecovers) {
   const imm::ImmParams params = make_params();
 
   gpusim::Cluster clean = make_cluster(3);
-  const MultiNodeResult reference =
+  const EimResult reference =
       run_eim_cluster(clean, g, DiffusionModel::IndependentCascade, params);
   const double mid = clean.timeline().total_seconds() / 2.0;
   ASSERT_GT(mid, 0.0);
@@ -241,10 +238,10 @@ TEST(ClusterFailover, NodeLossByModeledTimeAlsoRecovers) {
   gpusim::ClusterFaultPlan plan;
   plan.node_losses.push_back({1, gpusim::kNeverOrdinal, mid});
   cluster.set_fault_plan(plan);
-  const MultiNodeResult failed =
+  const EimResult failed =
       run_eim_cluster(cluster, g, DiffusionModel::IndependentCascade, params);
   expect_same_answer(reference, failed);
-  EXPECT_EQ(failed.failed_nodes, std::vector<std::uint32_t>{1u});
+  EXPECT_EQ(failed.failed_domains, std::vector<std::uint32_t>{1u});
 }
 
 TEST(ClusterFailover, TransientLinkFaultRetriesWithBackoff) {
@@ -252,7 +249,7 @@ TEST(ClusterFailover, TransientLinkFaultRetriesWithBackoff) {
   const imm::ImmParams params = make_params();
 
   gpusim::Cluster clean = make_cluster(3);
-  const MultiNodeResult reference =
+  const EimResult reference =
       run_eim_cluster(clean, g, DiffusionModel::IndependentCascade, params);
 
   gpusim::Cluster cluster = make_cluster(3);
@@ -264,13 +261,12 @@ TEST(ClusterFailover, TransientLinkFaultRetriesWithBackoff) {
   EimOptions options;
   options.metrics = &registry;
   options.trace = &trace;
-  const MultiNodeResult retried = run_eim_cluster(
+  const EimResult retried = run_eim_cluster(
       cluster, g, DiffusionModel::IndependentCascade, params, options);
 
   // Transparent: the retry recovers, no node dies, seeds stay identical.
   EXPECT_EQ(retried.seeds, reference.seeds);
-  EXPECT_TRUE(retried.failed_nodes.empty());
-  EXPECT_EQ(retried.collective_retries, 1u);
+  EXPECT_TRUE(retried.failed_domains.empty());
   EXPECT_EQ(registry.counter("collective.retries").value(), 1u);
   EXPECT_EQ(registry.histogram("collective.backoff_seconds").count(), 1u);
   EXPECT_GT(cluster.timeline().backoff_seconds(), 0.0);
@@ -350,7 +346,7 @@ TEST(ClusterFailover, LinkRetryExhaustionEscalatesToNodeDead) {
   const imm::ImmParams params = make_params();
 
   gpusim::Cluster clean = make_cluster(3);
-  const MultiNodeResult reference =
+  const EimResult reference =
       run_eim_cluster(clean, g, DiffusionModel::IndependentCascade, params);
 
   gpusim::Cluster cluster = make_cluster(3);
@@ -364,17 +360,18 @@ TEST(ClusterFailover, LinkRetryExhaustionEscalatesToNodeDead) {
   EimOptions options;
   options.metrics = &registry;
   options.trace = &trace;
-  const MultiNodeResult failed = run_eim_cluster(
+  const EimResult failed = run_eim_cluster(
       cluster, g, DiffusionModel::IndependentCascade, params, options);
 
   expect_same_answer(reference, failed);
-  EXPECT_EQ(failed.failed_nodes, std::vector<std::uint32_t>{1u});
+  EXPECT_EQ(failed.failed_domains, std::vector<std::uint32_t>{1u});
   EXPECT_TRUE(cluster.node(1).lost());
-  EXPECT_EQ(failed.collective_retries, 2u);  // two backoffs, then escalation
-  EXPECT_EQ(registry.counter("cluster.node_lost").value(), 1u);
+  // Two backoffs, then escalation.
+  EXPECT_EQ(registry.counter("collective.retries").value(), 2u);
+  EXPECT_EQ(registry.counter("failover.domains_lost").value(), 1u);
   const auto instants = trace.instants();
   EXPECT_TRUE(std::any_of(instants.begin(), instants.end(),
-                          [](const auto& i) { return i.name == "node.lost"; }));
+                          [](const auto& i) { return i.name == "domain.lost"; }));
 }
 
 TEST(ClusterFailover, CollectivesRetryUnderTheRunsRetryPolicy) {
@@ -384,21 +381,23 @@ TEST(ClusterFailover, CollectivesRetryUnderTheRunsRetryPolicy) {
   const imm::ImmParams params = make_params();
 
   gpusim::Cluster clean = make_cluster(3);
-  const MultiNodeResult reference =
+  const EimResult reference =
       run_eim_cluster(clean, g, DiffusionModel::IndependentCascade, params);
 
   gpusim::Cluster cluster = make_cluster(3);
   gpusim::ClusterFaultPlan plan;
   plan.link_faults.push_back({1, 2});
   cluster.set_fault_plan(plan);
+  support::metrics::MetricsRegistry registry;
   EimOptions options;
+  options.metrics = &registry;
   options.retry.max_attempts = 1;
-  const MultiNodeResult failed = run_eim_cluster(
+  const EimResult failed = run_eim_cluster(
       cluster, g, DiffusionModel::IndependentCascade, params, options);
 
   expect_same_answer(reference, failed);
-  EXPECT_EQ(failed.failed_nodes, std::vector<std::uint32_t>{1u});
-  EXPECT_EQ(failed.collective_retries, 0u);
+  EXPECT_EQ(failed.failed_domains, std::vector<std::uint32_t>{1u});
+  EXPECT_EQ(registry.counter("collective.retries").value(), 0u);
 }
 
 TEST(ClusterFailover, StragglerChangesOnlyModeledTime) {
@@ -406,18 +405,18 @@ TEST(ClusterFailover, StragglerChangesOnlyModeledTime) {
   const imm::ImmParams params = make_params();
 
   gpusim::Cluster clean = make_cluster(4);
-  const MultiNodeResult reference =
+  const EimResult reference =
       run_eim_cluster(clean, g, DiffusionModel::IndependentCascade, params);
 
   gpusim::Cluster cluster = make_cluster(4);
   gpusim::ClusterFaultPlan plan;
   plan.slowdowns.push_back({2, 8.0, 0});  // node 2's NIC runs at 1/8 speed
   cluster.set_fault_plan(plan);
-  const MultiNodeResult dragged =
+  const EimResult dragged =
       run_eim_cluster(cluster, g, DiffusionModel::IndependentCascade, params);
 
   expect_same_answer(reference, dragged);
-  EXPECT_TRUE(dragged.failed_nodes.empty());
+  EXPECT_TRUE(dragged.failed_domains.empty());
   EXPECT_GT(dragged.communication_seconds, reference.communication_seconds);
 }
 
@@ -428,19 +427,19 @@ TEST(ClusterFailover, DeviceLossDrainsTheWholeNode) {
   const imm::ImmParams params = make_params();
 
   gpusim::Cluster clean = make_cluster(2, 2);
-  const MultiNodeResult reference =
+  const EimResult reference =
       run_eim_cluster(clean, g, DiffusionModel::IndependentCascade, params);
 
   gpusim::Cluster cluster = make_cluster(2, 2);
   gpusim::FaultPlan device_plan;
   device_plan.device_loss_kernel_ordinal = 2;
   cluster.node(1).device(0).set_fault_plan(device_plan);
-  const MultiNodeResult failed =
+  const EimResult failed =
       run_eim_cluster(cluster, g, DiffusionModel::IndependentCascade, params);
 
   expect_same_answer(reference, failed);
-  EXPECT_EQ(failed.failed_nodes, std::vector<std::uint32_t>{1u});
-  EXPECT_GT(failed.reshard_samples, 0u);
+  EXPECT_EQ(failed.failed_domains, std::vector<std::uint32_t>{1u});
+  EXPECT_GT(failed.respilled_samples, 0u);
 }
 
 TEST(ClusterFailover, QuorumLossThrowsWithExitCodeSix) {
@@ -477,17 +476,17 @@ TEST(ClusterFailover, QuorumLossDegradesGracefullyWhenOptedIn) {
   EimOptions options;
   options.metrics = &registry;
   options.degrade_policy = DegradePolicy::Degrade;
-  const MultiNodeResult result = run_eim_cluster(
+  const EimResult result = run_eim_cluster(
       cluster, g, DiffusionModel::IndependentCascade, params, options, 3);
 
   EXPECT_TRUE(result.degraded);
   EXPECT_GT(result.degrade_shortfall_samples, 0u);
   EXPECT_EQ(result.seeds.size(), params.k);
   EXPECT_GT(result.num_sets, 0u);
-  EXPECT_EQ(result.failed_nodes, std::vector<std::uint32_t>{2u});
+  EXPECT_EQ(result.failed_domains, std::vector<std::uint32_t>{2u});
   EXPECT_EQ(registry.counter("degrade.activations").value(), 1u);
-  EXPECT_EQ(registry.counter("cluster.node_lost").value(), 1u);
-  EXPECT_GT(registry.counter("cluster.reshard_samples").value(), 0u);
+  EXPECT_EQ(registry.counter("failover.domains_lost").value(), 1u);
+  EXPECT_GT(registry.counter("failover.respilled_samples").value(), 0u);
 }
 
 TEST(ClusterFailover, OomAndQuorumLossFillOneShortfallReport) {
@@ -495,7 +494,7 @@ TEST(ClusterFailover, OomAndQuorumLossFillOneShortfallReport) {
   // both freeze theta once and report the samples it fell short by.
   const Graph g = make_graph();
   const imm::ImmParams params = make_params();
-  const auto expect_degraded_once = [&](const MultiNodeResult& result,
+  const auto expect_degraded_once = [&](const EimResult& result,
                                         support::metrics::MetricsRegistry& registry) {
     EXPECT_TRUE(result.degraded);
     EXPECT_GT(result.degrade_shortfall_samples, 0u);
@@ -516,10 +515,10 @@ TEST(ClusterFailover, OomAndQuorumLossFillOneShortfallReport) {
   options.sampler_blocks = 16;
   options.degrade_policy = DegradePolicy::Degrade;
   options.metrics = &oom_registry;
-  const MultiNodeResult oom =
+  const EimResult oom =
       run_eim_cluster(small, g, DiffusionModel::IndependentCascade, params, options);
   expect_degraded_once(oom, oom_registry);
-  EXPECT_TRUE(oom.failed_nodes.empty());
+  EXPECT_TRUE(oom.failed_domains.empty());
 
   gpusim::Cluster cluster = make_cluster(3);
   gpusim::ClusterFaultPlan plan;
@@ -529,7 +528,7 @@ TEST(ClusterFailover, OomAndQuorumLossFillOneShortfallReport) {
   options = {};
   options.degrade_policy = DegradePolicy::Degrade;
   options.metrics = &quorum_registry;
-  const MultiNodeResult quorum = run_eim_cluster(
+  const EimResult quorum = run_eim_cluster(
       cluster, g, DiffusionModel::IndependentCascade, params, options, 3);
   expect_degraded_once(quorum, quorum_registry);
 }
@@ -557,7 +556,7 @@ TEST(ClusterCheckpoint, MidRunSnapshotResumesAcrossNodeCounts) {
   const imm::ImmParams params = make_params();
 
   gpusim::Cluster clean = make_cluster(3);
-  const MultiNodeResult reference =
+  const EimResult reference =
       run_eim_cluster(clean, g, DiffusionModel::IndependentCascade, params);
   const std::uint64_t clean_launches =
       clean.node(0).device(0).kernel_launch_ordinal();
@@ -572,7 +571,7 @@ TEST(ClusterCheckpoint, MidRunSnapshotResumesAcrossNodeCounts) {
     EimOptions options;
     options.checkpoint_dir = dir.path;
     try {
-      const MultiNodeResult full = run_eim_cluster(
+      const EimResult full = run_eim_cluster(
           doomed, g, DiffusionModel::IndependentCascade, params, options);
       expect_same_answer(reference, full);  // abort landed past the last wave
     } catch (const support::ProcessAbortError&) {
@@ -585,10 +584,9 @@ TEST(ClusterCheckpoint, MidRunSnapshotResumesAcrossNodeCounts) {
     gpusim::Cluster resumed_cluster = make_cluster(nodes);
     EimOptions options;
     options.resume = &ckpt;
-    const MultiNodeResult resumed = run_eim_cluster(
+    const EimResult resumed = run_eim_cluster(
         resumed_cluster, g, DiffusionModel::IndependentCascade, params, options);
     expect_same_answer(reference, resumed);
-    EXPECT_EQ(resumed.num_nodes, nodes);
   }
 
   // Cross-tier: the same snapshot resumes on the single-device pipeline.
@@ -623,12 +621,12 @@ TEST(ClusterCheckpoint, FaultOnRestoreUploadReshardsEachRestoredSetOnce) {
   cluster.node(1).device(1).set_fault_plan(plan);
   EimOptions options;
   options.resume = &ckpt;
-  const MultiNodeResult resumed =
+  const EimResult resumed =
       run_eim_cluster(cluster, g, DiffusionModel::IndependentCascade, params, options);
   expect_same_answer(reference, resumed);
-  EXPECT_EQ(resumed.failed_nodes, std::vector<std::uint32_t>{1u});
+  EXPECT_EQ(resumed.failed_domains, std::vector<std::uint32_t>{1u});
   // Node 1 held the odd sample ids.
-  EXPECT_EQ(resumed.reshard_samples, ckpt.lengths.size() / 2);
+  EXPECT_EQ(resumed.respilled_samples, ckpt.lengths.size() / 2);
 }
 
 TEST(ClusterCheckpoint, ClusterResumesASingleDeviceSnapshot) {
@@ -648,7 +646,7 @@ TEST(ClusterCheckpoint, ClusterResumesASingleDeviceSnapshot) {
   gpusim::Cluster cluster = make_cluster(3);
   EimOptions options;
   options.resume = &ckpt;
-  const MultiNodeResult resumed =
+  const EimResult resumed =
       run_eim_cluster(cluster, g, DiffusionModel::IndependentCascade, params, options);
   expect_same_answer(reference, resumed);
 }
@@ -660,7 +658,7 @@ TEST(ClusterCheckpoint, ResumeAfterNodeLossStillMatches) {
   const imm::ImmParams params = make_params();
 
   gpusim::Cluster clean = make_cluster(3);
-  const MultiNodeResult reference =
+  const EimResult reference =
       run_eim_cluster(clean, g, DiffusionModel::IndependentCascade, params);
   const std::uint64_t clean_launches =
       clean.node(0).device(0).kernel_launch_ordinal();
@@ -687,10 +685,10 @@ TEST(ClusterCheckpoint, ResumeAfterNodeLossStillMatches) {
   cluster.set_fault_plan(plan);
   EimOptions options;
   options.resume = &ckpt;
-  const MultiNodeResult resumed =
+  const EimResult resumed =
       run_eim_cluster(cluster, g, DiffusionModel::IndependentCascade, params, options);
   expect_same_answer(reference, resumed);
-  EXPECT_EQ(resumed.failed_nodes, std::vector<std::uint32_t>{3u});
+  EXPECT_EQ(resumed.failed_domains, std::vector<std::uint32_t>{3u});
 }
 
 }  // namespace

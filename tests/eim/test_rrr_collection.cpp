@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -16,12 +17,21 @@ using graph::VertexId;
 
 gpusim::Device make_device() { return gpusim::Device(gpusim::make_benchmark_device(64)); }
 
+/// The serial one-set commit: admit `sorted_set` at slot num_sets() and
+/// publish it. False when it does not fit (nothing is written).
+bool commit(DeviceRrrCollection& col, std::span<const VertexId> sorted_set) {
+  const auto len = static_cast<std::uint32_t>(sorted_set.size());
+  if (col.admit(std::span<const std::uint32_t>(&len, 1)) == 0) return false;
+  col.publish(col.num_sets() - 1, sorted_set);
+  return true;
+}
+
 TEST(DeviceRrrCollection, CommitAndDecode) {
   gpusim::Device device = make_device();
   DeviceRrrCollection col(device, 100, /*log_encode=*/true);
   col.reserve(2, 16);
-  EXPECT_TRUE(col.try_commit(std::vector<VertexId>{3, 17, 42}));
-  EXPECT_TRUE(col.try_commit(std::vector<VertexId>{42}));
+  EXPECT_TRUE(commit(col, std::vector<VertexId>{3, 17, 42}));
+  EXPECT_TRUE(commit(col, std::vector<VertexId>{42}));
   EXPECT_EQ(col.num_sets(), 2u);
   EXPECT_EQ(col.total_elements(), 4u);
   EXPECT_EQ(col.set_length(0), 3u);
@@ -36,9 +46,9 @@ TEST(DeviceRrrCollection, DecodeSetMatchesElementForBothEncodings) {
     gpusim::Device device = make_device();
     DeviceRrrCollection col(device, 5000, log_encode);
     col.reserve(3, 32);
-    ASSERT_TRUE(col.try_commit(std::vector<VertexId>{5, 17, 4093}));
-    ASSERT_TRUE(col.try_commit(std::vector<VertexId>{}));
-    ASSERT_TRUE(col.try_commit(std::vector<VertexId>{0, 1, 2, 3, 4999}));
+    ASSERT_TRUE(commit(col, std::vector<VertexId>{5, 17, 4093}));
+    ASSERT_TRUE(commit(col, std::vector<VertexId>{}));
+    ASSERT_TRUE(commit(col, std::vector<VertexId>{0, 1, 2, 3, 4999}));
     for (std::uint64_t i = 0; i < 3; ++i) {
       std::vector<VertexId> out(col.set_length(i));
       col.decode_set(i, out);
@@ -54,14 +64,14 @@ TEST(DeviceRrrCollection, CommitFailsWhenFull) {
   gpusim::Device device = make_device();
   DeviceRrrCollection col(device, 50, true);
   col.reserve(2, 3);
-  EXPECT_TRUE(col.try_commit(std::vector<VertexId>{1, 2}));
-  EXPECT_FALSE(col.try_commit(std::vector<VertexId>{3, 4}));
+  EXPECT_TRUE(commit(col, std::vector<VertexId>{1, 2}));
+  EXPECT_FALSE(commit(col, std::vector<VertexId>{3, 4}));
   // A rejected set is not admitted: the cursor stays at the committed prefix.
   EXPECT_EQ(col.num_sets(), 1u);
   EXPECT_EQ(col.total_elements(), 2u);
   // Growth fixes it.
   col.reserve(2, 8);
-  EXPECT_TRUE(col.try_commit(std::vector<VertexId>{3, 4}));
+  EXPECT_TRUE(commit(col, std::vector<VertexId>{3, 4}));
   EXPECT_EQ(col.element(1, 0), 3u);
 }
 
@@ -69,9 +79,9 @@ TEST(DeviceRrrCollection, GrowthPreservesContents) {
   gpusim::Device device = make_device();
   DeviceRrrCollection col(device, 1000, true);
   col.reserve(4, 4);
-  (void)col.try_commit(std::vector<VertexId>{7, 999});
+  (void)commit(col, std::vector<VertexId>{7, 999});
   col.reserve(4, 1000);
-  (void)col.try_commit(std::vector<VertexId>{0, 1, 2});
+  (void)commit(col, std::vector<VertexId>{0, 1, 2});
   EXPECT_EQ(col.element(0, 0), 7u);
   EXPECT_EQ(col.element(0, 1), 999u);
   EXPECT_EQ(col.element(1, 2), 2u);
@@ -81,7 +91,7 @@ TEST(DeviceRrrCollection, EmptySetsCommitCleanly) {
   gpusim::Device device = make_device();
   DeviceRrrCollection col(device, 10, true);
   col.reserve(1, 4);
-  EXPECT_TRUE(col.try_commit({}));
+  EXPECT_TRUE(commit(col, {}));
   EXPECT_EQ(col.set_length(0), 0u);
   EXPECT_EQ(col.total_elements(), 0u);
 }
@@ -95,8 +105,8 @@ TEST(DeviceRrrCollection, LogEncodingShrinksStorage) {
   std::vector<VertexId> set;
   for (VertexId v = 0; v < 10; ++v) set.push_back(v * 100);
   for (std::uint64_t i = 0; i < 100; ++i) {
-    (void)packed.try_commit(set);
-    (void)raw.try_commit(set);
+    (void)commit(packed, set);
+    (void)commit(raw, set);
   }
   // 14-bit ids packed vs 32-bit raw: R shrinks by >half; O and C match.
   EXPECT_LT(packed.stored_bytes(), raw.stored_bytes());
@@ -182,11 +192,11 @@ TEST(DeviceRrrCollection, SmallSetAfterRejectedSetIsRejected) {
   // Slot 1 (3 members) does not fit behind slot 0; slot 2 (1 member) would,
   // but a later slot never fills the space in front of a rejected one.
   EXPECT_EQ(col.admit(std::vector<std::uint32_t>{4, 3, 1}), 1u);
-  EXPECT_FALSE(col.try_commit(std::vector<VertexId>{9}));
+  EXPECT_FALSE(commit(col, std::vector<VertexId>{9}));
   EXPECT_EQ(col.total_elements(), 4u);
   // The next reserve reopens admission at the first rejected slot.
   col.reserve(8, 6);
-  EXPECT_TRUE(col.try_commit(std::vector<VertexId>{9}));
+  EXPECT_TRUE(commit(col, std::vector<VertexId>{9}));
   EXPECT_EQ(col.num_sets(), 2u);
   EXPECT_EQ(col.element(1, 0), 9u);
 }
@@ -197,13 +207,20 @@ TEST(DeviceRrrCollection, OffsetsAreExclusiveScanOfLengths) {
   col.reserve(8, 64);
   const std::vector<std::uint32_t> lengths{3, 0, 5, 2};
   ASSERT_EQ(col.admit(lengths), lengths.size());
+  EXPECT_EQ(col.total_elements(), 10u);
   // A second run continues the scan.
   ASSERT_EQ(col.admit(std::vector<std::uint32_t>{7}), 1u);
-  const std::vector<std::uint64_t> starts{0, 3, 3, 8, 10};
-  for (std::uint64_t i = 0; i < starts.size(); ++i) {
-    EXPECT_EQ(col.set_start(i), starts[i]) << "set " << i;
-  }
   EXPECT_EQ(col.total_elements(), 17u);
+  // Slices at the exclusive-scan offsets tile R exactly: each set decodes to
+  // what was published into it, with no neighbour's members bleeding in.
+  const std::vector<std::vector<VertexId>> sets{
+      {1, 2, 3}, {}, {10, 11, 12, 13, 14}, {20, 21}, {30, 31, 32, 33, 34, 35, 36}};
+  for (std::uint64_t i = 0; i < sets.size(); ++i) col.publish(i, sets[i]);
+  for (std::uint64_t i = 0; i < sets.size(); ++i) {
+    std::vector<VertexId> out(col.set_length(i));
+    col.decode_set(i, out);
+    EXPECT_EQ(out, sets[i]) << "set " << i;
+  }
 }
 
 TEST(DeviceRrrCollection, SpilledSetsAreTheCommittedPrefix) {
@@ -215,11 +232,11 @@ TEST(DeviceRrrCollection, SpilledSetsAreTheCommittedPrefix) {
     return std::vector<VertexId>{static_cast<VertexId>(i), static_cast<VertexId>(i + 500)};
   };
   col.reserve(6, 12);
-  for (std::uint64_t i = 0; i < 3; ++i) ASSERT_TRUE(col.try_commit(set_for(i)));
+  for (std::uint64_t i = 0; i < 3; ++i) ASSERT_TRUE(commit(col, set_for(i)));
   col.spill_committed();
   for (std::uint64_t i = 3; i < 5; ++i) {
     col.reserve(6, col.total_elements() + 2);
-    ASSERT_TRUE(col.try_commit(set_for(i)));
+    ASSERT_TRUE(commit(col, set_for(i)));
   }
   EXPECT_TRUE(col.has_spilled());
   for (std::uint64_t i = 0; i < 5; ++i) {
@@ -241,12 +258,12 @@ TEST(DeviceRrrCollection, MetricsCountRejectsAndRegrows) {
 
   col.reserve(4, 4);  // first O + R growth
   const std::vector<VertexId> big{1, 2, 3, 4, 5, 6};
-  EXPECT_FALSE(col.try_commit(big));
-  EXPECT_FALSE(col.try_commit(big));
+  EXPECT_FALSE(commit(col, big));
+  EXPECT_FALSE(commit(col, big));
   EXPECT_EQ(registry.counter("rrr.commit_rejects").value(), 2u);
 
   col.reserve(4, 64);  // R regrows, O stays
-  EXPECT_TRUE(col.try_commit(big));
+  EXPECT_TRUE(commit(col, big));
   EXPECT_EQ(registry.counter("rrr.commit_rejects").value(), 2u);
   EXPECT_EQ(registry.counter("rrr.regrow_r").value(), 2u);
   EXPECT_EQ(registry.counter("rrr.regrow_o").value(), 1u);
@@ -258,7 +275,7 @@ TEST(DeviceRrrCollection, StoredBytesChargeReservedOffsets) {
   gpusim::Device device = make_device();
   DeviceRrrCollection col(device, 100, false);
   col.reserve(10, 32);
-  (void)col.try_commit(std::vector<VertexId>{1, 2});
+  (void)commit(col, std::vector<VertexId>{1, 2});
 
   const std::uint64_t o_bytes = 10 * (sizeof(std::uint64_t) + sizeof(std::uint32_t));
   const std::uint64_t c_bytes = 100 * sizeof(std::uint32_t);

@@ -86,9 +86,10 @@ TEST(GpuSeedSelector, SaturatedSelectionChargesAllKPicks) {
   collection.reserve(3, 16);
   const std::vector<VertexId> s0{0};
   const std::vector<VertexId> s2{0, 1};
-  ASSERT_TRUE(collection.try_commit(s0));
-  ASSERT_TRUE(collection.try_commit(s0));
-  ASSERT_TRUE(collection.try_commit(s2));
+  ASSERT_EQ(collection.admit(std::vector<std::uint32_t>{1, 1, 2}), 3u);
+  collection.publish(0, s0);
+  collection.publish(1, s0);
+  collection.publish(2, s2);
 
   device.timeline().reset();
   support::metrics::MetricsRegistry registry;

@@ -162,7 +162,7 @@ TEST(TracePipeline, MultiGpuTracksEveryDevice) {
   EimOptions o;
   o.sampler_blocks = 16;
   o.trace = &rec;
-  const MultiGpuResult r = run_eim_multi(
+  const EimResult r = run_eim_multi(
       {&d0, &d1}, g, DiffusionModel::IndependentCascade, make_params(), o);
   EXPECT_EQ(r.seeds.size(), 8u);
 

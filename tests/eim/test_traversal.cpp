@@ -55,8 +55,10 @@ void expect_sampler_pinned(DiffusionModel model, EimOptions options, const Pinne
   EimSampler sampler(device, g, model, make_params(), options);
   sampler.sample_to(collection, kSets);
 
-  // A capacity retry re-runs a sample in a wave whose composition depends
-  // on host scheduling, so the modeled clock is only reproducible without.
+  // Fixture: every cell fits its reservations on the first admit, so the
+  // pins price one pass of each traversal with no rejected sample re-run.
+  // (Rejections are decided in slot order, so a re-run would repeat
+  // bit-for-bit as well.)
   ASSERT_EQ(registry.counter("sampler.commit_retries").value(), 0u);
   EXPECT_EQ(collection.num_sets(), pin.num_sets);
   EXPECT_EQ(collection.total_elements(), pin.total_elements);
@@ -69,8 +71,9 @@ void expect_gim_pinned(DiffusionModel model, const Pinned& pin,
   const Graph g = make_graph(model);
   gpusim::Device device(gpusim::make_benchmark_device(256));
   baselines::GimConfig config;
-  // No heap-pressure term: it scales each malloc by the global allocation
-  // ordinal, which depends on host scheduling.
+  // Fixture: the heap-pressure term is off, so the pins isolate what the
+  // shared traversal charges from the allocator model layered on top. (The
+  // term is priced in slot order, so it would repeat bit-for-bit as well.)
   config.heap_pressure_scale = std::numeric_limits<std::uint64_t>::max();
   // A four-entry shared queue makes most traversals spill.
   config.shared_queue_entries = 4;

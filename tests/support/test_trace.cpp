@@ -65,7 +65,7 @@ TEST(TraceRecorder, SequenceIdsAreSharedBetweenSpansAndInstants) {
   TraceRecorder rec;
   const std::uint32_t pid = rec.register_process("dev");
   const std::uint64_t s0 = rec.begin_span(pid, SpanCategory::Phase, "p", 0.0);
-  rec.instant(pid, "device.lost", "respilled=3", 0.5);
+  rec.instant(pid, "domain.lost", "respilled=3", 0.5);
   rec.end_span(s0, 1.0);
   rec.complete_span(pid, SpanCategory::Kernel, "k", 0.0, 1.0);
 

@@ -33,7 +33,6 @@
 #include "eim/graph/io.hpp"
 #include "eim/graph/registry.hpp"
 #include "eim/imm/imm.hpp"
-#include "eim/imm/tim.hpp"
 #include "eim/support/atomic_write.hpp"
 #include "eim/support/error.hpp"
 #include "eim/support/json.hpp"
@@ -106,12 +105,12 @@ void print_usage() {
       "  --dataset <ABBREV>   synthetic stand-in from the 16-network registry\n"
       "  --file <path>        SNAP edge-list text file (overrides --dataset)\n"
       "  --model ic|lt        diffusion model (default ic)\n"
-      "  --algo eim|gim|curipples|serial|tim  (default eim)\n"
+      "  --algo eim|gim|curipples|serial  (default eim)\n"
       "  --k <n>              seed-set size (default 50)\n"
       "  --eps <x>            approximation parameter (default 0.13)\n"
       "  --seed <n>           RNG seed (default 42)\n"
       "  --devices <n>        simulated GPUs for eIM on one host (default 1;\n"
-      "                       with --nodes use --devices-per-node)\n"
+      "                       eim only; with --nodes use --devices-per-node)\n"
       "  --nodes <n>          modeled cluster: shard eIM over n nodes (eim\n"
       "                       only; see docs/RESILIENCE.md, Cluster failover)\n"
       "  --devices-per-node <n>  simulated GPUs inside each node (default 1)\n"
@@ -380,9 +379,10 @@ int main(int argc, char** argv) {
     return report_error(support::InvalidArgumentError(
         "--draw-mode skip requires --algo eim (got '" + opt.algo + "')"));
   }
-  if (opt.nodes > 0 && opt.algo != "eim") {
+  // Only eIM shards; the other engines would silently run on one device.
+  if ((opt.nodes > 0 || opt.devices > 1) && opt.algo != "eim") {
     return report_error(support::InvalidArgumentError(
-        "--nodes requires --algo eim (got '" + opt.algo + "')"));
+        "--nodes/--devices require --algo eim (got '" + opt.algo + "')"));
   }
   if (opt.nodes == 0 && (!opt.cluster_faults.empty() || opt.quorum != 1 ||
                          opt.devices_per_node != 1)) {
@@ -488,7 +488,6 @@ int main(int argc, char** argv) {
     sampler_prof.start();
   }
   eim_impl::EimResult result;
-  std::optional<eim_impl::MultiNodeResult> cluster_result;
   int run_exit = support::kExitOk;
   try {
     // Load the snapshot before touching any device. A damaged checkpoint —
@@ -523,13 +522,6 @@ int main(int argc, char** argv) {
     if (opt.algo == "serial") {
       const auto serial = imm::run_imm_serial(g, opt.model, opt.params, profile);
       static_cast<imm::ImmResult&>(result) = serial;
-    } else if (opt.algo == "tim") {
-      const auto tim = imm::run_tim(g, opt.model, opt.params);
-      static_cast<imm::ImmResult&>(result) = tim;
-      if (!machine_stdout) {
-        std::printf("TIM KPT* estimate: %.1f (%llu estimation samples)\n", tim.kpt,
-                    static_cast<unsigned long long>(tim.estimation_samples));
-      }
     } else if (opt.algo == "eim" && opt.nodes > 0) {
       gpusim::ClusterSpec spec;
       spec.num_nodes = opt.nodes;
@@ -537,18 +529,15 @@ int main(int argc, char** argv) {
       spec.node.device = gpusim::make_benchmark_device(opt.memory_mb);
       gpusim::Cluster cluster(spec);
       cluster.set_fault_plan(opt.cluster_faults);
-      const auto clustered = eim_impl::run_eim_cluster(cluster, g, opt.model,
-                                                       opt.params, options, opt.quorum);
-      result = clustered;
-      cluster_result = clustered;
+      result = eim_impl::run_eim_cluster(cluster, g, opt.model, opt.params, options,
+                                         opt.quorum);
       if (!machine_stdout) {
-        std::printf("cluster: %u nodes x %u devices (communication %.3f ms",
-                    clustered.num_nodes, clustered.devices_per_node,
-                    clustered.communication_seconds * 1e3);
-        if (!clustered.failed_nodes.empty()) {
+        std::printf("cluster: %u nodes x %u devices (communication %.3f ms", opt.nodes,
+                    opt.devices_per_node, result.communication_seconds * 1e3);
+        if (!result.failed_domains.empty()) {
           std::printf(", %zu node(s) failed over, %llu samples resharded",
-                      clustered.failed_nodes.size(),
-                      static_cast<unsigned long long>(clustered.reshard_samples));
+                      result.failed_domains.size(),
+                      static_cast<unsigned long long>(result.respilled_samples));
         }
         std::printf(")\n");
       }
@@ -560,11 +549,10 @@ int main(int argc, char** argv) {
             gpusim::make_benchmark_device(opt.memory_mb)));
         ptrs.push_back(owned.back().get());
       }
-      const auto multi = eim_impl::run_eim_multi(ptrs, g, opt.model, opt.params, options);
-      result = multi;
+      result = eim_impl::run_eim_multi(ptrs, g, opt.model, opt.params, options);
       if (!machine_stdout) {
-        std::printf("devices: %u (communication %.3f ms)\n", multi.num_devices,
-                    multi.communication_seconds * 1e3);
+        std::printf("devices: %u (communication %.3f ms)\n", opt.devices,
+                    result.communication_seconds * 1e3);
       }
     } else {
       gpusim::Device device(gpusim::make_benchmark_device(opt.memory_mb));
@@ -685,17 +673,14 @@ int main(int argc, char** argv) {
       w.field("spilled_sets", result.spilled_sets)
           .field("spill_bytes_compressed", result.spill_bytes_compressed);
     }
-    if (cluster_result.has_value()) {
-      w.field("nodes", static_cast<std::uint64_t>(cluster_result->num_nodes))
-          .field("devices_per_node",
-                 static_cast<std::uint64_t>(cluster_result->devices_per_node))
-          .field("communication_seconds", cluster_result->communication_seconds)
-          .field("reshard_samples", cluster_result->reshard_samples)
-          .field("collective_retries", cluster_result->collective_retries);
+    if (opt.nodes > 0) {
+      w.field("nodes", static_cast<std::uint64_t>(opt.nodes))
+          .field("devices_per_node", static_cast<std::uint64_t>(opt.devices_per_node))
+          .field("communication_seconds", result.communication_seconds)
+          .field("reshard_samples", result.respilled_samples)
+          .field("collective_retries", registry.counter("collective.retries").value());
       w.begin_array("failed_nodes");
-      for (const auto n : cluster_result->failed_nodes) {
-        w.value(static_cast<std::uint64_t>(n));
-      }
+      for (const auto n : result.failed_domains) w.value(static_cast<std::uint64_t>(n));
       w.end_array();
     }
     if (opt.verify_trials > 0) {

@@ -24,7 +24,8 @@
 //   spill     memory-pressure tiers: TieredRrrStore evict/fetch, the
 //             rrr_block codec frames it drives, atomic disk I/O + retries
 //   codec     bit-packed encode/decode (PackedCsc, BitPackedArray, ...)
-//   selector  seed selection (inverted index, lazy-greedy, coverage walk)
+//   selector  seed selection (the mirror decode driver, inverted index,
+//             greedy_select's lazy-greedy picks and coverage walk)
 //   pool      ThreadPool dispatch/queue machinery (idle workers excluded
 //             only if the platform strips their frames)
 //   other     everything else (driver, I/O, unresolved frames)
@@ -101,7 +102,7 @@ std::vector<Bucket> make_buckets() {
        0},
       {"selector",
        {"SeedSelector", "GpuSeedSelector", "LazyArgMax", "build_inverted_index",
-        "select_seeds", "seed_selection", "pop_best"},
+        "select_seeds", "seed_selection", "pop_best", "greedy_select", "decode_mirror"},
        0},
       {"pool",
        {"ThreadPool", "parallel_for", "worker_loop", "enqueue_bulk",
