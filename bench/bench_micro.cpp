@@ -363,10 +363,12 @@ struct SelectFixture {
 
 void run_seed_select(benchmark::State& state, eim_impl::ArgMaxMode mode) {
   auto& fx = SelectFixture::instance();
-  eim_impl::GpuSeedSelector selector(fx.device, eim_impl::ScanStrategy::ThreadPerSet);
-  selector.set_argmax_mode(mode);
   for (auto _ : state) {
     fx.device.timeline().reset();  // modeled segments, not host time
+    // A fresh selector per iteration: one kept across calls would index the
+    // collection once and time only the picks afterwards.
+    eim_impl::GpuSeedSelector selector(fx.device, eim_impl::ScanStrategy::ThreadPerSet);
+    selector.set_argmax_mode(mode);
     benchmark::DoNotOptimize(selector.select(fx.collection, 300));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 300);

@@ -30,6 +30,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -71,6 +72,8 @@ struct CheckpointState {
 
   /// The committed collection in global sample-id order: per-set lengths
   /// and the flattened element array (each set ascending, as committed).
+  /// load_checkpoint fills them; a running eIM driver leaves them empty and
+  /// saves its selection index through a CollectionView instead.
   std::vector<std::uint32_t> lengths;
   std::vector<graph::VertexId> elements;
 
@@ -89,9 +92,22 @@ struct CheckpointState {
   std::string metrics_json;
 };
 
-/// Serialize `state` into `dir` (created if missing) as manifest.json +
-/// snapshot.bin, each published atomically. Returns total bytes written.
-/// Throws support::IoError when the directory or files cannot be written.
+/// A collection in global sample-id order as a checkpoint writes it: per-set
+/// lengths, and the flattened members split into consecutive parts (a
+/// running selection index's segments), so writing needs no merged copy.
+struct CollectionView {
+  std::span<const std::uint32_t> lengths;
+  std::vector<std::span<const graph::VertexId>> elements;
+};
+
+/// Serialize `state`, with `collection` as its collection, into `dir`
+/// (created if missing) as manifest.json + snapshot.bin, each published
+/// atomically. Returns total bytes written. Throws support::IoError when the
+/// directory or files cannot be written.
+std::uint64_t save_checkpoint(const std::string& dir, const CheckpointState& state,
+                              const CollectionView& collection);
+
+/// save_checkpoint with state.lengths / state.elements as the collection.
 std::uint64_t save_checkpoint(const std::string& dir, const CheckpointState& state);
 
 /// Load and fully validate the checkpoint in `dir`. Throws plain
@@ -115,11 +131,11 @@ void fill_checkpoint_identity(CheckpointState& state, const graph::Graph& g,
                               graph::DiffusionModel model, const imm::ImmParams& params,
                               const EimOptions& options, std::uint32_t num_devices);
 
-/// Save a round-boundary checkpoint into options.checkpoint_dir with the
-/// registry snapshot folded in, count the write, and mark it on `primary`'s
-/// trace track.
-void publish_checkpoint(CheckpointState& state, const gpusim::Device& primary,
-                        const EimOptions& options);
+/// Save a round-boundary checkpoint of `state` and `collection` into
+/// options.checkpoint_dir with the registry snapshot folded in, count the
+/// write, and mark it on `primary`'s trace track.
+void publish_checkpoint(CheckpointState& state, const CollectionView& collection,
+                        const gpusim::Device& primary, const EimOptions& options);
 
 /// Carry a resumed segment onto `primary`: add its timeline aggregates (so
 /// device_seconds stays the cumulative modeled cost of reaching the

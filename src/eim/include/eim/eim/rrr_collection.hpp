@@ -76,6 +76,10 @@ class DeviceRrrCollection {
   void publish(std::uint64_t set_index, std::span<const graph::VertexId> sorted_set);
 
   [[nodiscard]] graph::VertexId num_vertices() const noexcept { return n_; }
+  /// Distinct for every collection this process constructs (never 0), so a
+  /// reader that follows one collection can tell it from a later one at the
+  /// same address.
+  [[nodiscard]] std::uint64_t instance_id() const noexcept { return instance_id_; }
   /// Number of committed sets; they are slots [0, num_sets()).
   [[nodiscard]] std::uint64_t num_sets() const noexcept { return num_sets_; }
 
@@ -157,6 +161,7 @@ class DeviceRrrCollection {
   [[nodiscard]] std::uint64_t budget_device_elements() const noexcept;
 
   gpusim::Device* device_;
+  std::uint64_t instance_id_;
   graph::VertexId n_;
   bool log_encode_;
   std::uint32_t bits_per_vertex_;

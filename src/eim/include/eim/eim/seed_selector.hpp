@@ -1,16 +1,18 @@
 // Seed selection (paper §3.5, Algorithm 3): one greedy core for every
 // topology.
 //
-// The greedy answer is computed exactly on a host mirror of the collection
-// (inverted index + CELF lazy heap — bit-identical to the serial
-// reference). What a topology adds is the *device cost* of each pick, which
-// a PickPricer supplies. On one device that is §3.5's arg-max kernel plus
-// the count-update kernel, whose makespan packs running aggregates
-// (uncovered sets, their search cost, decrement traffic) onto T_n threads
-// (ThreadPerSet) or W_n warps (WarpPerSet) — the paper's
-// ceil(N/W_n)*C_w vs ceil(N/T_n)*C_t comparison, with C_w < C_t because
-// warp scans coalesce. Sharded runs price a pick as the slowest shard's
-// scan plus the interconnect's pick exchange (src/eim/src/sharded.cpp).
+// The greedy answer is computed exactly on a host SelectionIndex of the
+// collection (inverted index + CELF lazy heap — bit-identical to the serial
+// reference). The index only ever grows: each select call decodes and
+// indexes just the sets added since the last one. What a topology adds is
+// the *device cost* of each pick, which a PickPricer supplies. On one device
+// that is §3.5's arg-max kernel plus the count-update kernel, whose makespan
+// packs running aggregates (uncovered sets, their search cost, decrement
+// traffic) onto T_n threads (ThreadPerSet) or W_n warps (WarpPerSet) — the
+// paper's ceil(N/W_n)*C_w vs ceil(N/T_n)*C_t comparison, with C_w < C_t
+// because warp scans coalesce. Sharded runs price a pick as the slowest
+// shard's scan plus the interconnect's pick exchange
+// (src/eim/src/sharded.cpp).
 #pragma once
 
 #include <algorithm>
@@ -25,7 +27,6 @@
 #include "eim/imm/seed_selection.hpp"
 #include "eim/support/bits.hpp"
 #include "eim/support/profiler.hpp"
-#include "eim/support/thread_pool.hpp"
 
 namespace eim::eim_impl {
 
@@ -34,18 +35,6 @@ namespace eim::eim_impl {
 [[nodiscard]] inline std::uint64_t binsearch_probes(std::uint32_t len) {
   return 1 + support::ceil_log2(std::max<std::uint32_t>(2, len));
 }
-
-/// Build the inverted index vertex -> set ids over `num_sets` flattened
-/// sets (`starts` holds num_sets + 1 offsets into `flat`). Deterministic
-/// regardless of parallelism: sets are split into contiguous chunks, pass 1
-/// counts each chunk's per-vertex occurrences, a serial prefix turns the
-/// histograms into per-chunk write bases, and pass 2 scatters set ids at
-/// those bases — reproducing the serial layout exactly (set ids ascending
-/// within each vertex's bucket).
-void build_inverted_index(std::span<const graph::VertexId> flat,
-                          std::span<const std::uint64_t> starts, std::uint64_t num_sets,
-                          graph::VertexId n, std::vector<std::uint64_t>& index_offsets,
-                          std::vector<std::uint64_t>& index_sets);
 
 /// How the host computes each pick's arg-max. Both produce bit-identical
 /// seed sequences (same tie-break: smallest vertex id among maximal
@@ -56,46 +45,74 @@ enum class ArgMaxMode : std::uint8_t {
   kLinearReference,  ///< full scan per pick — test-only reference
 };
 
-/// Host mirror of a collection in set-id order: set i's members are
-/// flat[starts[i], starts[i + 1]), ascending.
-struct SelectionMirror {
-  std::vector<std::uint32_t> lengths;
-  std::vector<std::uint64_t> starts;
-  std::vector<graph::VertexId> flat;
+/// A collection's sets in global set-id order, as SelectionIndex::extend
+/// reads them.
+class SetSource {
+ public:
+  virtual ~SetSource() = default;
+  [[nodiscard]] virtual std::uint32_t length(std::uint64_t i) const = 0;
+  /// Set i lives in a spill tier: reading it streams it back up through a
+  /// store's staging pool, which charges modeled transfers.
+  [[nodiscard]] virtual bool spilled(std::uint64_t i) const = 0;
+  /// Some set has spilled. Reads then run serially in set order: a staging
+  /// pool is not thread-safe, and its charges must land on the timeline in
+  /// a deterministic order.
+  [[nodiscard]] virtual bool any_spilled() const = 0;
+  /// Write set i's members (ascending) into `out`, length(i) values.
+  virtual void decode(std::uint64_t i, std::span<graph::VertexId> out) const = 0;
 };
 
-/// Decode `num_sets` sets into a mirror: set i has `length(i)` members and
-/// `decode(i, out)` writes them. The bulk decode runs parallel across sets
-/// (disjoint output slices, so the layout is the serial one) unless
-/// `serial`: spilled sets stream up through a store's staging pool, which
-/// is not thread-safe and whose modeled transfer charges must land on the
-/// timeline in a deterministic order — so they decode in set order.
-template <typename Length, typename Decode>
-[[nodiscard]] SelectionMirror decode_mirror(std::uint64_t num_sets, bool serial,
-                                            support::profiler::WallProfile* profile,
-                                            Length&& length, Decode&& decode) {
-  SelectionMirror mirror;
-  mirror.lengths.resize(num_sets);
-  mirror.starts.assign(num_sets + 1, 0);
-  for (std::uint64_t i = 0; i < num_sets; ++i) {
-    mirror.lengths[i] = length(i);
-    mirror.starts[i + 1] = mirror.starts[i] + mirror.lengths[i];
-  }
-  mirror.flat.resize(mirror.starts[num_sets]);
-  const support::profiler::ScopedWallTimer decode_scope(
-      profile != nullptr ? &profile->timer("codec.decode") : nullptr);
-  const auto decode_one = [&](std::uint64_t i) {
-    decode(i, std::span<graph::VertexId>(mirror.flat.data() + mirror.starts[i],
-                                         mirror.lengths[i]));
+/// Host index of a collection's prefix [0, num_sets()): every set's length,
+/// and append-only segments, one per extend that saw new sets. A segment
+/// holds its sets' members and its own vertex -> set CSR over local set ids,
+/// so walking a vertex's buckets segment by segment visits its sets in
+/// ascending global id.
+class SelectionIndex {
+ public:
+  struct Segment {
+    std::uint64_t first = 0;  ///< global id of local set 0
+    /// Local set i's members are flat[starts[i], starts[i + 1]), ascending.
+    std::vector<std::uint64_t> starts;
+    std::vector<graph::VertexId> flat;
+    /// Vertex v's sets are local ids sets[offsets[v], offsets[v + 1]),
+    /// ascending.
+    std::vector<std::uint64_t> offsets;
+    std::vector<std::uint32_t> sets;
   };
-  if (serial) {
-    for (std::uint64_t i = 0; i < num_sets; ++i) decode_one(i);
-  } else {
-    support::ThreadPool::global().parallel_for(
-        0, num_sets, [&](std::size_t i) { decode_one(i); }, /*grain=*/0);
+
+  explicit SelectionIndex(graph::VertexId num_vertices) : n_(num_vertices) {}
+
+  [[nodiscard]] graph::VertexId num_vertices() const noexcept { return n_; }
+  [[nodiscard]] std::uint64_t num_sets() const noexcept { return lengths_.size(); }
+  /// Set i has lengths()[i] members (4 B per set, for the pricers).
+  [[nodiscard]] std::span<const std::uint32_t> lengths() const noexcept {
+    return lengths_;
   }
-  return mirror;
-}
+  [[nodiscard]] const std::vector<Segment>& segments() const noexcept {
+    return segments_;
+  }
+
+  /// Bring the index to the first `num_sets` sets of `source`. Every spilled
+  /// set of the indexed prefix streams up again, in ascending id order and
+  /// discarded, so the modeled spill traffic, the staging LRU and the fault
+  /// ordinals are those of a full re-read; then sets [this->num_sets(),
+  /// num_sets) decode into a new segment (in parallel unless a set has
+  /// spilled) and are indexed. The segment is appended only once complete:
+  /// a throw leaves the index as it was. A `num_sets` below the indexed
+  /// prefix (an OOM truncation after a failover) restarts from set 0.
+  /// Counts each newly indexed element in selector.elements_decoded.
+  void extend(const SetSource& source, std::uint64_t num_sets,
+              support::metrics::MetricsRegistry* metrics,
+              support::profiler::WallProfile* profile);
+
+ private:
+  /// Fill `segment`'s vertex -> set CSR from its members.
+  void index_segment(Segment& segment) const;
+
+  graph::VertexId n_;
+  std::vector<std::uint32_t> lengths_;
+  std::vector<Segment> segments_;
+};
 
 /// The modeled device cost of one greedy selection: the only part of it
 /// that differs between topologies. greedy_select reports every set a pick
@@ -104,8 +121,9 @@ template <typename Length, typename Decode>
 class PickPricer {
  public:
   virtual ~PickPricer() = default;
-  /// Once, before the first pick: the mirror the picks run over.
-  virtual void start(const SelectionMirror& mirror) = 0;
+  /// Once, before the first pick: the lengths of the sets the picks run
+  /// over, in set-id order.
+  virtual void start(std::span<const std::uint32_t> lengths) = 0;
   /// The current pick covered `set_id`.
   virtual void cover(std::uint64_t set_id) = 0;
   /// Charge the current pick's kernels (and exchange, if any).
@@ -115,24 +133,27 @@ class PickPricer {
 /// §3.5 on one device: per pick, an arg-max reduction over C, then the
 /// count-update scan of `strategy`. The pricer holds the F flags (one byte
 /// per set) in device memory for its lifetime, so make it before the
-/// mirror is decoded and keep it for the whole selection.
+/// index is extended and keep it for the whole selection.
 [[nodiscard]] std::unique_ptr<PickPricer> make_scan_kernel_pricer(
     gpusim::Device& device, ScanStrategy strategy, graph::VertexId num_vertices,
     std::uint64_t num_sets, support::metrics::MetricsRegistry* metrics);
 
-/// Exact greedy max-coverage over `mirror`: k picks, each the vertex with
-/// the most uncovered sets (smallest id on ties); once every set is covered
-/// the remaining picks are the smallest unused ids. Counts come from the
-/// mirror itself (its inverted-index bucket sizes), so they always describe
-/// exactly the sets selected over. `pricer` charges every pick.
+/// Exact greedy max-coverage over every set of `index`: k picks, each the
+/// vertex with the most uncovered sets (smallest id on ties); once every set
+/// is covered the remaining picks are the smallest unused ids. Counts are
+/// the index's bucket sizes summed over its segments, so they always
+/// describe exactly the sets selected over. A pick's sets are covered in
+/// ascending id order, and `pricer` charges every pick.
 [[nodiscard]] imm::SelectionResult greedy_select(
-    const SelectionMirror& mirror, graph::VertexId n, std::uint32_t k, PickPricer& pricer,
+    const SelectionIndex& index, std::uint32_t k, PickPricer& pricer,
     ArgMaxMode mode = ArgMaxMode::kLazyHeap,
     support::metrics::MetricsRegistry* metrics = nullptr,
     support::profiler::WallProfile* profile = nullptr);
 
-/// Single-device selection over a DeviceRrrCollection: decodes the mirror
-/// and runs greedy_select under the §3.5 kernel pricer.
+/// Single-device selection over a DeviceRrrCollection: extends its own
+/// SelectionIndex over the collection and runs greedy_select under the §3.5
+/// kernel pricer. The index follows one collection; a call on another
+/// collection starts a fresh one.
 class GpuSeedSelector {
  public:
   GpuSeedSelector(gpusim::Device& device, ScanStrategy strategy)
@@ -145,7 +166,9 @@ class GpuSeedSelector {
 
   /// Run the full k-pick greedy over the collection's current contents,
   /// charging modeled kernel time per pick. Safe to call repeatedly as the
-  /// collection grows (each call re-reads it).
+  /// collection grows: each call decodes only the sets committed since the
+  /// previous call on the same collection (spilled sets still stream up, as
+  /// a full re-read would).
   [[nodiscard]] imm::SelectionResult select(const DeviceRrrCollection& collection,
                                             std::uint32_t k);
 
@@ -170,6 +193,8 @@ class GpuSeedSelector {
   ArgMaxMode argmax_mode_ = ArgMaxMode::kLazyHeap;
   support::metrics::MetricsRegistry* metrics_ = nullptr;
   support::profiler::WallProfile* profile_ = nullptr;
+  SelectionIndex index_{0};
+  std::uint64_t indexed_collection_ = 0;  ///< instance_id() index_ follows
 };
 
 }  // namespace eim::eim_impl

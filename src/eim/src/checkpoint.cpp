@@ -34,7 +34,7 @@ constexpr const char* kSnapshotFile = "snapshot.bin";
 std::string manifest_path(const std::string& dir) { return dir + "/" + kManifestFile; }
 std::string snapshot_path(const std::string& dir) { return dir + "/" + kSnapshotFile; }
 
-std::string render_manifest(const CheckpointState& state) {
+std::string render_manifest(const CheckpointState& state, std::uint64_t num_sets) {
   std::ostringstream out;
   support::JsonWriter w(out);
   w.begin_object();
@@ -52,7 +52,7 @@ std::string render_manifest(const CheckpointState& state) {
   w.field("eliminate_sources", state.eliminate_sources);
   w.field("draw_mode", std::uint64_t{state.draw_mode});
   w.field("num_devices", std::uint64_t{state.num_devices});
-  w.field("num_sets", std::uint64_t{state.lengths.size()});
+  w.field("num_sets", num_sets);
   w.field("snapshot", std::string_view(kSnapshotFile));
   w.end_object();
   out << '\n';
@@ -136,7 +136,8 @@ void validate_collection_shape(const CheckpointState& state) {
 
 }  // namespace
 
-std::uint64_t save_checkpoint(const std::string& dir, const CheckpointState& state) {
+std::uint64_t save_checkpoint(const std::string& dir, const CheckpointState& state,
+                              const CollectionView& collection) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) {
@@ -154,8 +155,8 @@ std::uint64_t save_checkpoint(const std::string& dir, const CheckpointState& sta
   }
   {
     ByteWriter w;
-    w.u32_array(std::span<const std::uint32_t>(state.lengths));
-    w.u32_array(std::span<const graph::VertexId>(state.elements));
+    w.u32_array(collection.lengths);
+    w.u32_array(std::span<const std::span<const graph::VertexId>>(collection.elements));
     snap.add_section("collection", w.take());
   }
   {
@@ -181,9 +182,13 @@ std::uint64_t save_checkpoint(const std::string& dir, const CheckpointState& sta
   // fully published snapshot, and each rename is individually atomic.
   const std::string snapshot_bytes = snap.serialize();
   support::atomic_write_file(snapshot_path(dir), snapshot_bytes);
-  const std::string manifest = render_manifest(state);
+  const std::string manifest = render_manifest(state, collection.lengths.size());
   support::atomic_write_file(manifest_path(dir), manifest);
   return snapshot_bytes.size() + manifest.size();
+}
+
+std::uint64_t save_checkpoint(const std::string& dir, const CheckpointState& state) {
+  return save_checkpoint(dir, state, CollectionView{state.lengths, {state.elements}});
 }
 
 CheckpointState load_checkpoint(const std::string& dir) {
@@ -293,21 +298,21 @@ void fill_checkpoint_identity(CheckpointState& state, const graph::Graph& g,
   state.num_devices = num_devices;
 }
 
-void publish_checkpoint(CheckpointState& state, const gpusim::Device& primary,
-                        const EimOptions& options) {
+void publish_checkpoint(CheckpointState& state, const CollectionView& collection,
+                        const gpusim::Device& primary, const EimOptions& options) {
   if (options.metrics != nullptr) {
     std::ostringstream snapshot;
     support::JsonWriter w(snapshot);
     options.metrics->write_json(w);
     state.metrics_json = snapshot.str();
   }
-  const std::uint64_t bytes = save_checkpoint(options.checkpoint_dir, state);
+  const std::uint64_t bytes = save_checkpoint(options.checkpoint_dir, state, collection);
   if (options.metrics != nullptr) {
     options.metrics->counter("checkpoint.writes").add();
     options.metrics->counter("checkpoint.bytes_written").add(bytes);
   }
   gpusim::mark_instant(options.trace, primary, "checkpoint.write",
-                       "num_sets=" + std::to_string(state.lengths.size()));
+                       "num_sets=" + std::to_string(collection.lengths.size()));
 }
 
 void carry_over_resume(const CheckpointState& state, gpusim::Device& primary,

@@ -1,6 +1,7 @@
 #include "eim/eim/rrr_collection.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <chrono>
 #include <numeric>
@@ -18,6 +19,10 @@ using graph::VertexId;
 DeviceRrrCollection::DeviceRrrCollection(gpusim::Device& device, VertexId num_vertices,
                                          bool log_encode)
     : device_(&device),
+      instance_id_([] {
+        static std::atomic<std::uint64_t> next{1};
+        return next.fetch_add(1, std::memory_order_relaxed);
+      }()),
       n_(num_vertices),
       log_encode_(log_encode),
       bits_per_vertex_(

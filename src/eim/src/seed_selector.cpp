@@ -1,6 +1,7 @@
 #include "eim/eim/seed_selector.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "eim/eim/lazy_greedy.hpp"
@@ -14,16 +15,20 @@ namespace eim::eim_impl {
 
 using graph::VertexId;
 
-void build_inverted_index(std::span<const VertexId> flat,
-                          std::span<const std::uint64_t> starts, std::uint64_t num_sets,
-                          VertexId n, std::vector<std::uint64_t>& index_offsets,
-                          std::vector<std::uint64_t>& index_sets) {
+void SelectionIndex::index_segment(Segment& segment) const {
   auto& pool = support::ThreadPool::global();
-  // Parallelism only pays once the scatter dwarfs the O(chunks * n)
-  // histogram footprint; small problems keep the single-chunk (serial)
-  // path.
+  const std::uint64_t num_sets = segment.starts.size() - 1;
+  const std::vector<std::uint64_t>& starts = segment.starts;
+  const std::vector<VertexId>& flat = segment.flat;
+  // Deterministic regardless of parallelism: sets split into contiguous
+  // chunks, pass 1 counts each chunk's per-vertex occurrences, a serial
+  // prefix turns the histograms into per-chunk write bases, and pass 2
+  // scatters local set ids at those bases — the serial layout exactly (ids
+  // ascending within each vertex's bucket). Parallelism only pays once the
+  // scatter dwarfs the O(chunks * n) histogram footprint; small segments
+  // keep the single-chunk (serial) path.
   const std::size_t num_chunks =
-      (pool.size() > 1 && flat.size() >= 65536 && flat.size() >= n)
+      (pool.size() > 1 && flat.size() >= 65536 && flat.size() >= n_)
           ? std::min<std::size_t>(4 * pool.size(), static_cast<std::size_t>(num_sets))
           : 1;
   const auto chunk_begin = [&](std::size_t c) {
@@ -35,7 +40,7 @@ void build_inverted_index(std::span<const VertexId> flat,
       0, num_chunks,
       [&](std::size_t c) {
         auto& h = hist[c];
-        h.assign(static_cast<std::size_t>(n), 0);
+        h.assign(static_cast<std::size_t>(n_), 0);
         for (std::uint64_t p = starts[chunk_begin(c)]; p < starts[chunk_begin(c + 1)];
              ++p) {
           ++h[flat[p]];
@@ -44,30 +49,86 @@ void build_inverted_index(std::span<const VertexId> flat,
       /*grain=*/1);
 
   // Serial prefix over (vertex, chunk): turns counts into write cursors.
-  index_offsets.assign(static_cast<std::size_t>(n) + 1, 0);
+  segment.offsets.assign(static_cast<std::size_t>(n_) + 1, 0);
   std::uint64_t running = 0;
-  for (VertexId v = 0; v < n; ++v) {
-    index_offsets[v] = running;
+  for (VertexId v = 0; v < n_; ++v) {
+    segment.offsets[v] = running;
     for (std::size_t c = 0; c < num_chunks; ++c) {
       const std::uint64_t cnt = hist[c][v];
       hist[c][v] = running;  // reuse as this chunk's write base for v
       running += cnt;
     }
   }
-  index_offsets[n] = running;
+  segment.offsets[n_] = running;
 
-  index_sets.resize(flat.size());
+  segment.sets.resize(flat.size());
   pool.parallel_for(
       0, num_chunks,
       [&](std::size_t c) {
         auto& cursor = hist[c];
         for (std::uint64_t i = chunk_begin(c); i < chunk_begin(c + 1); ++i) {
           for (std::uint64_t p = starts[i]; p < starts[i + 1]; ++p) {
-            index_sets[cursor[flat[p]]++] = i;
+            segment.sets[cursor[flat[p]]++] = static_cast<std::uint32_t>(i);
           }
         }
       },
       /*grain=*/1);
+}
+
+void SelectionIndex::extend(const SetSource& source, std::uint64_t num_sets,
+                            support::metrics::MetricsRegistry* metrics,
+                            support::profiler::WallProfile* profile) {
+  if (num_sets < this->num_sets()) {
+    lengths_.clear();
+    segments_.clear();
+  }
+  Segment segment;
+  segment.first = this->num_sets();
+  const std::uint64_t count = num_sets - segment.first;
+  EIM_CHECK_MSG(count <= std::numeric_limits<std::uint32_t>::max(),
+                "a selection index segment holds more than 2^32 sets");
+  segment.starts.assign(count + 1, 0);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    segment.starts[i + 1] = segment.starts[i] + source.length(segment.first + i);
+  }
+  segment.flat.resize(segment.starts[count]);
+  const auto decode_one = [&](std::uint64_t i) {
+    source.decode(segment.first + i,
+                  std::span<VertexId>(segment.flat.data() + segment.starts[i],
+                                      segment.starts[i + 1] - segment.starts[i]));
+  };
+  {
+    const support::profiler::ScopedWallTimer decode_scope(
+        profile != nullptr ? &profile->timer("codec.decode") : nullptr);
+    if (source.any_spilled()) {
+      // Serial, in set order; the indexed prefix's spilled sets are read
+      // only for their modeled traffic and discarded.
+      std::vector<VertexId> scratch;
+      for (std::uint64_t i = 0; i < segment.first; ++i) {
+        if (!source.spilled(i)) continue;
+        scratch.resize(source.length(i));
+        source.decode(i, scratch);
+      }
+      for (std::uint64_t i = 0; i < count; ++i) decode_one(i);
+    } else {
+      support::ThreadPool::global().parallel_for(
+          0, count, [&](std::size_t i) { decode_one(i); }, /*grain=*/0);
+    }
+  }
+  if (count == 0) return;
+  {
+    const support::profiler::ScopedWallTimer preprocess_scope(
+        profile != nullptr ? &profile->timer("selector.preprocess") : nullptr);
+    index_segment(segment);
+  }
+  if (metrics != nullptr) {
+    metrics->counter("selector.elements_decoded").add(segment.flat.size());
+  }
+  lengths_.reserve(num_sets);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    lengths_.push_back(static_cast<std::uint32_t>(segment.starts[i + 1] - segment.starts[i]));
+  }
+  segments_.push_back(std::move(segment));
 }
 
 namespace {
@@ -91,16 +152,16 @@ class ScanKernelPricer final : public PickPricer {
     }
   }
 
-  void start(const SelectionMirror& mirror) override {
-    lengths_ = &mirror.lengths;
-    for (const std::uint32_t len : mirror.lengths) {
+  void start(std::span<const std::uint32_t> lengths) override {
+    lengths_ = lengths;
+    for (const std::uint32_t len : lengths) {
       max_len_ = std::max(max_len_, len);
       uncovered_search_cycles_ += search_cycles(len);
     }
   }
 
   void cover(std::uint64_t set_id) override {
-    const std::uint64_t len = (*lengths_)[set_id];
+    const std::uint64_t len = lengths_[set_id];
     const auto a_lat = static_cast<std::uint64_t>(spec_.costs.atomic_global);
     // The set leaves the uncovered population.
     uncovered_search_cycles_ -= search_cycles(static_cast<std::uint32_t>(len));
@@ -157,7 +218,7 @@ class ScanKernelPricer final : public PickPricer {
   std::uint64_t num_sets_;
   std::uint64_t g_lat_;
   gpusim::DeviceBuffer<std::uint8_t> f_flags_;
-  const std::vector<std::uint32_t>* lengths_ = nullptr;
+  std::span<const std::uint32_t> lengths_;
   std::uint64_t uncovered_search_cycles_ = 0;  ///< sum of per-set search cost
   std::uint64_t dec_cycles_ = 0;               ///< the current pick's decrements
   std::uint32_t max_len_ = 2;
@@ -174,41 +235,33 @@ std::unique_ptr<PickPricer> make_scan_kernel_pricer(
                                             metrics);
 }
 
-imm::SelectionResult greedy_select(const SelectionMirror& mirror, VertexId n,
-                                   std::uint32_t k, PickPricer& pricer, ArgMaxMode mode,
+imm::SelectionResult greedy_select(const SelectionIndex& index, std::uint32_t k,
+                                   PickPricer& pricer, ArgMaxMode mode,
                                    support::metrics::MetricsRegistry* metrics,
                                    support::profiler::WallProfile* profile) {
+  const VertexId n = index.num_vertices();
   EIM_CHECK_MSG(k >= 1 && k <= n, "k out of range");
-  const std::uint64_t num_sets = mirror.lengths.size();
+  const std::uint64_t num_sets = index.num_sets();
 
-  if (metrics != nullptr) {
-    metrics->counter("selector.select_calls").add();
-    metrics->counter("selector.elements_decoded").add(mirror.flat.size());
-  }
+  if (metrics != nullptr) metrics->counter("selector.select_calls").add();
   support::metrics::Counter* fallback_picks =
       metrics != nullptr ? &metrics->counter("selector.fallback_picks") : nullptr;
   support::metrics::Histogram* gain_hist =
       metrics != nullptr ? &metrics->histogram("selector.gain_per_pick") : nullptr;
 
-  // Inverted index vertex -> set ids (host-side greedy accelerator). Its
-  // bucket sizes are the per-vertex counts C over exactly these sets.
-  std::vector<std::uint64_t> index_offsets;
-  std::vector<std::uint64_t> index_sets;
-  {
-    const support::profiler::ScopedWallTimer preprocess_scope(
-        profile != nullptr ? &profile->timer("selector.preprocess") : nullptr);
-    build_inverted_index(mirror.flat, mirror.starts, num_sets, n, index_offsets,
-                         index_sets);
-  }
-  std::vector<std::uint32_t> counts(n);
-  for (VertexId v = 0; v < n; ++v) {
-    counts[v] = static_cast<std::uint32_t>(index_offsets[v + 1] - index_offsets[v]);
+  // The per-vertex counts C over exactly the indexed sets: bucket sizes
+  // summed over the segments.
+  std::vector<std::uint32_t> counts(n, 0);
+  for (const SelectionIndex::Segment& segment : index.segments()) {
+    for (VertexId v = 0; v < n; ++v) {
+      counts[v] += static_cast<std::uint32_t>(segment.offsets[v + 1] - segment.offsets[v]);
+    }
   }
   // uint8_t, not vector<bool>: the bit proxies sit inside the inner
   // decrement loop and cost a shift+mask per touch.
   std::vector<std::uint8_t> covered(num_sets, 0);
   std::vector<std::uint8_t> chosen(n, 0);
-  pricer.start(mirror);
+  pricer.start(index.lengths());
 
   imm::SelectionResult result;
   result.seeds.reserve(k);
@@ -255,14 +308,19 @@ imm::SelectionResult greedy_select(const SelectionMirror& mirror, VertexId n,
     result.seeds.push_back(best);
     if (gain_hist != nullptr) gain_hist->observe(best_count);
 
-    for (std::uint64_t idx = index_offsets[best]; idx < index_offsets[best + 1]; ++idx) {
-      const std::uint64_t set_id = index_sets[idx];
-      if (covered[set_id] != 0) continue;
-      covered[set_id] = 1;
-      ++result.covered_sets;
-      pricer.cover(set_id);
-      for (std::uint64_t p = mirror.starts[set_id]; p < mirror.starts[set_id + 1]; ++p) {
-        --counts[mirror.flat[p]];
+    // Segment by segment is ascending global id.
+    for (const SelectionIndex::Segment& segment : index.segments()) {
+      for (std::uint64_t idx = segment.offsets[best]; idx < segment.offsets[best + 1];
+           ++idx) {
+        const std::uint32_t local = segment.sets[idx];
+        const std::uint64_t set_id = segment.first + local;
+        if (covered[set_id] != 0) continue;
+        covered[set_id] = 1;
+        ++result.covered_sets;
+        pricer.cover(set_id);
+        for (std::uint64_t p = segment.starts[local]; p < segment.starts[local + 1]; ++p) {
+          --counts[segment.flat[p]];
+        }
       }
     }
     pricer.charge_pick();
@@ -274,18 +332,40 @@ imm::SelectionResult greedy_select(const SelectionMirror& mirror, VertexId n,
   return result;
 }
 
+namespace {
+
+/// A single collection read in slot order.
+class CollectionSource final : public SetSource {
+ public:
+  explicit CollectionSource(const DeviceRrrCollection& collection)
+      : collection_(collection) {}
+  std::uint32_t length(std::uint64_t i) const override {
+    return collection_.set_length(i);
+  }
+  bool spilled(std::uint64_t i) const override { return collection_.is_spilled(i); }
+  bool any_spilled() const override { return collection_.has_spilled(); }
+  void decode(std::uint64_t i, std::span<VertexId> out) const override {
+    collection_.decode_set(i, out);
+  }
+
+ private:
+  const DeviceRrrCollection& collection_;
+};
+
+}  // namespace
+
 imm::SelectionResult GpuSeedSelector::select(const DeviceRrrCollection& collection,
                                              std::uint32_t k) {
   const std::unique_ptr<PickPricer> pricer = make_scan_kernel_pricer(
       *device_, strategy_, collection.num_vertices(), collection.num_sets(), metrics_);
-  // Host mirror: decode every set once (the data already lives on the
-  // device; no transfer is charged).
-  const SelectionMirror mirror = decode_mirror(
-      collection.num_sets(), collection.has_spilled(), profile_,
-      [&](std::uint64_t i) { return collection.set_length(i); },
-      [&](std::uint64_t i, std::span<VertexId> out) { collection.decode_set(i, out); });
-  return greedy_select(mirror, collection.num_vertices(), k, *pricer, argmax_mode_,
-                       metrics_, profile_);
+  if (indexed_collection_ != collection.instance_id()) {
+    index_ = SelectionIndex(collection.num_vertices());
+    indexed_collection_ = collection.instance_id();
+  }
+  // The sets already live on the device; reading them charges nothing
+  // unless they spilled.
+  index_.extend(CollectionSource(collection), collection.num_sets(), metrics_, profile_);
+  return greedy_select(index_, k, *pricer, argmax_mode_, metrics_, profile_);
 }
 
 }  // namespace eim::eim_impl

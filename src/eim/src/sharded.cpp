@@ -49,16 +49,16 @@ class ShardScanPricer final : public PickPricer {
         shard_search_(num_flat, 0),
         shard_dec_(num_flat, 0) {}
 
-  void start(const SelectionMirror& mirror) override {
-    lengths_ = &mirror.lengths;
-    for (std::uint64_t i = 0; i < mirror.lengths.size(); ++i) {
+  void start(std::span<const std::uint32_t> lengths) override {
+    lengths_ = lengths;
+    for (std::uint64_t i = 0; i < lengths.size(); ++i) {
       shard_sets_[placement_[i].device]++;
-      shard_search_[placement_[i].device] += binsearch_probes(mirror.lengths[i]) * g_lat_;
+      shard_search_[placement_[i].device] += binsearch_probes(lengths[i]) * g_lat_;
     }
   }
 
   void cover(std::uint64_t set_id) override {
-    const std::uint32_t len = (*lengths_)[set_id];
+    const std::uint32_t len = lengths_[set_id];
     const std::uint32_t owner = placement_[set_id].device;
     shard_search_[owner] -= binsearch_probes(len) * g_lat_;
     shard_dec_[owner] += static_cast<std::uint64_t>(len) * (g_lat_ + a_lat_);
@@ -89,7 +89,7 @@ class ShardScanPricer final : public PickPricer {
   const gpusim::DeviceSpec& spec_;
   std::uint64_t g_lat_;
   std::uint64_t a_lat_;
-  const std::vector<std::uint32_t>* lengths_ = nullptr;
+  std::span<const std::uint32_t> lengths_;
   std::vector<std::uint64_t> shard_sets_;
   std::vector<std::uint64_t> shard_search_;
   std::vector<std::uint64_t> shard_dec_;  ///< the current pick's decrements
@@ -114,6 +114,36 @@ decltype(auto) on_domain(std::uint32_t domain, Step&& step) {
     throw DomainFailure{domain, std::current_exception()};
   }
 }
+
+/// The committed samples in global id order, read from the shards through
+/// the placement map, so failover relayouts don't matter. A spilled set
+/// whose block is torn resamples on its device, which may lose the domain.
+class ShardedSource final : public SetSource {
+ public:
+  ShardedSource(const std::vector<std::unique_ptr<DeviceRrrCollection>>& shards,
+                std::span<const Placement> placed, std::uint32_t per_domain)
+      : shards_(shards), placed_(placed), per_domain_(per_domain) {}
+
+  std::uint32_t length(std::uint64_t i) const override {
+    return shards_[placed_[i].device]->set_length(placed_[i].slot);
+  }
+  bool spilled(std::uint64_t i) const override {
+    return shards_[placed_[i].device]->is_spilled(placed_[i].slot);
+  }
+  bool any_spilled() const override {
+    return std::any_of(shards_.begin(), shards_.end(),
+                       [](const auto& shard) { return shard && shard->has_spilled(); });
+  }
+  void decode(std::uint64_t i, std::span<VertexId> out) const override {
+    on_domain(placed_[i].device / per_domain_,
+              [&] { shards_[placed_[i].device]->decode_set(placed_[i].slot, out); });
+  }
+
+ private:
+  const std::vector<std::unique_ptr<DeviceRrrCollection>>& shards_;
+  std::span<const Placement> placed_;
+  std::uint32_t per_domain_;
+};
 
 }  // namespace
 
@@ -572,37 +602,29 @@ void run_sharded(Fleet fleet, Interconnect& net, const graph::Graph& g,
     phase.end();
   };
 
-  // Merge the shard mirrors back into global sample-id order through the
-  // owner/slot maps, so failover relayouts don't matter.
-  const auto gather = [&](support::profiler::WallProfile* decode_profile) {
-    bool spilled = false;
-    for_alive([&](std::uint32_t f) { spilled = spilled || shards[f]->has_spilled(); });
-    return decode_mirror(
-        sampled_global, spilled, decode_profile,
-        [&](std::uint64_t i) {
-          return shards[placed[i].device]->set_length(placed[i].slot);
-        },
-        [&](std::uint64_t i, std::span<VertexId> out) {
-          // A spilled set whose block is torn resamples on its device.
-          on_domain(placed[i].device / per_domain,
-                    [&] { shards[placed[i].device]->decode_set(placed[i].slot, out); });
-        });
+  // The run's selection index only ever grows: each select call (and each
+  // checkpoint) reads just the samples committed since the last one.
+  // Failover keeps sample ids and regenerates bit-identical sets, so the
+  // index survives it.
+  SelectionIndex index(g.num_vertices());
+  const auto sync_index = [&] {
+    index.extend(ShardedSource(shards, placed, per_domain), sampled_global, metrics,
+                 profile);
   };
 
   const auto select_once = [&] {
     Phase phase(metrics, "select", trace, fleet.primary());
     const std::unique_ptr<PickPricer> pricer =
         net.pick_pricer(fleet, placed, sampled_global);
-    const SelectionMirror mirror = gather(profile);
-    imm::SelectionResult sel = greedy_select(mirror, g.num_vertices(), effective.k,
-                                             *pricer, ArgMaxMode::kLazyHeap, metrics,
-                                             profile);
+    sync_index();
+    imm::SelectionResult sel =
+        greedy_select(index, effective.k, *pricer, ArgMaxMode::kLazyHeap, metrics, profile);
     phase.end();
     return sel;
   };
-  // A domain lost inside a selection pass aborts it; the restart rebuilds
-  // the merged mirror from regenerated, bit-identical sets and so picks
-  // the same seeds.
+  // A domain lost inside a selection pass aborts it before the index grows;
+  // the restart reads regenerated, bit-identical sets and so picks the same
+  // seeds.
   auto select = [&] { return with_failover(select_once); };
 
   const auto singletons = [&] {
@@ -629,16 +651,18 @@ void run_sharded(Fleet fleet, Interconnect& net, const graph::Graph& g,
       CheckpointState state;
       fill_checkpoint_identity(state, g, model, params, options, num_flat);
       state.round = fr;
-      SelectionMirror mirror = with_failover([&] { return gather(nullptr); });
-      state.lengths = std::move(mirror.lengths);
-      state.elements = std::move(mirror.flat);
+      with_failover(sync_index);
       state.singletons_discarded = singletons();
       const gpusim::DeviceTimeline& clock = fleet.primary().timeline();
       state.kernel_seconds = max_kernel_seconds();
       state.transfer_seconds = clock.transfer_seconds() + ledger.transfer_seconds();
       state.allocation_seconds = clock.allocation_seconds();
       state.backoff_seconds = clock.backoff_seconds() + ledger.backoff_seconds();
-      publish_checkpoint(state, fleet.primary(), options);
+      CollectionView collection{index.lengths(), {}};
+      for (const SelectionIndex::Segment& segment : index.segments()) {
+        collection.elements.emplace_back(segment.flat);
+      }
+      publish_checkpoint(state, collection, fleet.primary(), options);
     };
   }
 

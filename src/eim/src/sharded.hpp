@@ -14,8 +14,9 @@
 // interconnect only charges the recovery transfer. Under
 // DegradePolicy::Degrade an OOM freezes theta at the smallest sample id not
 // yet committed, and falling below the fleet's quorum freezes it once the
-// step in flight completes. Selection is greedy_select on the merged host
-// mirror, priced per pick by the interconnect's PickPricer.
+// step in flight completes. Selection is greedy_select on the run's one
+// SelectionIndex, which each select call extends by the samples committed
+// since the last, priced per pick by the interconnect's PickPricer.
 #pragma once
 
 #include <cstdint>
@@ -64,10 +65,10 @@ class Interconnect {
   virtual void reduce_counts(const Fleet& fleet, std::uint64_t bytes) = 0;
   /// Exchange one selection pick: the chosen vertex out, coverage back.
   virtual void exchange_pick(const Fleet& fleet) = 0;
-  /// Price one selection pass over the merged mirror of the first
-  /// `num_sets` samples, placed as `placement` says. Created before the
-  /// mirror is decoded. The default: every alive shard scans its own sets
-  /// concurrently (the slowest governs), then exchange_pick.
+  /// Price one selection pass over the first `num_sets` samples, placed as
+  /// `placement` says. Created before the selection index is extended. The
+  /// default: every alive shard scans its own sets concurrently (the
+  /// slowest governs), then exchange_pick.
   virtual std::unique_ptr<PickPricer> pick_pricer(const Fleet& fleet,
                                                   std::span<const Placement> placement,
                                                   std::uint64_t num_sets);

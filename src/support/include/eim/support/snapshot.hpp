@@ -63,8 +63,24 @@ class ByteWriter {
   }
   template <typename T>
   void u32_array(std::span<const T> values) {
-    u64(values.size());
-    for (const T v : values) u32(static_cast<std::uint32_t>(v));
+    u32_array(std::span<const std::span<const T>>(&values, 1));
+  }
+  /// One array written from consecutive parts: the same bytes as u32_array
+  /// over their concatenation. The payload grows once, to its exact size.
+  template <typename T>
+  void u32_array(std::span<const std::span<const T>> parts) {
+    std::uint64_t count = 0;
+    for (const std::span<const T> part : parts) count += part.size();
+    u64(count);
+    const std::size_t at = bytes_.size();
+    bytes_.resize(at + 4 * static_cast<std::size_t>(count));
+    std::uint8_t* out = bytes_.data() + at;
+    for (const std::span<const T> part : parts) {
+      for (const T value : part) {
+        const auto v = static_cast<std::uint32_t>(value);
+        for (int i = 0; i < 4; ++i) *out++ = static_cast<std::uint8_t>(v >> (8 * i));
+      }
+    }
   }
 
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const noexcept { return bytes_; }

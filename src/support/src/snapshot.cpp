@@ -72,7 +72,10 @@ void SnapshotWriter::add_section(std::string name, std::vector<std::uint8_t> pay
 }
 
 std::string SnapshotWriter::serialize() const {
+  std::size_t size = kMagic.size() + 4 + 4 + 4;  // magic, version, count, header CRC
+  for (const Section& s : sections_) size += 4 + s.name.size() + 8 + 4 + s.payload.size();
   std::string out;
+  out.reserve(size);
   out.append(kMagic);
   append_u32(out, kFormatVersion);
   append_u32(out, static_cast<std::uint32_t>(sections_.size()));

@@ -45,6 +45,30 @@ TEST(ByteCodec, RoundTripsEveryPrimitive) {
   r.expect_exhausted();
 }
 
+TEST(ByteCodec, ArrayFromPartsEqualsArrayFromOneSpan) {
+  const std::vector<std::uint32_t> values = {0, 1, 0xFFFFFFFFu, 7, 0x01020304u, 500, 9};
+  ByteWriter whole;
+  whole.u8(3);
+  whole.u32_array(std::span<const std::uint32_t>(values));
+  const std::span<const std::uint32_t> all(values);
+  const std::vector<std::span<const std::uint32_t>> parts = {
+      all.first(2), all.subspan(2, 0), all.subspan(2, 4), all.subspan(6)};
+  ByteWriter split;
+  split.u8(3);
+  split.u32_array(std::span<const std::span<const std::uint32_t>>(parts));
+  EXPECT_EQ(split.bytes(), whole.bytes());
+  ByteReader r(split.bytes(), "parts");
+  EXPECT_EQ(r.u8(), 3u);
+  EXPECT_EQ(r.u32_array<std::uint32_t>(), values);
+  r.expect_exhausted();
+
+  ByteWriter none;
+  none.u32_array(std::span<const std::span<const std::uint32_t>>());
+  ByteWriter empty;
+  empty.u32_array(std::span<const std::uint32_t>());
+  EXPECT_EQ(none.bytes(), empty.bytes());
+}
+
 TEST(ByteCodec, ReadPastEndThrowsNotReadsGarbage) {
   const std::vector<std::uint8_t> bytes = {1, 2, 3};
   ByteReader r(bytes, "short");

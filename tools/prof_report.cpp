@@ -24,8 +24,10 @@
 //   spill     memory-pressure tiers: TieredRrrStore evict/fetch, the
 //             rrr_block codec frames it drives, atomic disk I/O + retries
 //   codec     bit-packed encode/decode (PackedCsc, BitPackedArray, ...)
-//   selector  seed selection (the mirror decode driver, inverted index,
-//             greedy_select's lazy-greedy picks and coverage walk)
+//   selector  seed selection (SelectionIndex's extend and segment index
+//             build, greedy_select's lazy-greedy picks and coverage walk;
+//             decode_mirror and build_inverted_index name the same steps in
+//             profiles of older builds)
 //   pool      ThreadPool dispatch/queue machinery (idle workers excluded
 //             only if the platform strips their frames)
 //   other     everything else (driver, I/O, unresolved frames)
@@ -102,7 +104,8 @@ std::vector<Bucket> make_buckets() {
        0},
       {"selector",
        {"SeedSelector", "GpuSeedSelector", "LazyArgMax", "build_inverted_index",
-        "select_seeds", "seed_selection", "pop_best", "greedy_select", "decode_mirror"},
+        "select_seeds", "seed_selection", "pop_best", "greedy_select", "decode_mirror",
+        "SelectionIndex"},
        0},
       {"pool",
        {"ThreadPool", "parallel_for", "worker_loop", "enqueue_bulk",
