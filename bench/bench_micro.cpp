@@ -2,9 +2,10 @@
 // throughput, log-encoding encode/decode/concurrent store (per-element and
 // word-streaming bulk), varint for comparison, reverse-reachability
 // sampling rate, the forward simulator, greedy seed selection (lazy heap
-// vs the linear-scan reference), and ThreadPool dispatch. These quantify
-// host-side costs; the modeled GPU numbers come from the per-figure
-// binaries.
+// vs the linear-scan reference), ThreadPool dispatch, and the graph build
+// steps (R-MAT generation, edge-list normalize, out-weight mirror). These
+// quantify host-side costs; the modeled GPU numbers come from the
+// per-figure binaries.
 //
 // When EIM_BENCH_JSON is set, writes an eim.metrics.v3 envelope with one
 // cell per benchmark carrying `wall_seconds` (seconds per iteration) so
@@ -118,6 +119,72 @@ void BM_AliasPick(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_AliasPick);
+
+// --- Graph setup -------------------------------------------------------------
+//
+// Three graph-build steps: R-MAT edge generation, EdgeList::normalize (sort
+// + dedupe, run on every generated or loaded edge list) and the
+// out-direction weight mirror that assign_weights ends with
+// (docs/PERFORMANCE.md "Graph setup"). Items are edges.
+graph::RmatParams setup_rmat_params() {
+  graph::RmatParams p;
+  p.scale = 14;
+  p.num_edges = 16 << 14;
+  p.reciprocal_fraction = 0.3;
+  return p;
+}
+
+void BM_RmatGenerate(benchmark::State& state) {
+  const graph::RmatParams params = setup_rmat_params();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(graph::rmat(params, 7));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(params.num_edges));
+}
+BENCHMARK(BM_RmatGenerate);
+
+void BM_EdgeListNormalize(benchmark::State& state) {
+  // The generator's normalized edges in random order, with a fifth of them
+  // repeated and some self-loops: what normalize sees from a raw R-MAT or
+  // SNAP stream.
+  const graph::EdgeList base = graph::rmat(setup_rmat_params(), 7);
+  std::vector<graph::Edge> raw = base.edges();
+  support::RandomStream rng(7, 1);
+  const std::size_t unique = raw.size();
+  for (std::size_t i = 0; i < unique / 5; ++i) {
+    raw.push_back(raw[rng.next_below(static_cast<std::uint32_t>(unique))]);
+  }
+  for (graph::VertexId v = 0; v < 64; ++v) raw.push_back(graph::Edge{v, v});
+  for (std::size_t i = raw.size() - 1; i > 0; --i) {
+    std::swap(raw[i], raw[rng.next_below(static_cast<std::uint32_t>(i + 1))]);
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    graph::EdgeList edges(base.num_vertices(), raw);
+    state.ResumeTiming();
+    edges.normalize();
+    benchmark::DoNotOptimize(edges.edges().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(raw.size()));
+}
+BENCHMARK(BM_EdgeListNormalize);
+
+void BM_SyncOutWeights(benchmark::State& state) {
+  graph::Graph g = graph::Graph::from_edge_list(graph::rmat(setup_rmat_params(), 7));
+  graph::assign_weights(g, graph::DiffusionModel::IndependentCascade,
+                        {.scheme = graph::WeightScheme::RandomUniform, .seed = 7});
+  for (auto _ : state) {
+    g.sync_out_weights_from_in();
+    benchmark::DoNotOptimize(g.out_weights(0).data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(g.num_edges()));
+}
+BENCHMARK(BM_SyncOutWeights);
 
 void BM_BitPackedEncode(benchmark::State& state) {
   const auto bits = static_cast<std::uint32_t>(state.range(0));

@@ -25,6 +25,8 @@ class EdgeList {
 
   /// Sort by (from, to) and drop duplicate edges and self-loops.
   /// SNAP social graphs contain both; IMM's diffusion models assume neither.
+  /// The sort is an LSD radix sort on the (from, to) key, sized from
+  /// num_vertices(), with one scratch array the size of the edges.
   void normalize();
 
   /// Add the reverse of every edge (used to model undirected SNAP datasets,

@@ -43,6 +43,12 @@ struct RmatParams {
   /// Fraction of generated arcs that also get their reverse arc.
   double reciprocal_fraction = 0.0;
 };
+/// The draw order is part of the contract, because the golden graph
+/// digests, the registry stand-ins and every seed downstream depend on it.
+/// All draws come from one stream in next_double() order: per edge, three
+/// per level (jitter, row, column) for `scale` levels, then one more for the
+/// reverse arc when u != v and reciprocal_fraction > 0. A self-loop is
+/// dropped and draws nothing more.
 [[nodiscard]] EdgeList rmat(const RmatParams& params, std::uint64_t seed);
 
 // -- Deterministic micro-graphs for unit tests ------------------------------

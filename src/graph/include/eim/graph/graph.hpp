@@ -28,6 +28,11 @@ class Graph {
   /// at zero — call assign_weights (weights.hpp) before running diffusion.
   static Graph from_edge_list(const EdgeList& edges);
 
+  /// Assemble from prebuilt adjacency directions, which must describe the
+  /// same arcs (sync_out_weights_from_in throws if they do not); weights
+  /// start at zero.
+  static Graph from_adjacency(Adjacency in, Adjacency out);
+
   [[nodiscard]] VertexId num_vertices() const noexcept { return in_.num_vertices(); }
   [[nodiscard]] EdgeId num_edges() const noexcept { return in_.num_edges(); }
 

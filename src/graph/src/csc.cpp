@@ -24,9 +24,12 @@ Adjacency build_adjacency(const EdgeList& edges, KeyFn key, ValueFn value) {
   for (const Edge& e : edges.edges()) {
     adj.targets[cursor[key(e)]++] = value(e);
   }
+  // The scatter is stable, so a normalized list already yields sorted
+  // slices; only an unsorted input pays for the sort.
   for (VertexId v = 0; v < n; ++v) {
-    std::sort(adj.targets.begin() + static_cast<std::ptrdiff_t>(adj.offsets[v]),
-              adj.targets.begin() + static_cast<std::ptrdiff_t>(adj.offsets[v + 1]));
+    const auto begin = adj.targets.begin() + static_cast<std::ptrdiff_t>(adj.offsets[v]);
+    const auto end = adj.targets.begin() + static_cast<std::ptrdiff_t>(adj.offsets[v + 1]);
+    if (!std::is_sorted(begin, end)) std::sort(begin, end);
   }
   return adj;
 }

@@ -1,5 +1,6 @@
 #include "eim/graph/draw_plan.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -120,21 +121,26 @@ void build_lt_half(const Graph& g, DrawPlan& plan) {
   plan.lt_prob.assign(static_cast<std::size_t>(g.num_edges()), 0.0f);
   plan.lt_alias.assign(static_cast<std::size_t>(g.num_edges()), 0);
   plan.lt_total.assign(n, 0.0f);
+  const std::size_t chunks = (n + kBuildGrain - 1) / kBuildGrain;
   support::ThreadPool::global().parallel_for(
-      0, n,
-      [&](std::size_t v) {
-        // Worklists are per-call; thread_local reuse would leak capacity
-        // across graphs and the allocations amortize over the grain anyway.
+      0, chunks,
+      [&](std::size_t chunk) {
+        // Worklists live for one chunk of vertices: thread_local reuse would
+        // leak capacity across graphs, per-vertex ones cost three
+        // allocations a vertex.
         std::vector<double> scaled;
         std::vector<std::uint32_t> small_idx;
         std::vector<std::uint32_t> large_idx;
-        const auto vid = static_cast<VertexId>(v);
-        const EdgeId begin = g.in().offsets[vid];
-        build_alias_row(g.in_weights(vid), plan.lt_prob.data() + begin,
-                        plan.lt_alias.data() + begin, &plan.lt_total[v], scaled,
-                        small_idx, large_idx);
+        const std::size_t last = std::min(n, (chunk + 1) * kBuildGrain);
+        for (std::size_t v = chunk * kBuildGrain; v < last; ++v) {
+          const auto vid = static_cast<VertexId>(v);
+          const EdgeId begin = g.in().offsets[vid];
+          build_alias_row(g.in_weights(vid), plan.lt_prob.data() + begin,
+                          plan.lt_alias.data() + begin, &plan.lt_total[v], scaled,
+                          small_idx, large_idx);
+        }
       },
-      kBuildGrain);
+      1);
 }
 
 }  // namespace

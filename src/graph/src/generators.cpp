@@ -117,35 +117,57 @@ EdgeList rmat(const RmatParams& params, std::uint64_t seed) {
   EIM_CHECK_MSG(sum > 0.999 && sum < 1.001, "rmat: quadrant probabilities must sum to 1");
 
   const VertexId n = static_cast<VertexId>(1u << params.scale);
-  EdgeList edges(n);
   RandomStream rng(seed, support::derive_stream(kGenStreamTag, 4));
 
   const double ab = params.a + params.b;
   const double a_over_ab = params.a / ab;
   const double c_over_cd = params.c / (params.c + params.d);
+  const bool reciprocate = params.reciprocal_fraction > 0.0;
 
+  // The scalar next_double() sequence, generated in bulk: each double is
+  // (hi << 32 | lo) >> 11 of two consecutive u32 draws, hi first, exactly as
+  // next_u64() composes them. Draws are consumed strictly in stream order.
+  const std::size_t per_edge = 2 * (3 * std::size_t{params.scale} + (reciprocate ? 1 : 0));
+  std::vector<std::uint32_t> draws(per_edge * 256);
+  std::size_t next = draws.size();
+  const auto next_double = [&draws, &next]() {
+    const std::uint64_t hi = draws[next++];
+    const std::uint64_t lo = draws[next++];
+    return static_cast<double>(((hi << 32) | lo) >> 11) * 0x1.0p-53;
+  };
+
+  std::vector<Edge> edges;
+  edges.reserve(static_cast<std::size_t>(params.num_edges) * (reciprocate ? 2 : 1));
   for (EdgeId e = 0; e < params.num_edges; ++e) {
+    // Top up so one edge's worth of draws (the most it can take) is
+    // buffered: the leftover tail moves to the front, then the stream fills
+    // the rest from where it stopped.
+    if (draws.size() - next < per_edge) {
+      const auto kept = std::copy(draws.begin() + static_cast<std::ptrdiff_t>(next),
+                                  draws.end(), draws.begin());
+      rng.fill_u32({kept, draws.end()});
+      next = 0;
+    }
     VertexId u = 0;
     VertexId v = 0;
     for (std::uint32_t bit = 0; bit < params.scale; ++bit) {
       // Mild parameter noise per level avoids the artificial "staircase"
       // degree plot of vanilla R-MAT (standard Graph500 smoothing).
-      const double jitter = 0.95 + 0.1 * rng.next_double();
-      const bool down = rng.next_double() >= ab * jitter / (ab * jitter + (1.0 - ab));
-      const bool right =
-          rng.next_double() >= (down ? c_over_cd : a_over_ab);
+      const double jitter = 0.95 + 0.1 * next_double();
+      const bool down = next_double() >= ab * jitter / (ab * jitter + (1.0 - ab));
+      const bool right = next_double() >= (down ? c_over_cd : a_over_ab);
       u = static_cast<VertexId>((u << 1) | (down ? 1u : 0u));
       v = static_cast<VertexId>((v << 1) | (right ? 1u : 0u));
     }
     if (u == v) continue;
-    edges.add_edge(u, v);
-    if (params.reciprocal_fraction > 0.0 &&
-        rng.next_double() < params.reciprocal_fraction) {
-      edges.add_edge(v, u);
+    edges.push_back(Edge{u, v});
+    if (reciprocate && next_double() < params.reciprocal_fraction) {
+      edges.push_back(Edge{v, u});
     }
   }
-  edges.normalize();
-  return edges;
+  EdgeList list(n, std::move(edges));
+  list.normalize();
+  return list;
 }
 
 EdgeList path_graph(VertexId n) {

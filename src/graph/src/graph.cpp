@@ -1,33 +1,56 @@
 #include "eim/graph/graph.hpp"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "eim/support/error.hpp"
 
 namespace eim::graph {
 
 Graph Graph::from_edge_list(const EdgeList& edges) {
+  return from_adjacency(build_in_adjacency(edges), build_out_adjacency(edges));
+}
+
+Graph Graph::from_adjacency(Adjacency in, Adjacency out) {
   Graph g;
-  g.in_ = build_in_adjacency(edges);
-  g.out_ = build_out_adjacency(edges);
+  g.in_ = std::move(in);
+  g.out_ = std::move(out);
   g.in_weights_.assign(g.in_.targets.size(), 0.0f);
   g.out_weights_.assign(g.out_.targets.size(), 0.0f);
   return g;
 }
 
 void Graph::sync_out_weights_from_in() {
-  // For each out-edge (u, v) locate u within v's sorted in-slice.
+  // Transpose the in-direction: walking v ascending over its in-slice
+  // visits each u's out-edges in ascending target order, so the next free
+  // slot of u's out-slice is the mirror of in-edge (u, v). The copies of a
+  // duplicated arc all take the weight of its first in-copy.
+  //
+  // The directions agree iff every mirror slot holds v and every out-slice
+  // is filled exactly; a slot past the end only bounds the writes.
   const VertexId n = num_vertices();
-  for (VertexId u = 0; u < n; ++u) {
-    const auto vs = out_.neighbors(u);
-    for (std::size_t j = 0; j < vs.size(); ++j) {
-      const VertexId v = vs[j];
-      const auto ins = in_.neighbors(v);
-      const auto it = std::lower_bound(ins.begin(), ins.end(), u);
-      EIM_CHECK_MSG(it != ins.end() && *it == u, "adjacency directions disagree");
-      const auto pos = in_.offsets[v] + static_cast<EdgeId>(it - ins.begin());
-      out_weights_[out_.offsets[u] + j] = in_weights_[pos];
+  const EdgeId m = out_.num_edges();
+  EIM_CHECK_MSG(out_.num_vertices() == n && in_.num_edges() == m,
+                "adjacency directions disagree");
+  const EdgeId* in_offsets = in_.offsets.data();
+  const VertexId* sources = in_.targets.data();
+  const VertexId* out_targets = out_.targets.data();
+  const Weight* in_weights = in_weights_.data();
+  Weight* out_weights = out_weights_.data();
+  std::vector<EdgeId> cursor(out_.offsets.begin(), out_.offsets.begin() + n);
+  for (VertexId v = 0; v < n; ++v) {
+    EdgeId first = in_offsets[v];
+    for (EdgeId i = in_offsets[v]; i < in_offsets[v + 1]; ++i) {
+      const VertexId u = sources[i];
+      if (u != sources[first]) first = i;
+      const EdgeId pos = cursor[u]++;
+      EIM_CHECK_MSG(pos < m && out_targets[pos] == v, "adjacency directions disagree");
+      out_weights[pos] = in_weights[first];
     }
+  }
+  for (VertexId u = 0; u < n; ++u) {
+    EIM_CHECK_MSG(cursor[u] == out_.offsets[u + 1], "adjacency directions disagree");
   }
 }
 

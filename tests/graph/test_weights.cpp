@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <vector>
 
 #include "eim/graph/generators.hpp"
 #include "eim/support/error.hpp"
+#include "eim/support/rng.hpp"
 
 namespace eim::graph {
 namespace {
@@ -116,6 +119,99 @@ TEST(Weights, ModelAndSchemeNames) {
   EXPECT_STREQ(to_string(DiffusionModel::IndependentCascade), "IC");
   EXPECT_STREQ(to_string(DiffusionModel::LinearThreshold), "LT");
   EXPECT_STREQ(to_string(WeightScheme::InDegree), "in-degree");
+}
+
+// -- Out-weight mirror against the per-edge binary search -------------------
+
+/// The mirror as a lower_bound of u in v's in-slice per out-edge (u, v): a
+/// duplicated arc's every out-copy reads its first in-copy's weight.
+std::vector<Weight> reference_out_weights(const Graph& g) {
+  std::vector<Weight> out(g.num_edges());
+  for (VertexId u = 0; u < g.num_vertices(); ++u) {
+    const auto vs = g.out().neighbors(u);
+    for (std::size_t j = 0; j < vs.size(); ++j) {
+      const auto ins = g.in().neighbors(vs[j]);
+      const auto it = std::lower_bound(ins.begin(), ins.end(), u);
+      EXPECT_TRUE(it != ins.end() && *it == u);
+      const auto local = static_cast<std::size_t>(it - ins.begin());
+      out[g.out().offsets[u] + j] = g.in_weights(vs[j])[local];
+    }
+  }
+  return out;
+}
+
+/// An un-normalized list: duplicate arcs (some repeated several times) and
+/// self-loops left in.
+EdgeList raw_edges_with_duplicates(std::uint64_t seed, VertexId n, std::size_t m) {
+  support::RandomStream rng(seed, 1);
+  std::vector<Edge> edges;
+  for (std::size_t i = 0; i < m; ++i) {
+    if (!edges.empty() && rng.next_double() < 0.3) {
+      edges.push_back(edges[rng.next_below(static_cast<std::uint32_t>(edges.size()))]);
+    } else {
+      edges.push_back(Edge{rng.next_below(n), rng.next_below(n)});
+    }
+  }
+  return EdgeList(n, std::move(edges));
+}
+
+TEST(Weights, OutWeightSyncMatchesBinarySearchOnDuplicateArcs) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    for (const DiffusionModel model :
+         {DiffusionModel::IndependentCascade, DiffusionModel::LinearThreshold}) {
+      const VertexId n = seed % 2 == 0 ? 60 : 700;
+      Graph g = Graph::from_edge_list(raw_edges_with_duplicates(seed, n, 6'000));
+      assign_weights(g, model, {.scheme = WeightScheme::RandomUniform, .seed = seed});
+      const std::vector<Weight> want = reference_out_weights(g);
+      std::vector<Weight> got;
+      for (VertexId u = 0; u < g.num_vertices(); ++u) {
+        const auto ws = g.out_weights(u);
+        got.insert(got.end(), ws.begin(), ws.end());
+      }
+      EXPECT_EQ(got, want) << "seed " << seed << " " << to_string(model);
+    }
+  }
+}
+
+TEST(Weights, OutWeightSyncRejectsDisagreeingAdjacency) {
+  const EdgeList edges = raw_edges_with_duplicates(5, 50, 400);
+  const Adjacency in = build_in_adjacency(edges);
+  const Adjacency out = build_out_adjacency(edges);
+  const auto sync = [&](Adjacency corrupted) {
+    Graph g = Graph::from_adjacency(in, std::move(corrupted));
+    assign_weights(g, DiffusionModel::IndependentCascade);
+  };
+  EXPECT_NO_THROW(sync(out));
+
+  // One out-target replaced by another vertex.
+  Adjacency wrong_target = out;
+  wrong_target.targets[wrong_target.targets.size() / 2] += 1;
+  EXPECT_THROW(sync(wrong_target), support::Error);
+
+  // One arc dropped from the out-direction.
+  std::vector<Edge> fewer = edges.edges();
+  fewer.pop_back();
+  EXPECT_THROW(sync(build_out_adjacency(EdgeList(edges.num_vertices(), fewer))),
+               support::Error);
+
+  // Arc counts agree, but one arc sits in another source's slice: the first
+  // source runs past its slice, the second never fills its own.
+  for (const bool to_last : {false, true}) {
+    std::vector<Edge> moved = edges.edges();
+    Edge& e = to_last ? moved.back() : moved.front();
+    e.from = to_last ? 0 : edges.num_vertices() - 1;
+    if (e.from == e.to) e.to = (e.to + 1) % edges.num_vertices();
+    EXPECT_THROW(sync(build_out_adjacency(EdgeList(edges.num_vertices(), moved))),
+                 support::Error);
+  }
+
+  // 1 -> 3 recorded as 2 -> 3 in the out-direction: every mirror slot
+  // holds the right target (source 1 runs on into source 2's slot, which
+  // holds 3 as well), so only the fill count tells them apart.
+  Graph shifted = Graph::from_adjacency(
+      build_in_adjacency(EdgeList(4, {Edge{0, 3}, Edge{1, 3}})),
+      build_out_adjacency(EdgeList(4, {Edge{0, 3}, Edge{2, 3}})));
+  EXPECT_THROW(assign_weights(shifted, DiffusionModel::IndependentCascade), support::Error);
 }
 
 }  // namespace
