@@ -101,6 +101,13 @@ for t in "${tsan_tests[@]}"; do
     TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}" \
       "./${t}" --gtest_brief=1)
 done
+# The pool's helper handoff (job pointers on the queue, the last-touch
+# decrement) is exercised once per parallel_for; repeat its own suite so a
+# rare interleaving gets many chances to show.
+echo "-- test_support ThreadPool.* x200 --"
+(cd "${tsan_dir}/tests" &&
+  TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}" \
+    ./test_support --gtest_filter='ThreadPool.*' --gtest_repeat=200 --gtest_brief=1)
 
 echo "== CLI checkpoint/resume round-trip + corrupt-snapshot rejection =="
 ckpt_tmp="$(mktemp -d)"

@@ -32,7 +32,6 @@
 #include <functional>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "eim/graph/types.hpp"
@@ -96,26 +95,25 @@ class TieredRrrStore {
   void attach_profile(support::profiler::WallProfile* profile);
 
   /// Deterministic block-repair source: regenerate the decoded members of
-  /// one set by global sample id. Without a hook, a CRC failure is fatal
+  /// one set by its slot. Without a hook, a CRC failure is fatal
   /// (IoError, exit 3) instead of recoverable.
   void set_resample_hook(
       std::function<void(std::uint64_t, std::vector<graph::VertexId>&)> hook);
 
-  /// Evict a batch of decoded sets downward. `set_ids` are the collection's
-  /// local slots (the index grows to the largest); `values` concatenates the
-  /// sets in `set_ids` order (each ascending); `raw_device_bytes` is the
-  /// packed device footprint being freed, charged as one PCIe D2H transfer.
-  void spill(std::span<const std::uint64_t> set_ids,
-             std::span<const std::uint32_t> lengths,
-             std::span<const graph::VertexId> values,
-             std::uint64_t raw_device_bytes);
+  /// Evict the collection's next `lengths.size()` slots downward: the store
+  /// holds slots [0, spilled_sets()) and each call appends the run that
+  /// follows. `values` concatenates the sets in slot order (each
+  /// ascending); `raw_device_bytes` is the packed device footprint being
+  /// freed, charged as one PCIe D2H transfer.
+  void spill(std::span<const std::uint32_t> lengths,
+             std::span<const graph::VertexId> values, std::uint64_t raw_device_bytes);
 
-  /// Stream one spilled set back up through the staging pool. `out.size()`
-  /// must equal the length passed to spill(). Throws IoError when disk I/O
-  /// fails past the retry budget or a corrupt block cannot be resampled.
-  void fetch(std::uint64_t set_id, std::span<graph::VertexId> out);
+  /// Stream one spilled slot (< spilled_sets()) back up through the staging
+  /// pool. `out.size()` must equal the length passed to spill(). Throws
+  /// IoError when disk I/O fails past the retry budget or a corrupt block
+  /// cannot be resampled.
+  void fetch(std::uint64_t slot, std::span<graph::VertexId> out);
 
-  [[nodiscard]] bool contains(std::uint64_t set_id) const;
   [[nodiscard]] std::uint64_t spilled_sets() const noexcept { return spilled_sets_; }
   /// Compressed footprint across T1 + T2.
   [[nodiscard]] std::uint64_t compressed_bytes() const noexcept {
@@ -127,7 +125,7 @@ class TieredRrrStore {
 
  private:
   struct Block {
-    std::vector<std::uint64_t> set_ids;
+    std::uint64_t first = 0;              ///< slot of the block's first set
     std::vector<std::uint32_t> lengths;
     std::vector<std::uint64_t> offsets;   ///< prefix sums over lengths (size+1)
     std::vector<std::uint8_t> encoded;    ///< empty while resident on disk
@@ -160,11 +158,7 @@ class TieredRrrStore {
   std::string dir_;
   bool own_dir_ = false;
 
-  static constexpr std::uint32_t kNotSpilled = ~std::uint32_t{0};
-
-  std::vector<Block> blocks_;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>>
-      set_index_;  ///< set id -> (block or kNotSpilled, position in block)
+  std::vector<Block> blocks_;  ///< ascending, contiguous slot runs
   std::vector<Staged> staging_;
   std::uint64_t lru_clock_ = 0;
 

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cassert>
 #include <chrono>
-#include <numeric>
 
 #include "eim/eim/tiered_store.hpp"
 #include "eim/support/bits.hpp"
@@ -112,16 +111,14 @@ void DeviceRrrCollection::spill_committed() {
   // array's contents [device_base_, cursor) — so it drops whole.
   const std::uint64_t resident = element_cursor_ - device_base_;
   if (num_sets_ > spilled_sets_) {
-    std::vector<std::uint64_t> ids(num_sets_ - spilled_sets_);
-    std::iota(ids.begin(), ids.end(), spilled_sets_);
     const std::span<const std::uint32_t> lens(lengths_.data() + spilled_sets_,
-                                              ids.size());
+                                              num_sets_ - spilled_sets_);
     std::vector<VertexId> decoded(log_encode_ ? resident : 0);
     if (log_encode_) packed_.decode_into(0, decoded);
     const std::span<const VertexId> values =
         log_encode_ ? std::span<const VertexId>(decoded)
                     : std::span<const VertexId>(raw_.data(), resident);
-    spill_->spill(ids, lens, values, r_bytes_for(resident));
+    spill_->spill(lens, values, r_bytes_for(resident));
     spilled_sets_ = num_sets_;
   }
   const std::uint64_t old_bytes = current_r_bytes();

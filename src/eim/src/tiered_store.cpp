@@ -128,30 +128,24 @@ void TieredRrrStore::trace_instant(const char* name, std::string detail) {
                   device_->timeline().total_seconds());
 }
 
-void TieredRrrStore::spill(std::span<const std::uint64_t> set_ids,
-                           std::span<const std::uint32_t> lengths,
+void TieredRrrStore::spill(std::span<const std::uint32_t> lengths,
                            std::span<const graph::VertexId> values,
                            std::uint64_t raw_device_bytes) {
-  EIM_CHECK_MSG(set_ids.size() == lengths.size(),
-                "spill batch: one length per set id");
-  if (set_ids.empty()) return;
+  if (lengths.empty()) return;
 
   // One PCIe D2H transfer covers the whole eviction batch: the packed device
   // array streams out before the host-side re-encode.
   charge_pcie("spill.evict", raw_device_bytes);
-  const std::uint64_t max_id = *std::max_element(set_ids.begin(), set_ids.end());
-  if (max_id >= set_index_.size()) set_index_.resize(max_id + 1, {kNotSpilled, 0});
 
   std::uint64_t num_blocks = 0;
   std::uint64_t compressed = 0;
   std::size_t set_at = 0;
   std::size_t value_at = 0;
-  while (set_at < set_ids.size()) {
+  while (set_at < lengths.size()) {
     const std::size_t take =
-        std::min<std::size_t>(options_.sets_per_block, set_ids.size() - set_at);
+        std::min<std::size_t>(options_.sets_per_block, lengths.size() - set_at);
     Block block;
-    block.set_ids.assign(set_ids.begin() + static_cast<std::ptrdiff_t>(set_at),
-                         set_ids.begin() + static_cast<std::ptrdiff_t>(set_at + take));
+    block.first = spilled_sets_ + set_at;
     block.lengths.assign(lengths.begin() + static_cast<std::ptrdiff_t>(set_at),
                          lengths.begin() + static_cast<std::ptrdiff_t>(set_at + take));
     block.offsets.resize(take + 1, 0);
@@ -171,10 +165,6 @@ void TieredRrrStore::spill(std::span<const std::uint64_t> set_ids,
     // charges the PCIe cost of just this block's share.
     block.raw_bytes =
         raw_device_bytes * block_values / std::max<std::uint64_t>(values.size(), 1);
-    const std::uint32_t block_index = static_cast<std::uint32_t>(blocks_.size());
-    for (std::size_t j = 0; j < take; ++j) {
-      set_index_[block.set_ids[j]] = {block_index, static_cast<std::uint32_t>(j)};
-    }
     compressed += block.encoded_bytes;
     if (block_bytes_ != nullptr) block_bytes_->observe(block.encoded_bytes);
     admit_block(std::move(block));
@@ -182,14 +172,14 @@ void TieredRrrStore::spill(std::span<const std::uint64_t> set_ids,
     value_at += block_values;
     ++num_blocks;
   }
-  spilled_sets_ += set_ids.size();
+  spilled_sets_ += lengths.size();
   if (evictions_ != nullptr) {
     evictions_->add(num_blocks);
-    evicted_sets_->add(set_ids.size());
+    evicted_sets_->add(lengths.size());
     evicted_bytes_raw_->add(raw_device_bytes);
     evicted_bytes_compressed_->add(compressed);
   }
-  trace_instant("spill.evict", "sets=" + std::to_string(set_ids.size()) +
+  trace_instant("spill.evict", "sets=" + std::to_string(lengths.size()) +
                                    " blocks=" + std::to_string(num_blocks) +
                                    " compressed=" + std::to_string(compressed));
 }
@@ -329,22 +319,22 @@ std::vector<graph::VertexId> TieredRrrStore::quarantine_and_resample(
   if (corrupt_blocks_ != nullptr) corrupt_blocks_->add();
   trace_instant("spill.corrupt",
                 "block=" + std::to_string(block_index) +
-                    " sets=" + std::to_string(block.set_ids.size()));
+                    " sets=" + std::to_string(block.lengths.size()));
 
   // Regeneration is deterministic per global sample id, so the rebuilt
   // members are bit-identical to what the torn block held.
   std::vector<graph::VertexId> values;
   values.reserve(block.offsets.back());
   std::vector<graph::VertexId> one;
-  for (std::size_t j = 0; j < block.set_ids.size(); ++j) {
+  for (std::size_t j = 0; j < block.lengths.size(); ++j) {
     one.clear();
-    resample_hook_(block.set_ids[j], one);
+    resample_hook_(block.first + j, one);
     EIM_CHECK_MSG(one.size() == block.lengths[j],
                   "spill resample: regenerated set length diverged");
     values.insert(values.end(), one.begin(), one.end());
   }
-  stats_.resampled_sets += block.set_ids.size();
-  if (resampled_sets_ != nullptr) resampled_sets_->add(block.set_ids.size());
+  stats_.resampled_sets += block.lengths.size();
+  if (resampled_sets_ != nullptr) resampled_sets_->add(block.lengths.size());
 
   // Re-admit the repaired block to T1 and drop the stale disk file; the host
   // budget may push it straight back down (through a fresh, intact write).
@@ -396,7 +386,7 @@ TieredRrrStore::Staged& TieredRrrStore::stage_block(std::size_t block_index) {
   // for the block's share of the original device footprint.
   charge_pcie("spill.fetch", block.raw_bytes);
   trace_instant("spill.fetch", "block=" + std::to_string(block_index) +
-                                   " sets=" + std::to_string(block.set_ids.size()));
+                                   " sets=" + std::to_string(block.lengths.size()));
 
   if (staging_.size() < options_.staging_blocks) {
     staging_.push_back({});
@@ -415,10 +405,16 @@ TieredRrrStore::Staged& TieredRrrStore::stage_block(std::size_t block_index) {
   return slot;
 }
 
-void TieredRrrStore::fetch(std::uint64_t set_id, std::span<graph::VertexId> out) {
-  EIM_CHECK_MSG(contains(set_id), "spill fetch: set was never spilled");
-  const auto [block_index, pos] = set_index_[set_id];
+void TieredRrrStore::fetch(std::uint64_t slot, std::span<graph::VertexId> out) {
+  EIM_CHECK_MSG(slot < spilled_sets_, "spill fetch: set was never spilled");
+  // Blocks hold ascending, contiguous slot runs: the slot lives in the last
+  // block that starts at or before it.
+  const auto holder = std::upper_bound(
+      blocks_.begin(), blocks_.end(), slot,
+      [](std::uint64_t s, const Block& b) { return s < b.first; });
+  const auto block_index = static_cast<std::size_t>(holder - blocks_.begin()) - 1;
   const Block& block = blocks_[block_index];
+  const std::uint64_t pos = slot - block.first;
 
   Staged* staged = nullptr;
   for (Staged& s : staging_) {
@@ -440,10 +436,6 @@ void TieredRrrStore::fetch(std::uint64_t set_id, std::span<graph::VertexId> out)
   EIM_CHECK_MSG(out.size() == len, "spill fetch: caller span length mismatch");
   std::copy_n(staged->values.begin() + static_cast<std::ptrdiff_t>(begin), len,
               out.begin());
-}
-
-bool TieredRrrStore::contains(std::uint64_t set_id) const {
-  return set_id < set_index_.size() && set_index_[set_id].first != kNotSpilled;
 }
 
 }  // namespace eim::eim_impl

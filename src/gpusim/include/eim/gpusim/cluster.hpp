@@ -1,7 +1,7 @@
 // Modeled multi-node cluster above the device pool.
 //
 // A Cluster is N identical nodes, each holding D simulated Devices plus a
-// network link; collectives (allreduce / allgather / broadcast) are charged
+// network link; collectives (allreduce / broadcast) are charged
 // to a cluster-level DeviceTimeline using standard logarithmic collective
 // cost models over the slowest participating link. Like everything else in
 // gpusim, the cluster runs deterministically: collectives consume a global
@@ -20,10 +20,10 @@
 //    ordinals and succeeds unless the plan lists consecutive ordinals.
 //    Retryable (LinkFaultError derives from DeviceFaultError, the class
 //    support::retry catches); retry exhaustion escalates to node-dead.
-//  * straggler      — scripted link slowdown: from a collective ordinal on,
-//    a node's link bandwidth is divided by a factor, stretching every
-//    collective it participates in (the ring/tree is gated by the slowest
-//    link). Stragglers change only modeled time, never results.
+//  * straggler      — scripted link slowdown: a node's link bandwidth is
+//    divided by a factor, stretching every collective it participates in
+//    (the ring/tree is gated by the slowest link). Stragglers change only
+//    modeled time, never results.
 #pragma once
 
 #include <cstdint>
@@ -81,8 +81,6 @@ struct ClusterFaultPlan {
   struct LinkSlowdown {
     std::uint32_t node = 0;
     double factor = 1.0;  ///< bandwidth divisor (>= 1)
-    /// The slowdown applies from this collective ordinal on (0 = always).
-    std::uint64_t from_collective_ordinal = 0;
   };
 
   std::vector<NodeLoss> node_losses;
@@ -175,10 +173,9 @@ class Cluster {
   /// the whole node. Idempotent; counted once.
   void mark_node_lost(std::uint32_t node_index) noexcept;
 
-  /// Effective link bandwidth of `node_index` at collective ordinal
-  /// `ordinal`, after scripted slowdowns (bytes/second).
-  [[nodiscard]] double effective_link_bandwidth(std::uint32_t node_index,
-                                                std::uint64_t ordinal) const noexcept;
+  /// Effective link bandwidth of `node_index` after scripted slowdowns
+  /// (bytes/second).
+  [[nodiscard]] double effective_link_bandwidth(std::uint32_t node_index) const noexcept;
 
   // -- modeled collectives ----------------------------------------------
   //
@@ -190,11 +187,8 @@ class Cluster {
   // aligned however many nodes survive). Cost models (P participants, B
   // bytes, L = slowest participating link, lat = link latency):
   //   allreduce:  2*ceil(log2 P)*lat + 2*(P-1)/P * B / L   (Rabenseifner)
-  //   allgather:  ceil(log2 P)*lat + (P-1)/P * (P*B_per_node) / L
   //   broadcast:  ceil(log2 P)*lat + B / L                 (pipelined tree)
   double allreduce(const std::string& label, std::uint64_t bytes,
-                   std::span<const std::uint32_t> participants);
-  double allgather(const std::string& label, std::uint64_t bytes_per_node,
                    std::span<const std::uint32_t> participants);
   double broadcast(const std::string& label, std::uint64_t bytes,
                    std::span<const std::uint32_t> participants);
@@ -207,13 +201,13 @@ class Cluster {
                        std::span<const std::uint32_t> participants);
 
  private:
-  enum class CollectiveKind { Allreduce, Allgather, Broadcast };
+  enum class CollectiveKind { Allreduce, Broadcast };
   double run_collective(CollectiveKind kind, const std::string& label,
                         std::uint64_t bytes,
                         std::span<const std::uint32_t> participants);
-  /// Slowest participating link in bytes/second at `ordinal`.
+  /// Slowest participating link in bytes/second.
   [[nodiscard]] double bottleneck_bandwidth(
-      std::span<const std::uint32_t> participants, std::uint64_t ordinal) const;
+      std::span<const std::uint32_t> participants) const;
 
   ClusterSpec spec_;
   std::vector<std::unique_ptr<ClusterNode>> nodes_;

@@ -49,25 +49,23 @@ void Cluster::mark_node_lost(std::uint32_t node_index) noexcept {
   ++fault_stats_.node_losses;
 }
 
-double Cluster::effective_link_bandwidth(std::uint32_t node_index,
-                                         std::uint64_t ordinal) const noexcept {
+double Cluster::effective_link_bandwidth(std::uint32_t node_index) const noexcept {
   // A straggler divides bandwidth; overlapping rules compound by taking the
   // worst (max) factor, matching how a degraded NIC dominates its link.
   double factor = 1.0;
   for (const auto& rule : fault_plan_.slowdowns) {
-    if (rule.node == node_index && ordinal >= rule.from_collective_ordinal &&
-        rule.factor > factor) {
+    if (rule.node == node_index && rule.factor > factor) {
       factor = rule.factor;
     }
   }
   return spec_.node.link.link_gbytes_per_sec * 1e9 / factor;
 }
 
-double Cluster::bottleneck_bandwidth(std::span<const std::uint32_t> participants,
-                                     std::uint64_t ordinal) const {
+double Cluster::bottleneck_bandwidth(
+    std::span<const std::uint32_t> participants) const {
   double slowest = spec_.node.link.link_gbytes_per_sec * 1e9;
   for (std::uint32_t n : participants) {
-    const double bw = effective_link_bandwidth(n, ordinal);
+    const double bw = effective_link_bandwidth(n);
     if (bw < slowest) slowest = bw;
   }
   return slowest;
@@ -136,7 +134,7 @@ double Cluster::run_collective(CollectiveKind kind, const std::string& label,
   double seconds = 0.0;
   if (p > 1) {
     const double hops = static_cast<double>(log2_hops(p));
-    const double bw = bottleneck_bandwidth(participants, ordinal);
+    const double bw = bottleneck_bandwidth(participants);
     const double b = static_cast<double>(bytes);
     const double frac = static_cast<double>(p - 1) / static_cast<double>(p);
     switch (kind) {
@@ -144,10 +142,6 @@ double Cluster::run_collective(CollectiveKind kind, const std::string& label,
         // Rabenseifner: reduce-scatter + allgather, each moving (p-1)/p of
         // the vector over log2(p) rounds on the slowest link.
         seconds = 2.0 * hops * latency + 2.0 * frac * b / bw;
-        break;
-      case CollectiveKind::Allgather:
-        // `bytes` is the per-node contribution; every node ends with p*B.
-        seconds = hops * latency + frac * (static_cast<double>(p) * b) / bw;
         break;
       case CollectiveKind::Broadcast:
         // Pipelined binomial tree: latency per hop, payload streams once.
@@ -164,12 +158,6 @@ double Cluster::allreduce(const std::string& label, std::uint64_t bytes,
   return run_collective(CollectiveKind::Allreduce, label, bytes, participants);
 }
 
-double Cluster::allgather(const std::string& label, std::uint64_t bytes_per_node,
-                          std::span<const std::uint32_t> participants) {
-  return run_collective(CollectiveKind::Allgather, label, bytes_per_node,
-                        participants);
-}
-
 double Cluster::broadcast(const std::string& label, std::uint64_t bytes,
                           std::span<const std::uint32_t> participants) {
   return run_collective(CollectiveKind::Broadcast, label, bytes, participants);
@@ -178,11 +166,10 @@ double Cluster::broadcast(const std::string& label, std::uint64_t bytes,
 void Cluster::charge_transfer(const std::string& label, std::uint64_t bytes,
                               std::span<const std::uint32_t> participants) {
   const double latency = spec_.node.link.link_latency_us * 1e-6;
-  // Recovery traffic sees the current straggler state but consumes no
-  // ordinal — key it off the *next* collective's slowdown window.
+  // Recovery traffic sees the straggler state but consumes no ordinal.
   const double bw = participants.empty()
                         ? spec_.node.link.link_gbytes_per_sec * 1e9
-                        : bottleneck_bandwidth(participants, collective_ordinal_);
+                        : bottleneck_bandwidth(participants);
   timeline_.add(SegmentKind::Transfer, label,
                 latency + static_cast<double>(bytes) / bw);
 }

@@ -4,51 +4,43 @@
 #include <cmath>
 #include <cstring>
 
-#include "eim/support/thread_pool.hpp"
-
 namespace eim::graph {
 
 namespace {
 
 constexpr double kDrawGrid = 16777216.0;  // 2^24, the next_float() lattice
 
-/// Grain for the per-vertex parallel loops: coarse enough that the pool
-/// dispatch cost never dominates the per-vertex classification work.
-constexpr std::size_t kBuildGrain = 4096;
-
 void build_ic_half(const Graph& g, DrawPlan& plan) {
   const auto n = static_cast<std::size_t>(g.num_vertices());
   plan.ic_kind.assign(n, static_cast<std::uint8_t>(DrawPlan::IcKind::Empty));
   plan.ic_log1m.assign(n, 0.0);
-  support::ThreadPool::global().parallel_for(
-      0, n,
-      [&](std::size_t v) {
-        const auto ws = g.in_weights(static_cast<VertexId>(v));
-        if (ws.empty()) return;  // Empty, preset
-        // Bitwise comparison: two weights draw identically iff their bit
-        // patterns match (the strict `<` test sees the value, and WC/constant
-        // schemes produce bit-identical repeats, never just nearby ones).
-        std::uint32_t first = 0;
-        std::memcpy(&first, &ws[0], sizeof(first));
-        for (std::size_t j = 1; j < ws.size(); ++j) {
-          std::uint32_t bits = 0;
-          std::memcpy(&bits, &ws[j], sizeof(bits));
-          if (bits != first) {
-            plan.ic_kind[v] = static_cast<std::uint8_t>(DrawPlan::IcKind::Mixed);
-            return;
-          }
-        }
-        const double p = grid_success_probability(ws[0]);
-        if (p <= 0.0) {
-          plan.ic_kind[v] = static_cast<std::uint8_t>(DrawPlan::IcKind::Zero);
-        } else if (p >= 1.0) {
-          plan.ic_kind[v] = static_cast<std::uint8_t>(DrawPlan::IcKind::Saturated);
-        } else {
-          plan.ic_kind[v] = static_cast<std::uint8_t>(DrawPlan::IcKind::Uniform);
-          plan.ic_log1m[v] = std::log1p(-p);
-        }
-      },
-      kBuildGrain);
+  for (std::size_t v = 0; v < n; ++v) {
+    const auto ws = g.in_weights(static_cast<VertexId>(v));
+    if (ws.empty()) continue;  // Empty, preset
+    // Bitwise comparison: two weights draw identically iff their bit
+    // patterns match (the strict `<` test sees the value, and WC/constant
+    // schemes produce bit-identical repeats, never just nearby ones).
+    std::uint32_t first = 0;
+    std::memcpy(&first, &ws[0], sizeof(first));
+    const bool mixed = std::any_of(ws.begin() + 1, ws.end(), [first](Weight w) {
+      std::uint32_t bits = 0;
+      std::memcpy(&bits, &w, sizeof(bits));
+      return bits != first;
+    });
+    if (mixed) {
+      plan.ic_kind[v] = static_cast<std::uint8_t>(DrawPlan::IcKind::Mixed);
+      continue;
+    }
+    const double p = grid_success_probability(ws[0]);
+    if (p <= 0.0) {
+      plan.ic_kind[v] = static_cast<std::uint8_t>(DrawPlan::IcKind::Zero);
+    } else if (p >= 1.0) {
+      plan.ic_kind[v] = static_cast<std::uint8_t>(DrawPlan::IcKind::Saturated);
+    } else {
+      plan.ic_kind[v] = static_cast<std::uint8_t>(DrawPlan::IcKind::Uniform);
+      plan.ic_log1m[v] = std::log1p(-p);
+    }
+  }
 }
 
 /// Vose alias construction for one vertex. Deterministic: buckets are
@@ -121,26 +113,18 @@ void build_lt_half(const Graph& g, DrawPlan& plan) {
   plan.lt_prob.assign(static_cast<std::size_t>(g.num_edges()), 0.0f);
   plan.lt_alias.assign(static_cast<std::size_t>(g.num_edges()), 0);
   plan.lt_total.assign(n, 0.0f);
-  const std::size_t chunks = (n + kBuildGrain - 1) / kBuildGrain;
-  support::ThreadPool::global().parallel_for(
-      0, chunks,
-      [&](std::size_t chunk) {
-        // Worklists live for one chunk of vertices: thread_local reuse would
-        // leak capacity across graphs, per-vertex ones cost three
-        // allocations a vertex.
-        std::vector<double> scaled;
-        std::vector<std::uint32_t> small_idx;
-        std::vector<std::uint32_t> large_idx;
-        const std::size_t last = std::min(n, (chunk + 1) * kBuildGrain);
-        for (std::size_t v = chunk * kBuildGrain; v < last; ++v) {
-          const auto vid = static_cast<VertexId>(v);
-          const EdgeId begin = g.in().offsets[vid];
-          build_alias_row(g.in_weights(vid), plan.lt_prob.data() + begin,
-                          plan.lt_alias.data() + begin, &plan.lt_total[v], scaled,
-                          small_idx, large_idx);
-        }
-      },
-      1);
+  // One set of worklists for the whole build: per-vertex ones would cost
+  // three allocations a vertex.
+  std::vector<double> scaled;
+  std::vector<std::uint32_t> small_idx;
+  std::vector<std::uint32_t> large_idx;
+  for (std::size_t v = 0; v < n; ++v) {
+    const auto vid = static_cast<VertexId>(v);
+    const EdgeId begin = g.in().offsets[vid];
+    build_alias_row(g.in_weights(vid), plan.lt_prob.data() + begin,
+                    plan.lt_alias.data() + begin, &plan.lt_total[v], scaled, small_idx,
+                    large_idx);
+  }
 }
 
 }  // namespace

@@ -410,7 +410,7 @@ TEST(ClusterFailover, StragglerChangesOnlyModeledTime) {
 
   gpusim::Cluster cluster = make_cluster(4);
   gpusim::ClusterFaultPlan plan;
-  plan.slowdowns.push_back({2, 8.0, 0});  // node 2's NIC runs at 1/8 speed
+  plan.slowdowns.push_back({2, 8.0});  // node 2's NIC runs at 1/8 speed
   cluster.set_fault_plan(plan);
   const EimResult dragged =
       run_eim_cluster(cluster, g, DiffusionModel::IndependentCascade, params);

@@ -108,8 +108,7 @@ std::vector<Bucket> make_buckets() {
         "SelectionIndex"},
        0},
       {"pool",
-       {"ThreadPool", "parallel_for", "worker_loop", "enqueue_bulk",
-        "MoveOnlyTask", "drain"},
+       {"ThreadPool", "parallel_for", "worker_loop", "drain"},
        0},
   };
 }
