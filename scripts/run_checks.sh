@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Pre-merge gate: build everything under AddressSanitizer + UBSan and run
 # the default test suite plus the stress-, checkpoint-, cluster-, spill-,
-# and drawmode-labeled tests (see README.md), run the concurrent suites
+# drawmode- and mutation-labeled tests (see README.md), run the concurrent suites
 # under ThreadSanitizer in a separate tree, exercise CLI-level
 # checkpoint/resume including corrupt-snapshot rejection, a --draw-mode
 # skip round-trip with mode-mismatch rejection, a node-kill cluster
@@ -79,6 +79,12 @@ ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}" -L spill
 
 echo "== drawmode-labeled tests (skip/alias statistical pinning, mode identity) =="
 ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}" -L drawmode
+
+echo "== mutation-labeled tests (seeded checkpoint and SNAP text decoder sweeps) =="
+# Under ASan a decoder that over-reads, over-allocates or throws the wrong
+# type fails here. The spill frame's sweep (RrrFrameMutation) runs with the
+# encoding suite in the default group above.
+ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}" -L mutation
 
 echo "== ThreadSanitizer: concurrent suites (separate tree, fatal) =="
 # Every suite that runs kernels on the host thread pool: the sampler and
@@ -159,7 +165,8 @@ for f in full resumed; do
 done
 diff "${dm_tmp}/full.norm.json" "${dm_tmp}/resumed.norm.json"
 # A skip checkpoint resumed without --draw-mode skip would splice two
-# incompatible draw sequences; the manifest identity must refuse (exit 2).
+# incompatible draw sequences; the snapshot's identity section must refuse
+# (exit 2).
 status=0
 "${cli}" --dataset WV --k 10 --eps 0.3 --json --resume "${dm_tmp}/ck" \
   > /dev/null 2>&1 || status=$?

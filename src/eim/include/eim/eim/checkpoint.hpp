@@ -1,16 +1,13 @@
 // Crash-safe checkpoint/resume for the eIM pipeline (docs/RESILIENCE.md).
 //
 // At every round boundary the pipeline can serialize its complete restart
-// state into a checkpoint directory:
+// state into one file, <dir>/snapshot.bin: a support::snapshot container
+// with the sections "identity" (graph shape, params, model, options),
+// "framework", "collection", "sampler", "timeline" and "metrics".
 //
-//   <dir>/manifest.json   run identity (graph shape, params, model, options)
-//   <dir>/snapshot.bin    support::snapshot container with the sections
-//                         "framework", "collection", "sampler", "timeline",
-//                         "metrics"
-//
-// Both files are published with support::atomic_write_file, and snapshot.bin
-// is written before manifest.json, so a kill at any instant leaves either
-// the previous consistent checkpoint or none — never a torn one.
+// The file is published with support::atomic_write_file, so a kill at any
+// instant leaves either the previous consistent checkpoint or the new one —
+// never a torn one.
 //
 // Resume is bit-identical by construction: RRR sampling draws from streams
 // keyed by the *global sample index* (sampler.hpp's determinism contract),
@@ -23,10 +20,12 @@
 // aggregates, and a metrics-registry snapshot.
 //
 // Corruption handling: any bit flip or truncation in snapshot.bin is caught
-// by the container's CRC-32C checksums; a malformed manifest is caught by
-// support::parse_json. Both surface as snapshot::SnapshotCorruptError — an
-// IoError, exit code 3 — never a crash or a silently wrong resume. Resuming
-// against the wrong graph/params is InvalidArgumentError (exit code 2).
+// by the container's CRC-32C checksums, and a checksum-valid section that
+// does not decode (a missing section, out-of-range elements, a metrics
+// snapshot that does not restore) by the decoders here. All surface as
+// snapshot::SnapshotCorruptError — an IoError, exit code 3 — never a crash
+// or a silently wrong resume. Resuming against the wrong graph/params is
+// InvalidArgumentError (exit code 2).
 #pragma once
 
 #include <cstdint>
@@ -60,8 +59,7 @@ struct CheckpointState {
   bool eliminate_sources = false;
   /// eim_impl::DrawMode as an integer. Part of the identity: Exact and Skip
   /// consume the RNG streams differently, so a resume that silently switched
-  /// modes would splice two incompatible draw sequences. Old manifests
-  /// (pre-draw-mode) decode as Exact — the only mode that existed.
+  /// modes would splice two incompatible draw sequences.
   std::uint8_t draw_mode = 0;
   /// Device count of the writing run. Informational only: a resumed run may
   /// redistribute the restored collection across a different device count.
@@ -101,9 +99,9 @@ struct CollectionView {
 };
 
 /// Serialize `state`, with `collection` as its collection, into `dir`
-/// (created if missing) as manifest.json + snapshot.bin, each published
-/// atomically. Returns total bytes written. Throws support::IoError when the
-/// directory or files cannot be written.
+/// (created if missing) as snapshot.bin, published atomically. Returns the
+/// bytes written. Throws support::IoError when the directory or file cannot
+/// be written.
 std::uint64_t save_checkpoint(const std::string& dir, const CheckpointState& state,
                               const CollectionView& collection);
 
@@ -111,10 +109,11 @@ std::uint64_t save_checkpoint(const std::string& dir, const CheckpointState& sta
 std::uint64_t save_checkpoint(const std::string& dir, const CheckpointState& state);
 
 /// Load and fully validate the checkpoint in `dir`. Throws plain
-/// support::IoError when no checkpoint exists (missing/unreadable files) and
+/// support::IoError when no checkpoint exists (missing/unreadable file) and
 /// support::snapshot::SnapshotCorruptError on any structural, checksum, or
-/// schema damage — including a manifest that fails support::parse_json and
-/// element values outside the recorded vertex range.
+/// schema damage — including a missing identity section, element values
+/// outside the recorded vertex range, and a metrics snapshot that does not
+/// restore.
 [[nodiscard]] CheckpointState load_checkpoint(const std::string& dir);
 
 /// Guard a resume against the wrong run: `state`'s identity block must match

@@ -108,6 +108,13 @@ class SelectionIndex {
  private:
   /// Fill `segment`'s vertex -> set CSR from its members.
   void index_segment(Segment& segment) const;
+  /// Count the members of local sets [first, last) per vertex into `hist`.
+  void count_chunk(const Segment& segment, std::uint64_t first, std::uint64_t last,
+                   std::vector<std::uint64_t>& hist) const;
+  /// Write local ids [first, last) into segment.sets at `cursor`'s
+  /// per-vertex write positions, advancing them.
+  static void scatter_chunk(Segment& segment, std::uint64_t first, std::uint64_t last,
+                            std::vector<std::uint64_t>& cursor);
 
   graph::VertexId n_;
   std::vector<std::uint32_t> lengths_;

@@ -1,7 +1,6 @@
 #include "eim/eim/checkpoint.hpp"
 
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <utility>
 
@@ -20,90 +19,15 @@ namespace {
 
 using support::IoError;
 using support::InvalidArgumentError;
-using support::JsonValue;
 using support::snapshot::ByteReader;
 using support::snapshot::ByteWriter;
 using support::snapshot::SnapshotCorruptError;
 using support::snapshot::SnapshotReader;
 using support::snapshot::SnapshotWriter;
 
-constexpr std::string_view kManifestSchema = "eim.checkpoint.v1";
-constexpr const char* kManifestFile = "manifest.json";
 constexpr const char* kSnapshotFile = "snapshot.bin";
 
-std::string manifest_path(const std::string& dir) { return dir + "/" + kManifestFile; }
 std::string snapshot_path(const std::string& dir) { return dir + "/" + kSnapshotFile; }
-
-std::string render_manifest(const CheckpointState& state, std::uint64_t num_sets) {
-  std::ostringstream out;
-  support::JsonWriter w(out);
-  w.begin_object();
-  w.field("schema", kManifestSchema);
-  // Decimal string: JSON numbers round-trip through int64, and the seed is
-  // an arbitrary 64-bit value.
-  w.field("rng_seed", std::string_view(std::to_string(state.rng_seed)));
-  w.field("num_vertices", std::uint64_t{state.num_vertices});
-  w.field("num_edges", state.num_edges);
-  w.field("k", std::uint64_t{state.k});
-  w.field("epsilon", state.epsilon);
-  w.field("ell", state.ell);
-  w.field("model", std::uint64_t{state.model});
-  w.field("log_encode", state.log_encode);
-  w.field("eliminate_sources", state.eliminate_sources);
-  w.field("draw_mode", std::uint64_t{state.draw_mode});
-  w.field("num_devices", std::uint64_t{state.num_devices});
-  w.field("num_sets", num_sets);
-  w.field("snapshot", std::string_view(kSnapshotFile));
-  w.end_object();
-  out << '\n';
-  return out.str();
-}
-
-/// Parse + validate the manifest into the identity block of `state`. Every
-/// schema defect — unparseable JSON, missing member, wrong schema tag —
-/// reports as SnapshotCorruptError.
-void decode_manifest(const std::string& text, CheckpointState& state) {
-  try {
-    const JsonValue doc = support::parse_json(text);
-    const std::string& schema = doc.at("schema").as_string();
-    if (schema != kManifestSchema) {
-      throw SnapshotCorruptError("manifest schema '" + schema + "' (expected '" +
-                                 std::string(kManifestSchema) + "')");
-    }
-    state.rng_seed = std::stoull(doc.at("rng_seed").as_string());
-    state.num_vertices = static_cast<std::uint32_t>(doc.at("num_vertices").as_int());
-    state.num_edges = static_cast<std::uint64_t>(doc.at("num_edges").as_int());
-    state.k = static_cast<std::uint32_t>(doc.at("k").as_int());
-    state.epsilon = doc.at("epsilon").as_double();
-    state.ell = doc.at("ell").as_double();
-    state.model = static_cast<std::uint8_t>(doc.at("model").as_int());
-    state.log_encode = doc.at("log_encode").as_bool();
-    state.eliminate_sources = doc.at("eliminate_sources").as_bool();
-    // Optional for backward compatibility: manifests written before the
-    // fast-draw mode existed carry no draw_mode and decode as Exact.
-    const JsonValue* draw_mode = doc.find("draw_mode");
-    state.draw_mode =
-        draw_mode != nullptr ? static_cast<std::uint8_t>(draw_mode->as_int()) : 0;
-    state.num_devices = static_cast<std::uint32_t>(doc.at("num_devices").as_int());
-  } catch (const SnapshotCorruptError&) {
-    throw;
-  } catch (const support::Error& e) {
-    // JsonParseError, missing members, kind mismatches: all structural
-    // damage to the checkpoint, not user error.
-    throw SnapshotCorruptError(std::string("manifest: ") + e.what());
-  } catch (const std::exception& e) {
-    throw SnapshotCorruptError(std::string("manifest: ") + e.what());
-  }
-}
-
-std::string read_text_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("cannot open checkpoint file '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) throw IoError("cannot read checkpoint file '" + path + "'");
-  return buffer.str();
-}
 
 /// Structural checks beyond checksums: the decoded collection must be a
 /// plausible RRR collection for the recorded graph, or restoring it would
@@ -134,6 +58,19 @@ void validate_collection_shape(const CheckpointState& state) {
   }
 }
 
+/// A checksum-valid metrics section must still restore, or resuming would
+/// fail mid-run after every device is staged: restore it into a throwaway
+/// registry now and report any defect as snapshot damage.
+void validate_metrics(const std::string& metrics_json) {
+  if (metrics_json.empty()) return;
+  try {
+    support::metrics::MetricsRegistry scratch;
+    support::metrics::restore_registry_json(scratch, metrics_json);
+  } catch (const support::Error& e) {
+    throw SnapshotCorruptError(std::string("metrics: ") + e.what());
+  }
+}
+
 }  // namespace
 
 std::uint64_t save_checkpoint(const std::string& dir, const CheckpointState& state,
@@ -145,6 +82,21 @@ std::uint64_t save_checkpoint(const std::string& dir, const CheckpointState& sta
   }
 
   SnapshotWriter snap;
+  {
+    ByteWriter w;
+    w.u64(state.rng_seed);
+    w.u32(state.num_vertices);
+    w.u64(state.num_edges);
+    w.u32(state.k);
+    w.f64(state.epsilon);
+    w.f64(state.ell);
+    w.u8(state.model);
+    w.u8(state.log_encode ? 1 : 0);
+    w.u8(state.eliminate_sources ? 1 : 0);
+    w.u8(state.draw_mode);
+    w.u32(state.num_devices);
+    snap.add_section("identity", w.take());
+  }
   {
     ByteWriter w;
     w.u32(state.round.next_round);
@@ -178,13 +130,11 @@ std::uint64_t save_checkpoint(const std::string& dir, const CheckpointState& sta
     snap.add_section("metrics", w.take());
   }
 
-  // snapshot.bin first, manifest last: the manifest only ever points at a
-  // fully published snapshot, and each rename is individually atomic.
+  // One file, one atomic rename: a reader sees the previous checkpoint or
+  // this one, never a mix of two rounds.
   const std::string snapshot_bytes = snap.serialize();
   support::atomic_write_file(snapshot_path(dir), snapshot_bytes);
-  const std::string manifest = render_manifest(state, collection.lengths.size());
-  support::atomic_write_file(manifest_path(dir), manifest);
-  return snapshot_bytes.size() + manifest.size();
+  return snapshot_bytes.size();
 }
 
 std::uint64_t save_checkpoint(const std::string& dir, const CheckpointState& state) {
@@ -193,9 +143,22 @@ std::uint64_t save_checkpoint(const std::string& dir, const CheckpointState& sta
 
 CheckpointState load_checkpoint(const std::string& dir) {
   CheckpointState state;
-  decode_manifest(read_text_file(manifest_path(dir)), state);
-
   const SnapshotReader snap = SnapshotReader::load_file(snapshot_path(dir));
+  {
+    ByteReader r = snap.reader("identity");
+    state.rng_seed = r.u64();
+    state.num_vertices = r.u32();
+    state.num_edges = r.u64();
+    state.k = r.u32();
+    state.epsilon = r.f64();
+    state.ell = r.f64();
+    state.model = r.u8();
+    state.log_encode = r.u8() != 0;
+    state.eliminate_sources = r.u8() != 0;
+    state.draw_mode = r.u8();
+    state.num_devices = r.u32();
+    r.expect_exhausted();
+  }
   {
     ByteReader r = snap.reader("framework");
     state.round.next_round = r.u32();
@@ -230,6 +193,7 @@ CheckpointState load_checkpoint(const std::string& dir) {
   }
 
   validate_collection_shape(state);
+  validate_metrics(state.metrics_json);
   return state;
 }
 

@@ -18,7 +18,6 @@ using graph::VertexId;
 void SelectionIndex::index_segment(Segment& segment) const {
   auto& pool = support::ThreadPool::global();
   const std::uint64_t num_sets = segment.starts.size() - 1;
-  const std::vector<std::uint64_t>& starts = segment.starts;
   const std::vector<VertexId>& flat = segment.flat;
   // Deterministic regardless of parallelism: sets split into contiguous
   // chunks, pass 1 counts each chunk's per-vertex occurrences, a serial
@@ -39,12 +38,7 @@ void SelectionIndex::index_segment(Segment& segment) const {
   pool.parallel_for(
       0, num_chunks,
       [&](std::size_t c) {
-        auto& h = hist[c];
-        h.assign(static_cast<std::size_t>(n_), 0);
-        for (std::uint64_t p = starts[chunk_begin(c)]; p < starts[chunk_begin(c + 1)];
-             ++p) {
-          ++h[flat[p]];
-        }
+        count_chunk(segment, chunk_begin(c), chunk_begin(c + 1), hist[c]);
       },
       /*grain=*/1);
 
@@ -65,14 +59,30 @@ void SelectionIndex::index_segment(Segment& segment) const {
   pool.parallel_for(
       0, num_chunks,
       [&](std::size_t c) {
-        auto& cursor = hist[c];
-        for (std::uint64_t i = chunk_begin(c); i < chunk_begin(c + 1); ++i) {
-          for (std::uint64_t p = starts[i]; p < starts[i + 1]; ++p) {
-            segment.sets[cursor[flat[p]]++] = static_cast<std::uint32_t>(i);
-          }
-        }
+        scatter_chunk(segment, chunk_begin(c), chunk_begin(c + 1), hist[c]);
       },
       /*grain=*/1);
+}
+
+// Out of line so a sampled stack names the selector, not the pool frames
+// that run the chunk.
+[[gnu::noinline]] void SelectionIndex::count_chunk(const Segment& segment,
+                                                   std::uint64_t first, std::uint64_t last,
+                                                   std::vector<std::uint64_t>& hist) const {
+  hist.assign(static_cast<std::size_t>(n_), 0);
+  for (std::uint64_t p = segment.starts[first]; p < segment.starts[last]; ++p) {
+    ++hist[segment.flat[p]];
+  }
+}
+
+[[gnu::noinline]] void SelectionIndex::scatter_chunk(Segment& segment, std::uint64_t first,
+                                                     std::uint64_t last,
+                                                     std::vector<std::uint64_t>& cursor) {
+  for (std::uint64_t i = first; i < last; ++i) {
+    for (std::uint64_t p = segment.starts[i]; p < segment.starts[i + 1]; ++p) {
+      segment.sets[cursor[segment.flat[p]]++] = static_cast<std::uint32_t>(i);
+    }
+  }
 }
 
 void SelectionIndex::extend(const SetSource& source, std::uint64_t num_sets,

@@ -57,10 +57,6 @@ struct NodeSpec {
 struct ClusterSpec {
   std::uint32_t num_nodes = 1;
   NodeSpec node;
-
-  [[nodiscard]] std::uint64_t total_devices() const noexcept {
-    return static_cast<std::uint64_t>(num_nodes) * node.num_devices;
-  }
 };
 
 /// Deterministic cluster-tier fault script (see file comment).

@@ -1,13 +1,11 @@
 // The simulated device: memory pool + timeline + kernel launch.
 //
 // launch_blocks models the paper's sampling kernels (one warp per block,
-// self-scheduled work); launch_grid models flat thread grids (Alg. 3).
-// Block/thread bodies run on the host thread pool and meter their cycles;
-// the device folds those into modeled kernel time with a work-span
-// occupancy model: blocks (or warps) are greedily packed onto the device's
-// resident slots and the makespan — the maximum slot load — becomes the
-// kernel's cycle count. This is what produces the paper's §3.5 scaling law
-// ceil(N/W_n)*C_w vs ceil(N/T_n)*C_t without hand-coding it anywhere.
+// self-scheduled work). Block bodies run on the host thread pool and meter
+// their cycles; the device folds those into modeled kernel time with a
+// work-span occupancy model: blocks are greedily packed onto the device's
+// resident warp slots and the makespan — the maximum slot load — becomes
+// the kernel's cycle count.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +23,7 @@ namespace eim::gpusim {
 
 struct KernelStats {
   std::string label;
-  std::uint64_t units = 0;            ///< blocks or threads launched
+  std::uint64_t units = 0;            ///< blocks launched
   std::uint64_t makespan_cycles = 0;  ///< modeled parallel completion time
   std::uint64_t work_cycles = 0;      ///< total cycles across all units
   double seconds = 0.0;               ///< launch overhead + makespan
@@ -97,10 +95,6 @@ class Device {
   KernelStats launch_metered(const std::string& label, std::uint32_t num_blocks,
                              const std::function<void(std::span<std::uint64_t>)>& run);
 
-  /// Launch a flat grid of `num_threads` scalar threads.
-  KernelStats launch_grid(const std::string& label, std::uint64_t num_threads,
-                          const std::function<void(ThreadContext&)>& body);
-
   /// Meter a host->device or device->host copy (cuRipples' Achilles heel).
   void transfer_to_device(const std::string& label, std::uint64_t bytes);
   void transfer_to_host(const std::string& label, std::uint64_t bytes);
@@ -108,16 +102,7 @@ class Device {
   /// Meter a host-side cudaMalloc-style allocation event (fixed latency).
   void charge_allocation_event(const std::string& label);
 
-  /// Good default block count for self-scheduling sampler kernels: fill
-  /// every SM with resident warps.
-  [[nodiscard]] std::uint32_t sampler_block_count() const noexcept {
-    return static_cast<std::uint32_t>(spec_.max_resident_warps());
-  }
-
  private:
-  [[nodiscard]] double finish_kernel(const std::string& label, std::uint64_t units,
-                                     std::uint64_t makespan_cycles);
-
   /// Consume one launch ordinal and fire any scripted fault: permanent loss
   /// (ordinal- or modeled-time-keyed) throws DeviceLostError, a transient
   /// fault throws DeviceFaultError *before* any block body runs.

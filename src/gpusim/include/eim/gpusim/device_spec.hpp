@@ -53,7 +53,6 @@ struct DeviceSpec {
   std::uint32_t max_warps_per_sm = 48;       ///< resident warp slots
   std::uint32_t lanes_per_sm = 128;          ///< CUDA cores per SM
   std::uint64_t global_memory_bytes = 48ull << 30;
-  std::uint32_t shared_memory_per_block = 48u << 10;
   double clock_ghz = 1.41;
   CostModel costs;
 

@@ -4,7 +4,6 @@
 #include <queue>
 #include <vector>
 
-#include "eim/support/bits.hpp"
 #include "eim/support/error.hpp"
 #include "eim/support/thread_pool.hpp"
 
@@ -99,15 +98,6 @@ void Device::check_transfer_faults(const std::string& label) {
   }
 }
 
-double Device::finish_kernel(const std::string& label, std::uint64_t units,
-                             std::uint64_t makespan_cycles) {
-  const double seconds = spec_.costs.kernel_launch_us * 1e-6 +
-                         spec_.cycles_to_seconds(static_cast<double>(makespan_cycles));
-  timeline_.add(SegmentKind::Kernel, label, seconds);
-  (void)units;
-  return seconds;
-}
-
 KernelStats Device::launch_blocks(const std::string& label, std::uint32_t num_blocks,
                                   const std::function<void(BlockContext&)>& body) {
   return launch_metered(label, num_blocks, [&](std::span<std::uint64_t> block_cycles) {
@@ -139,42 +129,9 @@ KernelStats Device::launch_metered(
   for (const std::uint64_t c : block_cycles) stats.work_cycles += c;
   // One single-warp block occupies one resident warp slot.
   stats.makespan_cycles = schedule_makespan(block_cycles, spec_.max_resident_warps());
-  stats.seconds = finish_kernel(label, num_blocks, stats.makespan_cycles);
-  return stats;
-}
-
-KernelStats Device::launch_grid(const std::string& label, std::uint64_t num_threads,
-                                const std::function<void(ThreadContext&)>& body) {
-  EIM_CHECK_MSG(num_threads > 0, "kernel launched with zero threads");
-  check_launch_faults(label);
-  const std::uint32_t warp = spec_.warp_size;
-  const auto num_warps =
-      static_cast<std::size_t>(support::div_ceil<std::uint64_t>(num_threads, warp));
-  std::vector<std::uint64_t> warp_cycles(num_warps, 0);
-
-  // Threads execute in warp-sized batches; a warp's cost is its slowest
-  // lane (SIMT lockstep).
-  support::ThreadPool::global().parallel_for(
-      0, num_warps,
-      [&](std::size_t w) {
-        std::uint64_t worst = 0;
-        const std::uint64_t begin = static_cast<std::uint64_t>(w) * warp;
-        const std::uint64_t end = std::min<std::uint64_t>(begin + warp, num_threads);
-        for (std::uint64_t t = begin; t < end; ++t) {
-          ThreadContext ctx(t, spec_);
-          body(ctx);
-          worst = std::max(worst, ctx.cycles());
-        }
-        warp_cycles[w] = worst;
-      },
-      /*grain=*/0);
-
-  KernelStats stats;
-  stats.label = label;
-  stats.units = num_threads;
-  for (const std::uint64_t c : warp_cycles) stats.work_cycles += c * warp;
-  stats.makespan_cycles = schedule_makespan(warp_cycles, spec_.max_resident_warps());
-  stats.seconds = finish_kernel(label, num_threads, stats.makespan_cycles);
+  stats.seconds = spec_.costs.kernel_launch_us * 1e-6 +
+                  spec_.cycles_to_seconds(static_cast<double>(stats.makespan_cycles));
+  timeline_.add(SegmentKind::Kernel, label, stats.seconds);
   return stats;
 }
 

@@ -1,10 +1,6 @@
-// Graph I/O.
-//
-// Two formats:
-//  * SNAP edge-list text ('#'-comment header, one "u<ws>v" pair per line) —
-//    the format of every dataset in the paper's Table 1, so real downloads
-//    drop straight in.
-//  * A compact little-endian binary format for caching generated datasets.
+// Graph I/O: SNAP edge-list text ('#'-comment header, one "u<ws>v" pair per
+// line) — the format of every dataset in the paper's Table 1, so real
+// downloads drop straight in.
 #pragma once
 
 #include <iosfwd>
@@ -22,11 +18,5 @@ namespace eim::graph {
 /// Serialize in SNAP-compatible text (with a comment header).
 void save_snap_text(const EdgeList& edges, std::ostream& out,
                     const std::string& name = "eim graph");
-
-/// Binary round-trip (magic + counts + raw edge array).
-void save_binary(const EdgeList& edges, std::ostream& out);
-[[nodiscard]] EdgeList load_binary(std::istream& in);
-void save_binary_file(const EdgeList& edges, const std::string& path);
-[[nodiscard]] EdgeList load_binary_file(const std::string& path);
 
 }  // namespace eim::graph

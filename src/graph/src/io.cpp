@@ -1,6 +1,5 @@
 #include "eim/graph/io.hpp"
 
-#include <array>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
@@ -109,49 +108,6 @@ void save_snap_text(const EdgeList& edges, std::ostream& out, const std::string&
   out << "# Nodes: " << edges.num_vertices() << " Edges: " << edges.num_edges() << "\n";
   out << "# FromNodeId\tToNodeId\n";
   for (const Edge& e : edges.edges()) out << e.from << '\t' << e.to << '\n';
-}
-
-namespace {
-constexpr std::array<char, 8> kMagic = {'E', 'I', 'M', 'G', 'R', 'P', 'H', '1'};
-}  // namespace
-
-void save_binary(const EdgeList& edges, std::ostream& out) {
-  out.write(kMagic.data(), kMagic.size());
-  const std::uint64_t n = edges.num_vertices();
-  const std::uint64_t m = edges.num_edges();
-  out.write(reinterpret_cast<const char*>(&n), sizeof(n));
-  out.write(reinterpret_cast<const char*>(&m), sizeof(m));
-  out.write(reinterpret_cast<const char*>(edges.edges().data()),
-            static_cast<std::streamsize>(m * sizeof(Edge)));
-  if (!out) throw IoError("binary graph write failed");
-}
-
-EdgeList load_binary(std::istream& in) {
-  std::array<char, 8> magic{};
-  in.read(magic.data(), magic.size());
-  if (!in || magic != kMagic) throw IoError("not an eIM binary graph");
-  std::uint64_t n = 0;
-  std::uint64_t m = 0;
-  in.read(reinterpret_cast<char*>(&n), sizeof(n));
-  in.read(reinterpret_cast<char*>(&m), sizeof(m));
-  if (!in) throw IoError("truncated binary graph header");
-  std::vector<Edge> raw(m);
-  in.read(reinterpret_cast<char*>(raw.data()),
-          static_cast<std::streamsize>(m * sizeof(Edge)));
-  if (!in) throw IoError("truncated binary graph body");
-  return EdgeList(static_cast<VertexId>(n), std::move(raw));
-}
-
-void save_binary_file(const EdgeList& edges, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw IoError("cannot open '" + path + "' for writing");
-  save_binary(edges, out);
-}
-
-EdgeList load_binary_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("cannot open '" + path + "' for reading");
-  return load_binary(in);
 }
 
 }  // namespace eim::graph

@@ -141,7 +141,7 @@ SnapshotReader::SnapshotReader(std::string bytes) : bytes_(std::move(bytes)) {
 
   std::size_t offset = cur.pos();
   for (const Pending& p : pending) {
-    if (offset + p.length > bytes_.size()) {
+    if (p.length > bytes_.size() - offset) {
       throw SnapshotCorruptError("section '" + p.name + "' truncated (wanted " +
                                  std::to_string(p.length) + " bytes at offset " +
                                  std::to_string(offset) + ", file has " +

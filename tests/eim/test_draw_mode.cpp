@@ -15,9 +15,7 @@
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -483,38 +481,6 @@ TEST(DrawModeCheckpoint, SkipRunResumesBitIdentical) {
   const EimResult resumed = run_eim(fresh, g, DiffusionModel::LinearThreshold,
                                     params, resume_options);
   expect_same_answer(reference, resumed);
-}
-
-TEST(DrawModeCheckpoint, OldManifestWithoutDrawModeDecodesAsExact) {
-  // Manifests written before the field existed must keep loading and must
-  // mean Exact — the only mode that existed when they were written.
-  TempDir dir("eim_drawmode_old_manifest");
-  const Graph g = make_graph(DiffusionModel::IndependentCascade);
-  const imm::ImmParams params = make_params();
-  gpusim::Device dev(gpusim::make_benchmark_device(256));
-  EimOptions options;
-  options.checkpoint_dir = dir.path;
-  (void)run_eim(dev, g, DiffusionModel::IndependentCascade, params, options);
-
-  const std::string manifest_path = dir.path + "/manifest.json";
-  std::string manifest;
-  {
-    std::ifstream in(manifest_path, std::ios::binary);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    manifest = buf.str();
-  }
-  const std::size_t key = manifest.find("\"draw_mode\"");
-  ASSERT_NE(key, std::string::npos);
-  const std::size_t comma = manifest.find(',', key);
-  ASSERT_NE(comma, std::string::npos);
-  manifest.erase(key, comma - key + 1);
-  std::ofstream(manifest_path, std::ios::binary) << manifest;
-
-  const CheckpointState ckpt = load_checkpoint(dir.path);
-  EXPECT_EQ(ckpt.draw_mode, static_cast<std::uint8_t>(DrawMode::Exact));
-  validate_checkpoint(ckpt, g, DiffusionModel::IndependentCascade, params,
-                      EimOptions{});
 }
 
 }  // namespace

@@ -181,6 +181,39 @@ TEST(Snapshot, HugeSectionCountRejectedBeforeAllocation) {
   EXPECT_THROW(SnapshotReader{blob}, SnapshotCorruptError);
 }
 
+TEST(Snapshot, WrappingPayloadLengthRejected) {
+  // Payload lengths come from the file. One that wraps the running offset
+  // back to an earlier payload must fail the bounds check, or its section
+  // would be handed out as a span reaching far past the file's bytes. Here
+  // "a" covers the payload's first 4 bytes, "b" claims 2^64 - 4 bytes (the
+  // offset wraps back to the payload start), and "c" covers the whole
+  // payload, so the offsets end exactly at the end and every CRC holds.
+  const std::string payload = "0123456789";
+  std::string blob(kMagic);
+  const auto put = [&blob](std::uint64_t v, int width) {
+    for (int i = 0; i < width; ++i) blob.push_back(static_cast<char>(v >> (8 * i)));
+  };
+  put(kFormatVersion, 4);
+  put(3, 4);
+  const std::string_view view(payload);
+  const struct {
+    const char* name;
+    std::uint64_t length;
+    std::string_view covered;
+  } table[] = {{"a", 4, view.substr(0, 4)},
+               {"b", ~std::uint64_t{0} - 3, view.substr(4)},
+               {"c", payload.size(), view}};
+  for (const auto& entry : table) {
+    put(1, 4);
+    blob += entry.name;
+    put(entry.length, 8);
+    put(crc32c(entry.covered), 4);
+  }
+  put(crc32c(blob), 4);
+  blob += payload;
+  EXPECT_THROW(SnapshotReader{blob}, SnapshotCorruptError);
+}
+
 TEST(Snapshot, TrailingGarbageRejected) {
   std::string blob = two_section_writer().serialize();
   blob += "junk";

@@ -491,8 +491,9 @@ int main(int argc, char** argv) {
   int run_exit = support::kExitOk;
   try {
     // Load the snapshot before touching any device. A damaged checkpoint —
-    // truncation, bit flip, malformed manifest — is rejected here by its
-    // checksums with the I/O exit code, never resumed silently wrong.
+    // truncation, bit flip, a missing identity section, a metrics section
+    // that does not restore — is rejected here with the I/O exit code,
+    // never resumed silently wrong.
     std::optional<eim_impl::CheckpointState> ckpt;
     if (!opt.resume_dir.empty()) {
       try {
