@@ -11,7 +11,8 @@
 # quarter-budget spill smoke (with and without an eighth-size host tier that
 # forces the disk tier, and on two devices) that must reproduce the
 # unconstrained seeds bit-identically, and a two-device OOM-degrade smoke, then
-# check that modeled time repeats bit-for-bit under `taskset -c 0`, then
+# check that modeled time repeats bit-for-bit under `taskset -c 0` and that
+# no sampling wave generates more than one rejected slot per block, then
 # run one small traced benchmark, validate the JSON artifacts it emits, and
 # diff its timings against the committed baseline. Finishes with a
 # Release-build perf smoke: bench_micro plus the fig7, multi-node, and
@@ -80,10 +81,11 @@ ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}" -L spill
 echo "== drawmode-labeled tests (skip/alias statistical pinning, mode identity) =="
 ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}" -L drawmode
 
-echo "== mutation-labeled tests (seeded checkpoint and SNAP text decoder sweeps) =="
+echo "== mutation-labeled tests (seeded checkpoint, SNAP text and JSON decoder sweeps) =="
 # Under ASan a decoder that over-reads, over-allocates or throws the wrong
-# type fails here. The spill frame's sweep (RrrFrameMutation) runs with the
-# encoding suite in the default group above.
+# type fails here: the checkpoint snapshot, SNAP edge-list text and
+# parse_json (JsonMutation). The spill frame's sweep (RrrFrameMutation) runs
+# with the encoding suite in the default group above.
 ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}" -L mutation
 
 echo "== ThreadSanitizer: concurrent suites (separate tree, fatal) =="
@@ -335,6 +337,27 @@ EOF
 else
   echo "SKIP: taskset not found; modeled-clock determinism smoke not run"
 fi
+
+echo "== CLI commit-reject bound: an overflowing wave stops at the overflow =="
+# Each of a wave's blocks finishes the slot it holds when the wave runs out
+# of R capacity, so at most one rejected slot per block is generated:
+# rrr.commit_rejects <= sampler.waves x blocks. eim_cli's device has 84 SMs
+# and the sampler launches two blocks per SM.
+rej_tmp="$(mktemp -d)"
+for extra in "--dataset WV" "--dataset WV --model lt" "--dataset CA --eps 0.15"; do
+  # shellcheck disable=SC2086
+  "${cli}" --k 50 ${extra} --metrics-json "${rej_tmp}/m.json" > /dev/null
+  python3 - "${rej_tmp}/m.json" "${extra}" 168 <<'EOF'
+import json, sys
+counters = json.load(open(sys.argv[1]))["metrics"]["counters"]
+rejects, waves = counters["rrr.commit_rejects"], counters["sampler.waves"]
+blocks = int(sys.argv[3])
+assert rejects <= waves * blocks, \
+    f"{sys.argv[2]}: rrr.commit_rejects {rejects} > {waves} waves x {blocks} blocks"
+print(f"{sys.argv[2]}: rrr.commit_rejects {rejects} <= {waves} x {blocks}")
+EOF
+done
+rm -rf "${rej_tmp}"
 
 echo "== traced benchmark + artifact validation =="
 bench_tmp="$(mktemp -d)"

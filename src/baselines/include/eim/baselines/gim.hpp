@@ -52,6 +52,9 @@ struct GimConfig {
   /// padded allocation — not the useful payload — is what exhausts device
   /// memory when theta or the set sizes are large (the paper's OOM cells).
   double slot_padding_factor = 4.0;
+  /// When set, the run's collection counters (rrr.*) and its wave count
+  /// (sampler.waves) land here, named as eIM's. Must outlive the run.
+  support::metrics::MetricsRegistry* metrics = nullptr;
 };
 
 /// Run the gIM-like pipeline. Throws DeviceOutOfMemoryError when the device

@@ -9,6 +9,7 @@
 #include "eim/imm/driver.hpp"
 #include "eim/support/bits.hpp"
 #include "eim/support/error.hpp"
+#include "eim/support/metrics.hpp"
 
 namespace eim::baselines {
 
@@ -32,7 +33,9 @@ class GimSampler {
         traversal_{&g, model, /*plan=*/nullptr, params.rng_seed,
                    /*eliminate_sources=*/false},
         scratch_(support::ThreadPool::global().size() + 1),
-        temp_capacity_(num_blocks_, 0) {
+        temp_capacity_(num_blocks_, 0),
+        waves_(config.metrics != nullptr ? &config.metrics->counter("sampler.waves")
+                                         : nullptr) {
     // Each block keeps its visited bitmap M in global memory (the queue
     // itself lives in shared memory until it spills).
     bitmap_pool_ = gpusim::DeviceBuffer<std::uint8_t>(
@@ -48,7 +51,6 @@ class GimSampler {
   }
 
   void sample_to(DeviceRrrCollection& collection, std::uint64_t target) {
-    const std::uint64_t base = collection.num_sets();
     int wave = 0;
     std::uint64_t max_failed_len = 0;
     while (collection.num_sets() < target) {
@@ -57,9 +59,10 @@ class GimSampler {
       // uncommitted suffix, and a sample's id is its slot.
       const std::uint64_t first = collection.num_sets();
       const std::uint64_t pending = target - first;
-      const double avg = base > 0 && collection.total_elements() > 0
+      // The committed sets' average size (before any commit: a default).
+      const double avg = first > 0 && collection.total_elements() > 0
                              ? static_cast<double>(collection.total_elements()) /
-                                   static_cast<double>(base)
+                                   static_cast<double>(first)
                              : 8.0;
       // Doubling growth: gIM reserves aggressively and uncompressed.
       const auto giant_slots = std::min<std::uint64_t>(pending, num_blocks_ * 4u);
@@ -81,7 +84,7 @@ class GimSampler {
 
       const auto generate = [&](BlockContext& ctx, eim_impl::TraversalScratch& scratch,
                                 std::uint64_t slot) -> std::uint32_t {
-        ctx.charge_atomic_global(1);
+        ctx.charge_atomic_global(1);  // `count`, which also carries the overflow bit
         SharedQueue sink{config_.shared_queue_entries};
         (void)traversal_.generate(ctx, scratch, first + slot, sink);
         return sink.spill_size;
@@ -101,6 +104,7 @@ class GimSampler {
       };
       eim_impl::run_wave(*device_, "gim::sample", num_blocks_, pending, scratch_,
                          collection, generate, settle);
+      if (waves_ != nullptr) waves_->add();
     }
   }
 
@@ -203,6 +207,7 @@ class GimSampler {
   std::uint64_t fragmentation_bytes_ = 0;
   std::uint64_t slot_width_ = 0;
   std::uint64_t padded_bytes_ = 0;
+  support::metrics::Counter* waves_;
   gpusim::DeviceBuffer<std::uint8_t> bitmap_pool_;
 };
 
@@ -224,6 +229,7 @@ EimResult run_gim(gpusim::Device& device, const graph::Graph& g,
   device.transfer_to_device("network CSC", result.network_bytes);
 
   DeviceRrrCollection collection(device, g.num_vertices(), /*log_encode=*/false);
+  collection.attach_metrics(config.metrics);
   GimSampler sampler(device, g, model, effective, config);
   eim_impl::GpuSeedSelector selector(device, eim_impl::ScanStrategy::WarpPerSet);
 

@@ -112,8 +112,9 @@ std::uint64_t save_checkpoint(const std::string& dir, const CheckpointState& sta
 /// support::IoError when no checkpoint exists (missing/unreadable file) and
 /// support::snapshot::SnapshotCorruptError on any structural, checksum, or
 /// schema damage — including a missing identity section, element values
-/// outside the recorded vertex range, and a metrics snapshot that does not
-/// restore.
+/// outside the recorded vertex range, timeline seconds that are NaN,
+/// infinite or negative, boolean bytes other than 0 or 1, and a metrics
+/// snapshot that does not restore.
 [[nodiscard]] CheckpointState load_checkpoint(const std::string& dir);
 
 /// Guard a resume against the wrong run: `state`'s identity block must match

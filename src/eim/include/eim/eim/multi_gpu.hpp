@@ -18,7 +18,8 @@
 // bit-identical; only the modeled time and shard layout change, and the
 // primary pays one broadcast of the respilled sample ids. The result is the
 // EimResult every topology returns: communication_seconds holds the count
-// reductions and pick exchanges, failed_domains the lost devices' indices
+// reductions, pick exchanges and failover redistributions, failed_domains
+// the lost devices' indices
 // (docs/RESILIENCE.md, "Failover report").
 #pragma once
 

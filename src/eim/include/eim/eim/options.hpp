@@ -186,9 +186,9 @@ struct EimResult : imm::ImmResult {
   /// Compressed footprint of the spilled sets across host + disk tiers.
   std::uint64_t spill_bytes_compressed = 0;
   /// Modeled seconds of traffic between failure domains, as the
-  /// interconnect prices it: multi-GPU counts its count reductions and pick
-  /// exchanges, a cluster its network ledger's transfer time (reshards
-  /// included), and one device none.
+  /// interconnect prices it: multi-GPU counts its count reductions, pick
+  /// exchanges and failover redistributions, a cluster its network ledger's
+  /// transfer time (reshards included), and one device none.
   double communication_seconds = 0.0;
   /// Failure domains retired by failover, in order of death: device indices
   /// for run_eim_multi, node indices for run_eim_cluster.

@@ -14,6 +14,8 @@
 // form of Alg. 2's atomic offset claim (line 21). The first set that does
 // not fit closes admission until the next reserve(), so every later slot
 // re-runs next wave and the committed sets are always slots [0, num_sets()).
+// A sampling wave stops at that set (run_wave in traversal.hpp), so only
+// the slots its blocks already held are generated and rejected.
 // The decision reads only set lengths, never the host schedule, so modeled
 // time repeats bit-for-bit. Admitted slices do not overlap, so publish()
 // may run for many of them at once; the thread-safe packed store of §3.1
@@ -25,6 +27,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -65,11 +68,15 @@ class DeviceRrrCollection {
   /// Admit, in slot order, the sets of the next `lengths.size()` slots
   /// (slot num_sets() first): the longest prefix whose total fits R's
   /// capacity. Writes each admitted set's O entry (offset = exclusive scan
-  /// of the lengths) and advances num_sets() and the element cursor; every
-  /// rejected slot counts in rrr.commit_rejects. A rejection closes
+  /// of the lengths) and advances num_sets() and the element cursor; the
+  /// first `max_rejects` rejected slots count in rrr.commit_rejects (a
+  /// sampling wave passes its block count: its blocks stop at the first
+  /// rejection, so no more rejected slots ever started). A rejection closes
   /// admission until the next reserve(). Returns the number admitted; the
   /// caller then publishes each of them. Serial.
-  [[nodiscard]] std::uint64_t admit(std::span<const std::uint32_t> lengths);
+  [[nodiscard]] std::uint64_t admit(
+      std::span<const std::uint32_t> lengths,
+      std::uint64_t max_rejects = std::numeric_limits<std::uint64_t>::max());
 
   /// Write admitted set `set_index`'s members (ascending, as many as
   /// admitted) into its slice of R. Distinct sets may publish concurrently.

@@ -370,10 +370,14 @@ struct WaveSlot {
 /// collection.admit() then decides the run's commits in slot order, the
 /// admitted sets publish in parallel, and settle(ctx, slot, admitted)
 /// meters each slot's in-order step (commit charges, ordinal-priced
-/// mallocs) serially. Once admission closes, the wave's later runs still
-/// generate and are charged — every block works through all of its slots —
-/// but stage nothing, and admit() rejects them; they re-run next wave. So
-/// the run length never shows in the modeled charges.
+/// mallocs) serially. A wave stops at its first rejected slot r: each block
+/// finishes the slot it holds and sees the overflow on the `count` atomic
+/// its slot already charged, so slots r .. r + B - 1 start and are
+/// rejected, and no slot from r + B on starts. The host generates whole
+/// runs, so the run holding r + B may have generated slots past it; they
+/// are not charged, settled or counted, and later runs are cut at r + B.
+/// Every unstarted slot re-runs next wave. So the charges depend on r and
+/// B alone, never on the run length.
 ///
 /// Not a template, so its frames keep exported names for the profiler
 /// (engines pass lambdas, which would make an instantiation file-local).
@@ -389,9 +393,10 @@ struct WaveSlot {
   device.launch_metered(label, num_blocks, [&](std::span<std::uint64_t> block_cycles) {
     std::vector<WaveSlot> slots;
     std::vector<std::uint32_t> lengths;
-    bool open = true;  // no slot of this wave has been rejected yet
-    for (std::uint64_t begin = 0; begin < num_slots; begin += kRunSlots) {
-      const std::uint64_t count = std::min(kRunSlots, num_slots - begin);
+    bool open = true;           // no slot of this wave has been rejected yet
+    std::uint64_t end = num_slots;  // slots from here on never start
+    for (std::uint64_t begin = 0; begin < end; begin += kRunSlots) {
+      const std::uint64_t count = std::min(kRunSlots, end - begin);
       slots.assign(count, WaveSlot{});
       lengths.resize(count);
       for (WaveScratch& s : scratch) s.staged.clear();
@@ -409,14 +414,17 @@ struct WaveSlot {
         if (open) s.staged.insert(s.staged.end(), s.queue.begin(), s.queue.end());
       }, /*grain=*/16);  // fine chunks: the run ends in a barrier
 
-      const std::uint64_t admitted = collection.admit(lengths);
+      // At most B rejected slots started: admit counts no more.
+      const std::uint64_t admitted = collection.admit(lengths, num_blocks);
       const std::uint64_t first_set = collection.num_sets() - admitted;
       pool.parallel_for(0, admitted, [&](std::size_t i) {
         const WaveSlot& slot = slots[i];
         const graph::VertexId* set = scratch[slot.thread].staged.data() + slot.at;
         collection.publish(first_set + i, std::span(set, slot.length));
       });
-      for (std::uint64_t i = 0; i < count; ++i) {
+      if (open && admitted < count) end = std::min(end, begin + admitted + num_blocks);
+      const std::uint64_t started = std::min(count, end - begin);
+      for (std::uint64_t i = 0; i < started; ++i) {
         const auto block = static_cast<std::uint32_t>((begin + i) % num_blocks);
         gpusim::BlockContext ctx(block, spec);
         settle(ctx, slots[i], i < admitted);

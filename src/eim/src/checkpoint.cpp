@@ -1,5 +1,6 @@
 #include "eim/eim/checkpoint.hpp"
 
+#include <cmath>
 #include <filesystem>
 #include <sstream>
 #include <utility>
@@ -28,6 +29,26 @@ using support::snapshot::SnapshotWriter;
 constexpr const char* kSnapshotFile = "snapshot.bin";
 
 std::string snapshot_path(const std::string& dir) { return dir + "/" + kSnapshotFile; }
+
+/// A boolean byte: 0 or 1, as the writer stores it.
+bool read_bool(ByteReader& r, const char* field) {
+  const std::uint8_t b = r.u8();
+  if (b > 1) {
+    throw SnapshotCorruptError(std::string(field) + " holds " + std::to_string(b) +
+                               ", not a boolean");
+  }
+  return b != 0;
+}
+
+/// Modeled seconds: finite and non-negative, as every clock charge is.
+double read_seconds(ByteReader& r, const char* field) {
+  const double s = r.f64();
+  if (!std::isfinite(s) || s < 0.0) {
+    throw SnapshotCorruptError(std::string("timeline ") + field + " is " +
+                               std::to_string(s) + ", not a modeled duration");
+  }
+  return s;
+}
 
 /// Structural checks beyond checksums: the decoded collection must be a
 /// plausible RRR collection for the recorded graph, or restoring it would
@@ -153,8 +174,8 @@ CheckpointState load_checkpoint(const std::string& dir) {
     state.epsilon = r.f64();
     state.ell = r.f64();
     state.model = r.u8();
-    state.log_encode = r.u8() != 0;
-    state.eliminate_sources = r.u8() != 0;
+    state.log_encode = read_bool(r, "identity log_encode");
+    state.eliminate_sources = read_bool(r, "identity eliminate_sources");
     state.draw_mode = r.u8();
     state.num_devices = r.u32();
     r.expect_exhausted();
@@ -164,7 +185,7 @@ CheckpointState load_checkpoint(const std::string& dir) {
     state.round.next_round = r.u32();
     state.round.estimation_rounds = r.u32();
     state.round.lower_bound = r.f64();
-    state.round.estimation_done = r.u8() != 0;
+    state.round.estimation_done = read_bool(r, "framework estimation_done");
     r.expect_exhausted();
   }
   {
@@ -180,10 +201,10 @@ CheckpointState load_checkpoint(const std::string& dir) {
   }
   {
     ByteReader r = snap.reader("timeline");
-    state.kernel_seconds = r.f64();
-    state.transfer_seconds = r.f64();
-    state.allocation_seconds = r.f64();
-    state.backoff_seconds = r.f64();
+    state.kernel_seconds = read_seconds(r, "kernel_seconds");
+    state.transfer_seconds = read_seconds(r, "transfer_seconds");
+    state.allocation_seconds = read_seconds(r, "allocation_seconds");
+    state.backoff_seconds = read_seconds(r, "backoff_seconds");
     r.expect_exhausted();
   }
   {

@@ -48,12 +48,15 @@ class HostPcie final : public Interconnect {
   }
 
   // Broadcast the respilled sample indices from the (possibly just-promoted)
-  // primary.
+  // primary: traffic between domains, as a cluster's reshard is.
   void domain_lost(const Fleet& fleet, std::uint32_t /*domain*/,
                    std::uint64_t respilled) override {
     if (fleet.alive.empty() || respilled == 0) return;
-    fleet.primary().transfer_to_device("failover redistribution",
-                                       respilled * sizeof(std::uint64_t));
+    gpusim::Device& primary = fleet.primary();
+    const double before = primary.timeline().transfer_seconds();
+    primary.transfer_to_device("failover redistribution",
+                               respilled * sizeof(std::uint64_t));
+    result_.communication_seconds += primary.timeline().transfer_seconds() - before;
   }
 
   void finish() override {

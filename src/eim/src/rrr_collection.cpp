@@ -208,7 +208,8 @@ void DeviceRrrCollection::reserve(std::uint64_t num_sets, std::uint64_t num_elem
   if (num_elements > element_capacity_) grow_r(num_elements);
 }
 
-std::uint64_t DeviceRrrCollection::admit(std::span<const std::uint32_t> lengths) {
+std::uint64_t DeviceRrrCollection::admit(std::span<const std::uint32_t> lengths,
+                                         std::uint64_t max_rejects) {
   EIM_CHECK_MSG(num_sets_ + lengths.size() <= starts_.size(),
                 "set index beyond reserved O capacity");
   // Alg. 2 line 21 as an ordered single-pass claim: offsets are the
@@ -229,7 +230,7 @@ std::uint64_t DeviceRrrCollection::admit(std::span<const std::uint32_t> lengths)
   const std::uint64_t rejected = lengths.size() - admitted;
   if (rejected > 0) {
     admission_closed_ = true;
-    if (commit_rejects_ != nullptr) commit_rejects_->add(rejected);
+    if (commit_rejects_ != nullptr) commit_rejects_->add(std::min(rejected, max_rejects));
   }
   return admitted;
 }

@@ -166,13 +166,11 @@ void EimSampler::sample_assigned(DeviceRrrCollection& collection,
     const std::uint64_t first = collection.num_sets();
     const auto pending = global_indices.subspan(first - base);
 
-    // Reserve O for every set and R using the observed average set size
-    // (first wave: a generous default). The divisor is the set count before
-    // this call while the total includes this call's commits, so from the
-    // second wave on the average reads high.
-    const double avg = base > 0 && collection.total_elements() > 0
+    // Reserve O for every set and R using the average size of the committed
+    // sets (before any commit: a generous default).
+    const double avg = first > 0 && collection.total_elements() > 0
                            ? static_cast<double>(collection.total_elements()) /
-                                 static_cast<double>(base)
+                                 static_cast<double>(first)
                            : 8.0;
     // Headroom: the running average with slack for every pending sample,
     // plus room for the largest set that failed to fit on every
@@ -202,7 +200,9 @@ void EimSampler::sample_assigned(DeviceRrrCollection& collection,
 
     const auto generate = [&](BlockContext& ctx, TraversalScratch& scratch,
                               std::uint64_t slot) -> std::uint32_t {
-      ctx.charge_atomic_global(1);  // shared `count` bookkeeping
+      // Shared `count` bookkeeping; the same atomic returns the wave's
+      // overflow bit, so a block sees the overflow at no extra charge.
+      ctx.charge_atomic_global(1);
       GlobalPoolQueue sink{options_.lt_activation};
       // Source elimination and the sort happen inside generate(); queue
       // holds the final set. Returns the singleton regenerations.

@@ -10,11 +10,14 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "eim/eim/multi_gpu.hpp"
@@ -654,6 +657,59 @@ TEST_F(CheckpointCorruption, ResealedMalformedMetricsRejectedAtLoad) {
     TempDir bad_dir("eim_ckpt_bad_metrics");
     reseal_into(bad_dir.path, "metrics", w.take());
     EXPECT_THROW((void)load_checkpoint(bad_dir.path), SnapshotCorruptError);
+  }
+}
+
+TEST_F(CheckpointCorruption, ResealedImpossibleTimelineRejected) {
+  // A checksum-valid NaN timeline once resumed to "device_seconds": null;
+  // no run charges NaN, infinite or negative modeled seconds.
+  const SnapshotReader original = SnapshotReader::load_file(dir_.path + "/snapshot.bin");
+  const auto timeline = original.section("timeline");
+  ASSERT_EQ(timeline.size(), 4 * sizeof(double));
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), -1e-9}) {
+    for (std::size_t field = 0; field < 4; ++field) {
+      SCOPED_TRACE(std::to_string(bad) + " in field " + std::to_string(field));
+      std::vector<std::uint8_t> payload(timeline.begin(), timeline.end());
+      std::memcpy(payload.data() + field * sizeof(double), &bad, sizeof(double));
+      TempDir bad_dir("eim_ckpt_bad_timeline");
+      reseal_into(bad_dir.path, "timeline", payload);
+      try {
+        (void)load_checkpoint(bad_dir.path);
+        FAIL() << "expected SnapshotCorruptError";
+      } catch (const SnapshotCorruptError& e) {
+        EXPECT_NE(std::string(e.what()).find("not a modeled duration"), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
+
+TEST_F(CheckpointCorruption, ResealedNonBooleanFlagRejected) {
+  // The identity's log_encode and eliminate_sources bytes and the
+  // framework's estimation_done byte are written as 0 or 1.
+  const SnapshotReader original = SnapshotReader::load_file(dir_.path + "/snapshot.bin");
+  constexpr std::size_t kIdentityFlagsAt = 8 + 4 + 8 + 4 + 8 + 8 + 1;  // after `model`
+  constexpr std::size_t kEstimationDoneAt = 4 + 4 + 8;
+  for (const auto& [section, at] :
+       {std::pair<const char*, std::size_t>{"identity", kIdentityFlagsAt},
+        {"identity", kIdentityFlagsAt + 1},
+        {"framework", kEstimationDoneAt}}) {
+    SCOPED_TRACE(std::string(section) + " byte " + std::to_string(at));
+    const auto bytes = original.section(section);
+    std::vector<std::uint8_t> payload(bytes.begin(), bytes.end());
+    ASSERT_LT(at, payload.size());
+    ASSERT_LE(payload[at], 1u);
+    payload[at] = 2;
+    TempDir bad_dir("eim_ckpt_bad_flag");
+    reseal_into(bad_dir.path, section, payload);
+    try {
+      (void)load_checkpoint(bad_dir.path);
+      FAIL() << "expected SnapshotCorruptError";
+    } catch (const SnapshotCorruptError& e) {
+      EXPECT_NE(std::string(e.what()).find("not a boolean"), std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -2,12 +2,14 @@
 // flips, truncations, section-table rewrites, and CRC-resealed edits and
 // resizes of every section. Resealing carries a mutation past the checksums
 // into the section decoders. Every input must load to a well-formed state
-// or throw SnapshotCorruptError — never crash, over-allocate, or leak
-// another exception type.
+// (a valid collection, a metrics snapshot that restores, finite
+// non-negative timeline seconds, 0/1 flags) or throw SnapshotCorruptError —
+// never crash, over-allocate, or leak another exception type.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <exception>
 #include <filesystem>
@@ -217,6 +219,23 @@ TEST(CheckpointMutation, SeededMutationsLoadOrThrowSnapshotCorrupt) {
       ASSERT_EQ(total, state.elements.size()) << "mutation " << m;
       for (const graph::VertexId v : state.elements) {
         ASSERT_LT(v, state.num_vertices) << "mutation " << m;
+      }
+      // Every modeled clock charge is a finite, non-negative duration.
+      for (const double seconds : {state.kernel_seconds, state.transfer_seconds,
+                                   state.allocation_seconds, state.backoff_seconds}) {
+        ASSERT_TRUE(std::isfinite(seconds) && seconds >= 0.0)
+            << "mutation " << m << ": " << seconds;
+      }
+      // The flags it decoded were stored as 0 or 1: log_encode and
+      // eliminate_sources after the identity's first 41 bytes, and
+      // estimation_done after the framework's first 16.
+      const SnapshotReader loaded_snapshot(bytes);
+      for (const auto& [section, at] :
+           {std::pair<const char*, std::size_t>{"identity", 41},
+            {"identity", 42},
+            {"framework", 16}}) {
+        ASSERT_LE(loaded_snapshot.section(section)[at], 1u)
+            << "mutation " << m << ": " << section << " byte " << at;
       }
       // A loaded state must also resume: its metrics snapshot ("" = none)
       // restores.

@@ -235,5 +235,45 @@ TEST(FailoverReport, EachInterconnectChargesOneRecoveryTransferPerLoss) {
   EXPECT_EQ(count_segments(cluster.timeline(), "reshard"), 1u);
 }
 
+TEST(FailoverReport, BothTopologiesBookTheRecoveryTransferAsCommunication) {
+  // communication_seconds is traffic between failure domains: the primary's
+  // failover redistribution counts in it, as a cluster's reshard does.
+  const Graph g = make_graph();
+  const auto seconds_of = [](const gpusim::DeviceTimeline& timeline,
+                             const std::string& label) {
+    double total = 0.0;
+    for (const auto& s : timeline.segments()) {
+      if (s.label == label) total += s.seconds;
+    }
+    return total;
+  };
+
+  // Device 0 stays the primary, so every multi-GPU exchange is on its link.
+  DevicePool pool(4);
+  pool.lose(2, 2);
+  const EimResult lost_device =
+      run_eim_multi(pool.ptrs, g, DiffusionModel::IndependentCascade, make_params());
+  ASSERT_EQ(lost_device.failed_domains.size(), 1u);
+  const gpusim::DeviceTimeline& primary = pool.ptrs[0]->timeline();
+  const double redistribution = seconds_of(primary, "H2D failover redistribution");
+  EXPECT_GT(redistribution, 0.0);
+  const double exchanges = seconds_of(primary, "H2D count all-reduce") +
+                           seconds_of(primary, "H2D pick broadcast") +
+                           seconds_of(primary, "D2H coverage delta");
+  EXPECT_NEAR(lost_device.communication_seconds, exchanges + redistribution,
+              1e-12 * lost_device.communication_seconds);
+
+  gpusim::Cluster cluster = make_cluster(3);
+  gpusim::ClusterFaultPlan plan;
+  plan.node_losses.push_back({1, 2, -1.0});
+  cluster.set_fault_plan(plan);
+  const EimResult lost_node =
+      run_eim_cluster(cluster, g, DiffusionModel::IndependentCascade, make_params());
+  ASSERT_EQ(lost_node.failed_domains.size(), 1u);
+  const double reshard = seconds_of(cluster.timeline(), "reshard");
+  EXPECT_GT(reshard, 0.0);
+  EXPECT_GE(lost_node.communication_seconds, reshard);
+}
+
 }  // namespace
 }  // namespace eim::eim_impl

@@ -185,6 +185,20 @@ TEST(DeviceRrrCollection, AdmitsLongestPrefixThatFits) {
   EXPECT_EQ(registry.counter("rrr.commit_rejects").value(), 2u);
 }
 
+TEST(DeviceRrrCollection, AtMostMaxRejectsCount) {
+  // A sampling wave passes its block count: only that many rejected slots
+  // ever started, so only they count, in this call and in later ones.
+  gpusim::Device device = make_device();
+  support::metrics::MetricsRegistry registry;
+  DeviceRrrCollection col(device, 100, true);
+  col.attach_metrics(&registry);
+  col.reserve(8, 3);
+  EXPECT_EQ(col.admit(std::vector<std::uint32_t>{2, 2, 1, 1, 1}, 2), 1u);
+  EXPECT_EQ(registry.counter("rrr.commit_rejects").value(), 2u);
+  EXPECT_EQ(col.admit(std::vector<std::uint32_t>{1}, 2), 0u);
+  EXPECT_EQ(registry.counter("rrr.commit_rejects").value(), 3u);
+}
+
 TEST(DeviceRrrCollection, SmallSetAfterRejectedSetIsRejected) {
   gpusim::Device device = make_device();
   DeviceRrrCollection col(device, 100, false);

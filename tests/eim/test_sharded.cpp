@@ -128,13 +128,14 @@ TEST(ShardedDriver, ModeledChargesPinned) {
   EXPECT_EQ(c22.kernel_seconds, d4.kernel_seconds);
   EXPECT_TRUE(c22.failed_domains.empty());
 
-  // Device 2 of 4 dies on its third sampling wave.
+  // Device 2 of 4 dies on its third sampling wave. Its communication
+  // seconds include the primary's failover redistribution (1264 ids).
   gpusim::FaultPlan loss;
   loss.device_loss_kernel_ordinal = 2;
   const EimResult lost = run_multi(g, 4, &loss, 2);
   expect_pinned(lost,
                 {7358, 34104, 3393, 0x1.7155d23f0a4a1p-11, 0x1.c6902837372e9p-10,
-                 0x1.be30a7bd9eb0dp-10, 0x1.b59485cd5d582p-9});
+                 0x1.c1084b55ec9dcp-10, 0x1.b59485cd5d582p-9});
   EXPECT_EQ(lost.failed_domains, std::vector<std::uint32_t>{2u});
   EXPECT_EQ(lost.regenerated_sets, 632u);
   EXPECT_EQ(lost.respilled_samples, 1264u);  // 10112 bytes of sample ids

@@ -560,7 +560,9 @@ int main(int argc, char** argv) {
       if (opt.algo == "eim") {
         result = eim_impl::run_eim(device, g, opt.model, opt.params, options);
       } else if (opt.algo == "gim") {
-        result = baselines::run_gim(device, g, opt.model, opt.params);
+        baselines::GimConfig gim;
+        gim.metrics = options.metrics;
+        result = baselines::run_gim(device, g, opt.model, opt.params, gim);
       } else if (opt.algo == "curipples") {
         result = baselines::run_curipples(device, g, opt.model, opt.params);
       } else {
