@@ -1,9 +1,10 @@
 // Micro-benchmarks (google-benchmark) for the hot primitives: Philox
 // throughput, log-encoding encode/decode/concurrent store (per-element and
 // word-streaming bulk), varint for comparison, reverse-reachability
-// sampling rate, the forward simulator, greedy seed selection (lazy heap
-// vs the linear-scan reference), ThreadPool dispatch, and the graph build
-// steps (R-MAT generation, edge-list normalize, out-weight mirror). These
+// sampling rate, the exact-draw traversal's edge sweep and set sort, the
+// forward simulator, greedy seed selection (lazy heap vs the linear-scan
+// reference), ThreadPool dispatch, and the graph build steps (R-MAT and
+// Erdős–Rényi generation, edge-list normalize, out-weight mirror). These
 // quantify host-side costs; the modeled GPU numbers come from the
 // per-figure binaries.
 //
@@ -24,6 +25,7 @@
 #include "eim/diffusion/reverse.hpp"
 #include "eim/eim/rrr_collection.hpp"
 #include "eim/eim/seed_selector.hpp"
+#include "eim/eim/traversal.hpp"
 #include "eim/encoding/bit_packed_array.hpp"
 #include "eim/encoding/varint.hpp"
 #include "eim/graph/generators.hpp"
@@ -143,6 +145,18 @@ void BM_RmatGenerate(benchmark::State& state) {
                           static_cast<std::int64_t>(params.num_edges));
 }
 BENCHMARK(BM_RmatGenerate);
+
+// The CA stand-in's graph (12,000 vertices, 60,000 arcs), the ic_select
+// workload's set-up.
+void BM_ErdosRenyiGenerate(benchmark::State& state) {
+  constexpr graph::EdgeId kEdges = 60'000;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(graph::erdos_renyi(12'000, kEdges, 7));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kEdges));
+}
+BENCHMARK(BM_ErdosRenyiGenerate);
 
 void BM_EdgeListNormalize(benchmark::State& state) {
   // The generator's normalized edges in random order, with a fifth of them
@@ -376,6 +390,71 @@ void BM_RrrSampleLt(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_RrrSampleLt);
+
+// --- The exact-draw traversal's host kernels ----------------------------------
+//
+// One ExactDraws sweep of a row of d in-edges (weights 1/d), about half of
+// them visited: the stamps alternate between two epochs at random, so each
+// sweep sees a fresh random half. The row includes the sweep's draw fill.
+// Rows of kWideScanRow in-edges or more take the 16-lane scan where the host
+// has avx512f. Items are in-edges.
+void BM_ExactSweep(benchmark::State& state) {
+  const auto deg = static_cast<graph::VertexId>(state.range(0));
+  graph::EdgeList edges(deg + 1);
+  for (graph::VertexId s = 0; s < deg; ++s) edges.add_edge(s, deg);
+  edges.normalize();
+  graph::Graph g = graph::Graph::from_edge_list(edges);
+  graph::assign_weights(g, graph::DiffusionModel::IndependentCascade);
+  const gpusim::DeviceSpec spec = gpusim::make_benchmark_device();
+  support::RandomStream pattern(3, deg);
+  std::vector<std::uint32_t> stamp(deg + 1);
+  for (auto& s : stamp) s = 1 + pattern.next_below(2);
+  support::FloatDrawBuffer draws;
+  std::uint64_t sample = 0;
+  std::uint64_t fired = 0;
+  for (auto _ : state) {
+    const auto epoch = static_cast<std::uint32_t>(1 + (sample & 1));
+    support::RandomStream rng(7, sample++);
+    gpusim::BlockContext ctx(0, spec);
+    eim_impl::ExactDraws policy(g, draws, rng, deg);
+    policy.sweep(ctx, deg, stamp.data(), epoch, [&](graph::VertexId v) {
+      stamp[v] = epoch;
+      ++fired;
+    });
+  }
+  benchmark::DoNotOptimize(fired);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(deg));
+}
+BENCHMARK(BM_ExactSweep)->Arg(8)->Arg(32)->Arg(256);
+
+// sort_set on n distinct random ids below the CA stand-in's 12,000 vertices
+// (14 bits: two 7-bit passes from kRadixSortMin ids up, std::sort below).
+// The row includes copying the unsorted set in. Items are ids.
+void BM_SortRrrSet(benchmark::State& state) {
+  const auto size = static_cast<std::size_t>(state.range(0));
+  constexpr graph::VertexId kVertices = 12'000;
+  support::RandomStream rng(5, size);
+  std::vector<graph::VertexId> ids(kVertices);
+  for (graph::VertexId v = 0; v < kVertices; ++v) ids[v] = v;
+  for (std::size_t i = 0; i < size; ++i) {
+    const auto left = static_cast<std::uint32_t>(kVertices - i);
+    std::swap(ids[i], ids[i + rng.next_below(left)]);
+  }
+  const std::vector<graph::VertexId> unsorted(ids.begin(),
+                                              ids.begin() + static_cast<std::ptrdiff_t>(size));
+  std::vector<graph::VertexId> set;
+  std::vector<graph::VertexId> buffer;
+  for (auto _ : state) {
+    set.assign(unsorted.begin(), unsorted.end());
+    eim_impl::sort_set(set, buffer, kVertices);
+    benchmark::DoNotOptimize(set.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(size));
+}
+BENCHMARK(BM_SortRrrSet)->Arg(16)->Arg(64)->Arg(1024);
 
 void BM_ForwardCascadeIc(benchmark::State& state) {
   const auto& g = bench_graph(graph::DiffusionModel::IndependentCascade);

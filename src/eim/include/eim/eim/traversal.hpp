@@ -17,6 +17,23 @@
 // per-thread scratch, and each run's commits are admitted in slot order, so
 // the modeled charges never depend on the host schedule.
 //
+// Two host hot spots of the exact-draw path have a second, faster body that
+// computes the same thing (traversal.cpp):
+//
+//  * ExactDraws' edge scan. The scalar body tests one in-edge at a time.
+//    The AVX-512 body tests 16: a masked load of the ids, a gather of M, an
+//    expand-load of one draw per unvisited lane and a strict < against the
+//    weights; it stops at the first firing lane and takes the draws of the
+//    unvisited lanes up to it. The body is chosen once per process, like
+//    RandomStream's fill kernel: AVX-512 where the host has avx512f (not
+//    under ThreadSanitizer, which does not instrument the vector loads),
+//    else scalar. Only rows of at least kWideScanRow in-edges take it:
+//    below that the masks, the gather and the call cost more than they
+//    save, and most rows of a sparse graph are short.
+//  * Sorting the finished set (sort_set): an LSD radix sort over
+//    bit_width(n - 1) bits from kRadixSortMin members up. A set's members
+//    are random ids, so std::sort mispredicts most comparisons.
+//
 // diffusion::RrrSampler stays a separate, serial implementation on purpose:
 // it is the independent reference the parity suites hold this kernel to.
 #pragma once
@@ -46,12 +63,27 @@ namespace eim::eim_impl {
 /// clearing n bits — sized on the thread's first sample.
 struct TraversalScratch {
   std::vector<graph::VertexId> queue;  ///< the block's queue; becomes the RRR set
+  std::vector<graph::VertexId> sorted;  ///< sort_set's buffer, as long as the longest set
   std::vector<std::uint32_t> stamp;    ///< M
   std::uint32_t epoch = 0;
   support::FloatDrawBuffer draws;      ///< bulk activation draws (ExactDraws)
   std::uint64_t draws_skipped = 0;     ///< Bernoulli draws avoided (SkipDraws)
   std::uint64_t alias_picks = 0;       ///< O(1) LT picks taken (AliasPick)
 };
+
+/// Rows with at least this many in-edges take ExactDraws' 16-lane scan.
+inline constexpr std::size_t kWideScanRow = 32;
+
+/// Sets with at least this many members are radix-sorted by sort_set.
+inline constexpr std::size_t kRadixSortMin = 32;
+
+/// Sort `set` (distinct ids below `num_vertices`) ascending: std::sort below
+/// kRadixSortMin members, else an LSD radix sort over bit_width(n - 1) bits
+/// in at most four passes of at most 8 bits, through `buffer`, which grows
+/// to the set's size. Out of line so profiles name it.
+[[gnu::noinline]] void sort_set(std::vector<graph::VertexId>& set,
+                                std::vector<graph::VertexId>& buffer,
+                                graph::VertexId num_vertices);
 
 /// IC draw policy: one activation draw per *unvisited* in-neighbor, in
 /// stream order — the exact consumption contract of the serial reference.
@@ -61,6 +93,39 @@ struct TraversalScratch {
 /// what was actually taken.
 class ExactDraws {
  public:
+  /// Whether this process scans wide rows with scan_avx512 (set once, at
+  /// start-up, from the host's CPU features).
+  static const bool wide_scan;
+
+  /// One scan of a row's in-edges (ids `ins`, weights `ws`, `end` of them)
+  /// from edge j: the index of the first edge whose target is unvisited
+  /// (stamp != epoch) and whose draw is strictly below its weight, or `end`
+  /// if none fires. Unvisited targets take draws[t], draws[t + 1], ... in
+  /// edge order, and t advances past every draw taken, the hit's included.
+  /// A visited target takes no draw. Both bodies return the same index and
+  /// take the same draws.
+  static std::size_t scan_scalar(const graph::VertexId* ins, const float* ws,
+                                 std::size_t j, std::size_t end,
+                                 const std::uint32_t* stamp, std::uint32_t epoch,
+                                 const float* draws, std::size_t& t) noexcept {
+    for (; j < end; ++j) {
+      if (stamp[ins[j]] == epoch) continue;
+      // Strict < (not <=): a zero-weight edge must never activate, and the
+      // serial reference uses the same comparison for bit-parity.
+      if (draws[t++] < ws[j]) return j;
+    }
+    return end;
+  }
+  /// The 16-lane body (traversal.cpp). Callable only where wide_scan holds
+  /// and every id is below 2^31 (the gather's signed offsets).
+  [[gnu::noinline]] static std::size_t scan_avx512(const graph::VertexId* ins,
+                                                   const float* ws, std::size_t j,
+                                                   std::size_t end,
+                                                   const std::uint32_t* stamp,
+                                                   std::uint32_t epoch,
+                                                   const float* draws,
+                                                   std::size_t& t) noexcept;
+
   ExactDraws(const graph::Graph& g, support::FloatDrawBuffer& draws,
              support::RandomStream& rng, graph::VertexId source)
       : g_(g),
@@ -84,15 +149,26 @@ class ExactDraws {
     ctx.charge_alu(ctx.warp_chunks(ins.size()));  // rng + compare per lane
 
     auto c = draws_.ensure(cursor_, rng_, ins.size(), pending_);
+    // Scan to the next firing edge, fire it, scan on from the edge after:
+    // a fire marks its target visited, so the next scan sees it as the
+    // scalar loop would (a repeated id takes no second draw).
+    const std::size_t end = ins.size();
+    const auto hit = [&](std::size_t j) {
+      pending_ += g_.in().neighbors(ins[j]).size();
+      fire(ins[j]);
+    };
     std::size_t t = 0;
-    for (std::size_t j = 0; j < ins.size(); ++j) {
-      const graph::VertexId v = ins[j];
-      if (stamp[v] == epoch) continue;
-      // Strict < (not <=): a zero-weight edge must never activate, and the
-      // serial reference uses the same comparison for bit-parity.
-      if (c.p[t++] < ws[j]) {
-        pending_ += g_.in().neighbors(v).size();
-        fire(v);
+    if (wide_scan && end >= kWideScanRow && g_.num_vertices() <= 0x8000'0000u) {
+      for (std::size_t j = 0;
+           (j = scan_avx512(ins.data(), ws.data(), j, end, stamp, epoch, c.p, t)) < end;
+           ++j) {
+        hit(j);
+      }
+    } else {
+      for (std::size_t j = 0;
+           (j = scan_scalar(ins.data(), ws.data(), j, end, stamp, epoch, c.p, t)) < end;
+           ++j) {
+        hit(j);
       }
     }
     c.p += t;
@@ -333,7 +409,7 @@ struct Traversal {
       }
       break;
     }
-    std::sort(scratch.queue.begin(), scratch.queue.end());
+    sort_set(scratch.queue, scratch.sorted, g->num_vertices());
     return regenerated;
   }
 };

@@ -1,6 +1,7 @@
 #include "eim/graph/generators.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <unordered_set>
 #include <vector>
 
@@ -24,19 +25,28 @@ EdgeList erdos_renyi(VertexId n, EdgeId m, std::uint64_t seed) {
   const auto max_edges = static_cast<EdgeId>(n) * (n - 1);
   EIM_CHECK_MSG(m <= max_edges / 2, "erdos_renyi: too dense for rejection sampling");
 
-  EdgeList edges(n);
   RandomStream rng(seed, support::derive_stream(kGenStreamTag, 1));
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(static_cast<std::size_t>(m) * 2);
-  while (edges.num_edges() < m) {
+  // The accepted edges' keys, + 1 so that 0 marks a free slot, in one flat
+  // open-addressing table at most half full (no allocation per edge).
+  const std::size_t slots = std::bit_ceil(std::max<std::size_t>(2 * m, 2));
+  const int shift = 64 - std::countr_zero(slots);
+  std::vector<std::uint64_t> seen(slots, 0);
+  std::vector<Edge> edges;
+  edges.reserve(static_cast<std::size_t>(m));
+  while (edges.size() < m) {
     const VertexId u = rng.next_below(n);
     const VertexId v = rng.next_below(n);
     if (u == v) continue;
-    if (!seen.insert(edge_key(u, v)).second) continue;
-    edges.add_edge(u, v);
+    const std::uint64_t key = edge_key(u, v) + 1;
+    std::size_t slot = (key * 0x9E3779B97F4A7C15ull) >> shift;  // Fibonacci hash
+    while (seen[slot] != 0 && seen[slot] != key) slot = (slot + 1) & (slots - 1);
+    if (seen[slot] == key) continue;
+    seen[slot] = key;
+    edges.push_back(Edge{u, v});
   }
-  edges.normalize();
-  return edges;
+  EdgeList list(n, std::move(edges));
+  list.normalize();
+  return list;
 }
 
 EdgeList barabasi_albert(VertexId n, EdgeId edges_per_vertex, double reciprocal_fraction,

@@ -6,7 +6,9 @@
 // The parser builds a JsonValue tree (object members keep their source
 // order, so a parsed document round-trips through JsonValue::write
 // structurally unchanged) and backs the trace/metrics validation tests
-// and tools/bench_diff.
+// and tools/bench_diff. It refuses what RFC 8259 refuses, including numbers
+// outside its grammar (a leading zero, '+' or bare '.'), numbers that
+// overflow a double, and an object that names a key twice.
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,6 @@
 #include "eim/support/json.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <charconv>
 #include <cmath>
@@ -337,8 +338,25 @@ class JsonParser {
       skip_whitespace();
       const char c = peek();
       ++pos_;
-      if (c == '}') return JsonValue::make_object(std::move(members));
+      if (c == '}') {
+        refuse_duplicate_keys(members);
+        return JsonValue::make_object(std::move(members));
+      }
       if (c != ',') fail("expected ',' or '}' in object");
+    }
+  }
+
+  /// An object names each key once: member lookup finds the first of a
+  /// repeated key, so a repeat would be unreachable, and the object would
+  /// not compare structurally equal to itself.
+  void refuse_duplicate_keys(const std::vector<JsonValue::Member>& members) const {
+    if (members.size() < 2) return;
+    std::vector<std::string_view> keys;
+    keys.reserve(members.size());
+    for (const JsonValue::Member& m : members) keys.emplace_back(m.first);
+    std::sort(keys.begin(), keys.end());
+    if (std::adjacent_find(keys.begin(), keys.end()) != keys.end()) {
+      fail("duplicate object key");
     }
   }
 
@@ -440,23 +458,41 @@ class JsonParser {
     }
   }
 
+  bool at_digit() const {
+    return pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9';
+  }
+
+  /// One or more digits; false (nothing consumed) when none is next.
+  bool consume_digits() {
+    if (!at_digit()) return false;
+    while (at_digit()) ++pos_;
+    return true;
+  }
+
+  /// JSON's number grammar, -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?:
+  /// no leading zero, no leading '+' or '.', no trailing '.'.
   JsonValue parse_number() {
     const std::size_t begin = pos_;
     if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    bool integral = true;
-    bool any_digit = false;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c >= '0' && c <= '9') {
-        any_digit = true;
-      } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
-        integral = false;
-      } else {
-        break;
-      }
+    if (!at_digit()) fail("invalid number");
+    if (text_[pos_] == '0') {
       ++pos_;
+      if (at_digit()) fail("leading zero in number");
+    } else {
+      consume_digits();
     }
-    if (!any_digit) fail("invalid number");
+    bool integral = true;
+    if (pos_ < text_.size() && text_[pos_] == '.') {
+      ++pos_;
+      if (!consume_digits()) fail("invalid number");
+      integral = false;
+    }
+    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+      ++pos_;
+      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) ++pos_;
+      if (!consume_digits()) fail("invalid number");
+      integral = false;
+    }
     const std::string_view token = text_.substr(begin, pos_ - begin);
     if (integral) {
       std::int64_t value = 0;
@@ -472,6 +508,9 @@ class JsonParser {
     char* end = nullptr;
     const double value = std::strtod(copy.c_str(), &end);
     if (end != copy.c_str() + copy.size()) fail("invalid number");
+    // A finite token that overflows would come back as +-inf, which JSON
+    // cannot hold (the writer would turn it into null).
+    if (std::isinf(value)) fail("number out of range");
     return JsonValue::make_double(value);
   }
 

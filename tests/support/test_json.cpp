@@ -258,6 +258,30 @@ TEST(JsonParse, WriterOutputRoundTrips) {
   EXPECT_TRUE(parse_json(os.str()).structurally_equal(doc));
 }
 
+// The parser refuses what JSON refuses, with its usual error: a leading
+// zero or '+', a bare '.', a finite token that overflows a double (it would
+// come back as inf, which the writer turns into null), and an object that
+// names a key twice (lookup could never reach the repeat, and the object
+// would not compare equal to itself).
+TEST(JsonParse, RefusesNumbersAndKeysJsonRefuses) {
+  for (const char* bad : {"[0123]", "[-01]", "[00]", "[+1]", "[.5]", "[1.]", "[1.e3]",
+                          "[-.5]", "[1e99999]", "[-1e99999]", "[1.5e400]",
+                          "{\"a\":1,\"a\":2}", "{\"a\":1,\"b\":{},\"a\":1}",
+                          "[{\"x\":{\"y\":1,\"y\":1}}]"}) {
+    EXPECT_THROW((void)parse_json(bad), JsonParseError) << bad;
+  }
+  EXPECT_EQ(parse_json("[0]").items()[0].as_int(), 0);
+  EXPECT_EQ(parse_json("[-0]").items()[0].as_int(), 0);
+  EXPECT_DOUBLE_EQ(parse_json("[0.5]").items()[0].as_double(), 0.5);
+  EXPECT_DOUBLE_EQ(parse_json("[10e2]").items()[0].as_double(), 1000.0);
+  EXPECT_DOUBLE_EQ(parse_json("[1E+2]").items()[0].as_double(), 100.0);
+  // Underflow is representable (as 0 or a subnormal), so it parses.
+  EXPECT_EQ(parse_json("[1e-99999]").items()[0].as_double(), 0.0);
+  // A key may repeat across objects, only not within one.
+  const JsonValue doc = parse_json("{\"a\":{\"a\":1},\"b\":[{\"a\":2},{\"a\":3}]}");
+  EXPECT_TRUE(doc.structurally_equal(doc));
+}
+
 TEST(JsonParse, StructuralEqualityComparesNumbersByValue) {
   EXPECT_TRUE(parse_json("{\"a\":[1,2]}").structurally_equal(parse_json("{\"a\":[1,2]}")));
   EXPECT_FALSE(parse_json("{\"a\":[1,2]}").structurally_equal(parse_json("{\"a\":[2,1]}")));

@@ -93,14 +93,15 @@ std::vector<Bucket> make_buckets() {
         "store_release_range", "encode", "BitmapSet", "Huffman", "varint"},
        0},
       // The device traversal's frames (eim/traversal.hpp) name their
-      // policies or the bfs_ic/walk_lt templates; none takes a RandomStream
-      // parameter, so none is claimed by the rng bucket above.
+      // policies, the bfs_ic/walk_lt templates, ExactDraws' scan bodies or
+      // sort_set; none takes a RandomStream parameter, so none is claimed
+      // by the rng bucket above.
       {"sampler",
        {"EimSampler", "RrrSampler", "bfs_ic", "walk_lt", "sample_ic", "sample_lt",
         "sample_into", "sample_rrr", "sample_assigned", "sample_to", "generate",
         "launch_blocks", "launch_metered", "run_wave", "DeviceRrrCollection::admit",
         "DeviceRrrCollection::publish", "Traversal", "ExactDraws", "SkipDraws",
-        "ScanPick", "AliasPick"},
+        "ScanPick", "AliasPick", "sort_set"},
        0},
       {"selector",
        {"SeedSelector", "GpuSeedSelector", "LazyArgMax", "build_inverted_index",
