@@ -11,6 +11,7 @@
 
 #include "eim/support/atomic_write.hpp"
 #include "eim/support/json.hpp"
+#include "eim/support/profiler.hpp"
 
 #if defined(__GLIBC__)
 #include <errno.h>  // program_invocation_short_name
@@ -22,11 +23,11 @@ namespace {
 
 /// Accumulates one eim.metrics.v3 snapshot per finished benchmark cell and
 /// writes $EIM_BENCH_JSON when the process exits (destructor of the Meyer
-/// singleton). Snapshots are serialized eagerly at record time so the cell's
-/// registry may die with its run_cell frame. Cell-level modeled timing
-/// (seconds / kernel_seconds / transfer_seconds) rides along so
-/// tools/bench_diff can gate on modeled-time regressions; an OOM cell
-/// carries no timing fields.
+/// singleton). Snapshots (the registry and its wall timers) are serialized
+/// eagerly at record time so the cell's registry may die with its run_cell
+/// frame. Cell-level modeled timing (seconds / kernel_seconds /
+/// transfer_seconds) rides along so tools/bench_diff can gate on
+/// modeled-time regressions; an OOM cell carries no timing fields.
 class BenchReporter {
  public:
   static BenchReporter& instance() {
@@ -35,22 +36,15 @@ class BenchReporter {
   }
 
   void record(std::string id, const support::metrics::MetricsRegistry& registry,
-              const Cell& cell,
-              const support::profiler::WallProfile* wall = nullptr) {
+              const Cell& cell) {
     std::ostringstream metrics;
     support::JsonWriter w(metrics);
     registry.write_json(w);
-    // The wall profile (EIM_BENCH_PROFILE, first cell only) is serialized
-    // eagerly for the same lifetime reason as the registry snapshot.
-    std::string wall_json;
-    if (wall != nullptr) {
-      std::ostringstream wall_out;
-      support::JsonWriter ww(wall_out);
-      wall->write_json(ww);
-      wall_json = wall_out.str();
-    }
+    std::ostringstream wall;
+    support::JsonWriter ww(wall);
+    registry.write_wall_json(ww);
     const std::lock_guard<std::mutex> lock(mu_);
-    cells_.push_back(CellRecord{std::move(id), metrics.str(), std::move(wall_json),
+    cells_.push_back(CellRecord{std::move(id), metrics.str(), wall.str(),
                                 cell.seconds, cell.wall_seconds,
                                 cell.last.kernel_seconds,
                                 cell.last.transfer_seconds});
@@ -92,7 +86,7 @@ class BenchReporter {
             w.field("wall_seconds", *cell.wall_seconds);
           }
           w.key("metrics").raw_value(cell.metrics_json);
-          if (!cell.wall_json.empty()) w.key("wall").raw_value(cell.wall_json);
+          w.key("wall").raw_value(cell.wall_json);
           w.end_object();
         }
         w.end_array();
@@ -108,7 +102,7 @@ class BenchReporter {
   struct CellRecord {
     std::string id;
     std::string metrics_json;  ///< pre-serialized registry snapshot
-    std::string wall_json;     ///< pre-serialized wall profile ("" = none)
+    std::string wall_json;     ///< pre-serialized registry wall timers
     std::optional<double> seconds;  ///< mean modeled seconds; nullopt = OOM
     std::optional<double> wall_seconds;  ///< mean host wall clock (noisy)
     double kernel_seconds = 0.0;    ///< last successful run's kernel time
@@ -197,8 +191,8 @@ Cell run_cell(const BenchEnv& env, const graph::Graph& g, const Runner& runner,
 
   // EIM_BENCH_PROFILE mirrors the trace claim: the first cell to get here
   // owns the process-wide SIGPROF profiler (one ITIMER_PROF per process)
-  // and the wall-timer profile for all of its runs.
-  std::optional<support::profiler::WallProfile> wall_profile;
+  // for all of its runs.
+  bool profiled = false;
   std::optional<support::profiler::SamplingProfiler> stack_sampler;
   const char* profile_path = std::getenv("EIM_BENCH_PROFILE");
   if (profile_path != nullptr && *profile_path != '\0') {
@@ -207,7 +201,7 @@ Cell run_cell(const BenchEnv& env, const graph::Graph& g, const Runner& runner,
     const std::lock_guard<std::mutex> lock(profile_mu);
     if (!profile_claimed) {
       profile_claimed = true;
-      wall_profile.emplace();
+      profiled = true;
       if (support::profiler::SamplingProfiler::supported()) {
         stack_sampler.emplace(support::profiler::SamplingProfiler::Options{});
         stack_sampler->start();
@@ -231,8 +225,7 @@ Cell run_cell(const BenchEnv& env, const graph::Graph& g, const Runner& runner,
     if (trace != nullptr) trace->register_process(cell_id, &device);
     const auto wall_begin = std::chrono::steady_clock::now();
     try {
-      cell.last = runner(device, g, registry, trace,
-                         wall_profile.has_value() ? &*wall_profile : nullptr, run);
+      cell.last = runner(device, g, registry, trace, run);
     } catch (const support::DeviceOutOfMemoryError& e) {
       registry.counter("bench.oom_runs").add();
       // Record how far over budget the cell was, so the EIM_BENCH_JSON
@@ -265,7 +258,7 @@ Cell run_cell(const BenchEnv& env, const graph::Graph& g, const Runner& runner,
                    e.what());
     }
   }
-  if (wall_profile.has_value()) {
+  if (profiled) {
     if (stack_sampler.has_value()) stack_sampler->stop();
     try {
       support::atomic_write_text(profile_path, [&](std::ostream& out) {
@@ -280,9 +273,7 @@ Cell run_cell(const BenchEnv& env, const graph::Graph& g, const Runner& runner,
                    profile_path, e.what());
     }
   }
-  BenchReporter::instance().record(std::move(cell_id), registry, cell,
-                                   wall_profile.has_value() ? &*wall_profile
-                                                            : nullptr);
+  BenchReporter::instance().record(std::move(cell_id), registry, cell);
   return cell;
 }
 
@@ -297,14 +288,12 @@ Runner eim_runner(graph::DiffusionModel model, imm::ImmParams params,
   return [model, params, options](gpusim::Device& device, const graph::Graph& g,
                                   support::metrics::MetricsRegistry& registry,
                                   support::trace::TraceRecorder* trace,
-                                  support::profiler::WallProfile* profile,
                                   std::uint32_t run) {
     imm::ImmParams p = params;
     p.rng_seed += run;
     eim_impl::EimOptions o = options;
     o.metrics = &registry;
     o.trace = trace;
-    o.profile = profile;
     return eim_impl::run_eim(device, g, model, p, o);
   };
 }
@@ -313,7 +302,6 @@ Runner gim_runner(graph::DiffusionModel model, imm::ImmParams params) {
   return [model, params](gpusim::Device& device, const graph::Graph& g,
                          support::metrics::MetricsRegistry& /*registry*/,
                          support::trace::TraceRecorder* /*trace*/,
-                         support::profiler::WallProfile* /*profile*/,
                          std::uint32_t run) {
     imm::ImmParams p = params;
     p.rng_seed += run;
@@ -325,7 +313,6 @@ Runner curipples_runner(graph::DiffusionModel model, imm::ImmParams params) {
   return [model, params](gpusim::Device& device, const graph::Graph& g,
                          support::metrics::MetricsRegistry& /*registry*/,
                          support::trace::TraceRecorder* /*trace*/,
-                         support::profiler::WallProfile* /*profile*/,
                          std::uint32_t run) {
     imm::ImmParams p = params;
     p.rng_seed += run;

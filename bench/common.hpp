@@ -22,12 +22,13 @@
 //                       representative trace; open in ui.perfetto.dev);
 //   EIM_BENCH_PROFILE   path to write a folded-stack sampling profile of the
 //                       first benchmark cell (same first-cell claim as
-//                       EIM_BENCH_TRACE; feed to tools/prof_report). Also
-//                       attaches the hot-path wall timers for that cell,
-//                       which land in its envelope entry under "wall".
+//                       EIM_BENCH_TRACE; feed to tools/prof_report).
 //                       Writes a '# profiler-unsupported' marker on
 //                       platforms without backtrace(). Wall-only: modeled
 //                       results are bit-identical with or without it.
+//
+// Every cell's envelope entry carries its registry's hot-path wall timers
+// under "wall" (eIM cells record them; baselines leave the object empty).
 #pragma once
 
 #include <functional>
@@ -40,7 +41,6 @@
 #include "eim/eim/pipeline.hpp"
 #include "eim/graph/registry.hpp"
 #include "eim/support/metrics.hpp"
-#include "eim/support/profiler.hpp"
 #include "eim/support/stats.hpp"
 #include "eim/support/table.hpp"
 #include "eim/support/trace.hpp"
@@ -78,12 +78,10 @@ struct Cell {
 /// eIM wires it through EimOptions::metrics; every backend gets the device
 /// pool's high-water mark and allocation events recorded into it. `trace`
 /// is non-null only for the run EIM_BENCH_TRACE captures (eIM wires it
-/// through EimOptions::trace; baselines ignore it); `profile` likewise for
-/// EIM_BENCH_PROFILE (wired through EimOptions::profile).
+/// through EimOptions::trace; baselines ignore it).
 using Runner = std::function<eim_impl::EimResult(
     gpusim::Device&, const graph::Graph&, support::metrics::MetricsRegistry&,
-    support::trace::TraceRecorder* trace, support::profiler::WallProfile* profile,
-    std::uint32_t run)>;
+    support::trace::TraceRecorder* trace, std::uint32_t run)>;
 
 /// Run `runner` EIM_BENCH_RUNS times on fresh devices; averages modeled
 /// time; returns nullopt seconds if any run OOMs (the paper reports OOM if

@@ -11,7 +11,8 @@
 # quarter-budget spill smoke (with and without an eighth-size host tier that
 # forces the disk tier, and on two devices) that must reproduce the
 # unconstrained seeds bit-identically, and a two-device OOM-degrade smoke, then
-# check that modeled time repeats bit-for-bit under `taskset -c 0` and that
+# check that a --metrics-json report without --profile-out carries the wall
+# timers, that modeled time repeats bit-for-bit under `taskset -c 0` and that
 # no sampling wave generates more than one rejected slot per block, then
 # run one small traced benchmark, validate the JSON artifacts it emits, and
 # diff its timings against the committed baseline. Finishes with a
@@ -315,6 +316,18 @@ for pair in "--metrics-json - --trace-out -" \
   fi
 done
 
+echo "== CLI wall timers: --metrics-json alone carries the wall section =="
+# The registry keeps the hot-path wall timers, so a report written without
+# --profile-out still says where host time went.
+"${cli}" --dataset WV --k 10 --metrics-json - | python3 -c '
+import json, sys
+wall = json.load(sys.stdin)["wall"]
+assert isinstance(wall, dict) and wall, f"wall section is {wall!r}"
+for name in ("sampler.wave", "rng.refill", "codec.decode", "selector.preprocess",
+             "selector.pick"):
+    assert wall.get(name, {}).get("entries", 0) > 0, f"no {name} entries in {wall}"
+print("wall timers:", ", ".join(sorted(wall)))'
+
 echo "== CLI modeled-clock determinism: plain vs taskset -c 0 =="
 # Commits are decided in slot order, so modeled time and peak device bytes
 # must not depend on how many cores the host schedules the pool threads on.
@@ -389,9 +402,9 @@ if [[ -f "${micro_baseline}" ]]; then
   # the diff prints the host-time trajectory but cannot fail the gate.
   "${perf_dir}/tools/bench_diff" "${micro_baseline}" "${bench_tmp}/BENCH_micro.json" || true
 fi
-# EIM_BENCH_PROFILE attaches the sampling profiler and the wall timers to
-# the first cell; the --threshold 0 diff below then doubles as the proof
-# that profiling leaves every modeled row bit-identical.
+# EIM_BENCH_PROFILE attaches the sampling profiler to the first cell, and
+# every eIM cell records the registry's wall timers; the --threshold 0 diff
+# below then doubles as the proof that neither changes a modeled row.
 EIM_BENCH_DATASETS=WV EIM_BENCH_FAST=1 \
   EIM_BENCH_JSON="${bench_tmp}/BENCH_fig7_ic_release.json" \
   EIM_BENCH_PROFILE="${bench_tmp}/PROF_fig7_ic.folded" \

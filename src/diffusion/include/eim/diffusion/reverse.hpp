@@ -42,7 +42,7 @@ class RrrSampler {
   /// Wire the bulk-draw refill wall timer (nullptr detaches); forwarded to
   /// the internal FloatDrawBuffer, which only times fills of at least
   /// FloatDrawBuffer::kTimedRefillDraws draws.
-  void attach_refill_timer(support::profiler::WallTimer* timer) noexcept {
+  void attach_refill_timer(support::metrics::Histogram* timer) noexcept {
     draws_.attach_refill_timer(timer);
   }
 
@@ -75,12 +75,5 @@ class RrrSampler {
                                                          graph::VertexId source,
                                                          support::RandomStream& rng,
                                                          bool eliminate_source = false);
-
-/// Dispatch on the model.
-[[nodiscard]] std::vector<graph::VertexId> sample_rrr(const graph::Graph& g,
-                                                      graph::DiffusionModel model,
-                                                      graph::VertexId source,
-                                                      support::RandomStream& rng,
-                                                      bool eliminate_source = false);
 
 }  // namespace eim::diffusion

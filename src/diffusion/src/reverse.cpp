@@ -137,11 +137,4 @@ std::vector<VertexId> sample_rrr_lt(const graph::Graph& g, VertexId source,
   return sampler.sample(source, rng);
 }
 
-std::vector<VertexId> sample_rrr(const graph::Graph& g, graph::DiffusionModel model,
-                                 VertexId source, RandomStream& rng,
-                                 bool eliminate_source) {
-  RrrSampler sampler(g, model, eliminate_source);
-  return sampler.sample(source, rng);
-}
-
 }  // namespace eim::diffusion

@@ -16,10 +16,6 @@ namespace eim::support::trace {
 class TraceRecorder;
 }  // namespace eim::support::trace
 
-namespace eim::support::profiler {
-class WallProfile;
-}  // namespace eim::support::profiler
-
 namespace eim::eim_impl {
 
 struct CheckpointState;
@@ -109,11 +105,16 @@ struct EimOptions {
   /// Opt-in fast-draw sampling (geometric skip-ahead + alias tables).
   /// Recorded in checkpoint identity: a resume cannot silently switch modes.
   DrawMode draw_mode = DrawMode::Exact;
-  /// Sampler blocks to launch (0 = 4 per SM, the self-scheduling default).
+  /// Sampler blocks to launch (0 = 2 per SM, the self-scheduling default).
   std::uint32_t sampler_blocks = 0;
   /// Optional run-wide instrumentation sink (not owned; must outlive the
   /// run). When set, the pipeline records phase timers and commit/regrow/
-  /// decode counters into it — see docs/OBSERVABILITY.md.
+  /// decode counters into it, plus wall timers around the real hot scopes —
+  /// sampler waves, RNG refills, bulk codec decode/encode, commit publish,
+  /// selector preprocessing, lazy-greedy picks, pool dispatch. Wall timers
+  /// never touch the modeled clock, so modeled output stays bit-identical;
+  /// null skips every site without even a clock read — see
+  /// docs/OBSERVABILITY.md.
   support::metrics::MetricsRegistry* metrics = nullptr;
   /// Optional span recorder (not owned; must outlive the run). When set,
   /// the pipeline records the phase -> round -> wave hierarchy plus fault/
@@ -121,15 +122,6 @@ struct EimOptions {
   /// Chrome trace-event file — see docs/OBSERVABILITY.md. Null skips every
   /// site, like `metrics`.
   support::trace::TraceRecorder* trace = nullptr;
-  /// Optional host wall-clock attribution sink (not owned; must outlive the
-  /// run). When set, the pipeline wraps the real hot scopes — sampler
-  /// waves, RNG refills, bulk codec decode/encode, commit publish, selector
-  /// preprocessing, lazy-greedy picks, pool dispatch — in wall-only scoped
-  /// timers; the aggregate lands in the "wall" section of the
-  /// eim.metrics.v3 report. Null (the default) skips every site without
-  /// even a clock read. Wall timers never touch the modeled clock, so
-  /// modeled output stays bit-identical — see docs/OBSERVABILITY.md.
-  support::profiler::WallProfile* profile = nullptr;
   /// Behavior when device memory runs out mid-collection-growth or a
   /// cluster loses quorum.
   DegradePolicy degrade_policy = DegradePolicy::Throw;

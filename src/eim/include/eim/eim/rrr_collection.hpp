@@ -41,11 +41,6 @@ class Histogram;
 class MetricsRegistry;
 }  // namespace eim::support::metrics
 
-namespace eim::support::profiler {
-class WallProfile;
-class WallTimer;
-}  // namespace eim::support::profiler
-
 namespace eim::eim_impl {
 
 class TieredRrrStore;
@@ -117,15 +112,13 @@ class DeviceRrrCollection {
 
   [[nodiscard]] bool log_encoded() const noexcept { return log_encode_; }
 
-  /// Wire commit/regrow counters into `registry` (nullptr detaches). The
-  /// registry must outlive the collection or the next attach call.
+  /// Wire commit/regrow counters and the commit.publish wall timer into
+  /// `registry` (nullptr detaches). The registry must outlive the
+  /// collection or the next attach call. Only publishes of at least
+  /// kTimedPublishLen elements are timed — a short set's publish is cheaper
+  /// than the two clock reads it would cost, and the sampling profiler
+  /// attributes that tail statistically.
   void attach_metrics(support::metrics::MetricsRegistry* registry);
-
-  /// Wire the commit-publish wall timer into `profile` (nullptr detaches).
-  /// Only publishes of at least kTimedPublishLen elements are timed — a
-  /// short set's publish is cheaper than the two clock reads it would cost,
-  /// and the sampling profiler attributes that tail statistically.
-  void attach_profile(support::profiler::WallProfile* profile);
   static constexpr std::size_t kTimedPublishLen = 64;
 
   /// Attach the tiered spill hierarchy (docs/RESILIENCE.md "Memory-pressure
@@ -200,7 +193,7 @@ class DeviceRrrCollection {
   support::metrics::Counter* regrow_r_ = nullptr;
   support::metrics::Counter* regrow_o_ = nullptr;
   support::metrics::Histogram* set_size_hist_ = nullptr;
-  support::profiler::WallTimer* commit_publish_ = nullptr;
+  support::metrics::Histogram* commit_publish_ = nullptr;
 };
 
 }  // namespace eim::eim_impl

@@ -26,7 +26,7 @@
 #include "eim/gpusim/device.hpp"
 #include "eim/imm/seed_selection.hpp"
 #include "eim/support/bits.hpp"
-#include "eim/support/profiler.hpp"
+#include "eim/support/metrics.hpp"
 
 namespace eim::eim_impl {
 
@@ -102,8 +102,7 @@ class SelectionIndex {
   /// prefix (an OOM truncation after a failover) restarts from set 0.
   /// Counts each newly indexed element in selector.elements_decoded.
   void extend(const SetSource& source, std::uint64_t num_sets,
-              support::metrics::MetricsRegistry* metrics,
-              support::profiler::WallProfile* profile);
+              support::metrics::MetricsRegistry* metrics);
 
  private:
   /// Fill `segment`'s vertex -> set CSR from its members.
@@ -154,8 +153,7 @@ class PickPricer {
 [[nodiscard]] imm::SelectionResult greedy_select(
     const SelectionIndex& index, std::uint32_t k, PickPricer& pricer,
     ArgMaxMode mode = ArgMaxMode::kLazyHeap,
-    support::metrics::MetricsRegistry* metrics = nullptr,
-    support::profiler::WallProfile* profile = nullptr);
+    support::metrics::MetricsRegistry* metrics = nullptr);
 
 /// Single-device selection over a DeviceRrrCollection: extends its own
 /// SelectionIndex over the collection and runs greedy_select under the §3.5
@@ -181,17 +179,12 @@ class GpuSeedSelector {
 
   [[nodiscard]] ScanStrategy strategy() const noexcept { return strategy_; }
 
-  /// Wire per-pick kernel/decode counters into `registry` (nullptr
-  /// detaches). The registry must outlive the selector or the next attach.
+  /// Wire per-pick kernel/decode counters and the codec.decode,
+  /// selector.preprocess and selector.pick wall timers into `registry`
+  /// (nullptr detaches). The registry must outlive the selector or the next
+  /// attach.
   void attach_metrics(support::metrics::MetricsRegistry* registry) noexcept {
     metrics_ = registry;
-  }
-
-  /// Wire host wall-clock attribution (codec.decode, selector.preprocess,
-  /// selector.pick) into `profile` (nullptr detaches). The profile must
-  /// outlive the selector or the next attach.
-  void attach_profile(support::profiler::WallProfile* profile) noexcept {
-    profile_ = profile;
   }
 
  private:
@@ -199,7 +192,6 @@ class GpuSeedSelector {
   ScanStrategy strategy_;
   ArgMaxMode argmax_mode_ = ArgMaxMode::kLazyHeap;
   support::metrics::MetricsRegistry* metrics_ = nullptr;
-  support::profiler::WallProfile* profile_ = nullptr;
   SelectionIndex index_{0};
   std::uint64_t indexed_collection_ = 0;  ///< instance_id() index_ follows
 };

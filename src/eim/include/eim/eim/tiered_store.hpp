@@ -44,11 +44,6 @@ class Counter;
 class Histogram;
 }  // namespace eim::support::metrics
 
-namespace eim::support::profiler {
-class WallProfile;
-class WallTimer;
-}  // namespace eim::support::profiler
-
 namespace eim::support::trace {
 class TraceRecorder;
 }  // namespace eim::support::trace
@@ -72,15 +67,6 @@ struct TieredStoreOptions {
   support::RetryPolicy retry;
 };
 
-struct TieredStoreStats {
-  std::uint64_t host_ooms = 0;        ///< T1 admissions bounced to disk by fault plan
-  std::uint64_t write_faults = 0;     ///< injected transient write faults + short writes
-  std::uint64_t read_faults = 0;      ///< injected transient read faults
-  std::uint64_t io_retries = 0;       ///< disk attempts retried after a transient fault
-  std::uint64_t corrupt_blocks = 0;   ///< blocks quarantined on CRC mismatch
-  std::uint64_t resampled_sets = 0;   ///< sets rebuilt through the resample hook
-};
-
 class TieredRrrStore {
  public:
   TieredRrrStore(gpusim::Device& device, TieredStoreOptions options);
@@ -88,11 +74,10 @@ class TieredRrrStore {
   TieredRrrStore(const TieredRrrStore&) = delete;
   TieredRrrStore& operator=(const TieredRrrStore&) = delete;
 
+  /// Wire the spill.* counters and the spill.{encode,decode,disk_write,
+  /// disk_read} wall timers into `registry`; without one, no clock is read.
   void attach_metrics(support::metrics::MetricsRegistry* registry);
   void attach_trace(support::trace::TraceRecorder* trace, std::uint32_t pid);
-  /// Wire the spill.{encode,decode,disk_write,disk_read} wall timers into
-  /// `profile` (nullptr detaches and reads no clock).
-  void attach_profile(support::profiler::WallProfile* profile);
 
   /// Deterministic block-repair source: regenerate the decoded members of
   /// one set by its slot. Without a hook, a CRC failure is fatal
@@ -120,7 +105,6 @@ class TieredRrrStore {
     return host_bytes_ + disk_bytes_;
   }
   [[nodiscard]] std::uint64_t disk_bytes() const noexcept { return disk_bytes_; }
-  [[nodiscard]] const TieredStoreStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const std::string& dir() const noexcept { return dir_; }
 
  private:
@@ -168,7 +152,6 @@ class TieredRrrStore {
   std::uint64_t host_alloc_ordinal_ = 0;
   std::uint64_t write_ordinal_ = 0;
   std::uint64_t read_ordinal_ = 0;
-  TieredStoreStats stats_;
 
   std::function<void(std::uint64_t, std::vector<graph::VertexId>&)> resample_hook_;
 
@@ -186,10 +169,10 @@ class TieredRrrStore {
   support::metrics::Counter* resampled_sets_ = nullptr;
   support::metrics::Histogram* block_bytes_ = nullptr;
 
-  support::profiler::WallTimer* encode_wall_ = nullptr;
-  support::profiler::WallTimer* decode_wall_ = nullptr;
-  support::profiler::WallTimer* disk_write_wall_ = nullptr;
-  support::profiler::WallTimer* disk_read_wall_ = nullptr;
+  support::metrics::Histogram* encode_wall_ = nullptr;
+  support::metrics::Histogram* decode_wall_ = nullptr;
+  support::metrics::Histogram* disk_write_wall_ = nullptr;
+  support::metrics::Histogram* disk_read_wall_ = nullptr;
 
   support::trace::TraceRecorder* trace_ = nullptr;
   std::uint32_t trace_pid_ = 0;

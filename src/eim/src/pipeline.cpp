@@ -4,7 +4,6 @@
 
 #include "eim/eim/seed_selector.hpp"
 #include "eim/support/metrics.hpp"
-#include "eim/support/profiler.hpp"
 #include "eim/support/thread_pool.hpp"
 #include "eim/support/trace.hpp"
 #include "sharded.hpp"
@@ -37,10 +36,8 @@ class LocalDevice final : public Interconnect {
     if (options.metrics != nullptr) {
       device.memory().attach_metrics(&options.metrics->gauge("device.peak_bytes"),
                                      &options.metrics->counter("device.alloc_events"));
-    }
-    if (options.profile != nullptr) {
       support::ThreadPool::global().attach_dispatch_timer(
-          &options.profile->timer("pool.dispatch"));
+          &options.metrics->wall_timer("pool.dispatch"));
     }
   }
   ~LocalDevice() override {

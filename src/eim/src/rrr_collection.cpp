@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <chrono>
 
 #include "eim/eim/tiered_store.hpp"
 #include "eim/support/bits.hpp"
 #include "eim/support/error.hpp"
 #include "eim/support/metrics.hpp"
-#include "eim/support/profiler.hpp"
 
 namespace eim::eim_impl {
 
@@ -50,16 +48,14 @@ void DeviceRrrCollection::attach_metrics(support::metrics::MetricsRegistry* regi
     regrow_r_ = nullptr;
     regrow_o_ = nullptr;
     set_size_hist_ = nullptr;
+    commit_publish_ = nullptr;
     return;
   }
   commit_rejects_ = &registry->counter("rrr.commit_rejects");
   regrow_r_ = &registry->counter("rrr.regrow_r");
   regrow_o_ = &registry->counter("rrr.regrow_o");
   set_size_hist_ = &registry->histogram("rrr.set_size");
-}
-
-void DeviceRrrCollection::attach_profile(support::profiler::WallProfile* profile) {
-  commit_publish_ = profile != nullptr ? &profile->timer("commit.publish") : nullptr;
+  commit_publish_ = &registry->wall_timer("commit.publish");
 }
 
 void DeviceRrrCollection::charge_device(std::uint64_t bytes) {
@@ -241,10 +237,8 @@ void DeviceRrrCollection::publish(std::uint64_t set_index,
   assert(set_index < num_sets_ && sorted_set.size() == lengths_[set_index]);
   // Thresholded wall timing (kTimedPublishLen): short publishes cost less
   // than the clock reads, so only substantial slices are measured here.
-  const bool timed =
-      commit_publish_ != nullptr && sorted_set.size() >= kTimedPublishLen;
-  const auto publish_start = timed ? std::chrono::steady_clock::now()
-                                   : std::chrono::steady_clock::time_point{};
+  const support::metrics::ScopedWall publish_scope(
+      sorted_set.size() >= kTimedPublishLen ? commit_publish_ : nullptr);
   const std::uint64_t local = starts_[set_index] - device_base_;
   if (log_encode_) {
     // Bulk word-streaming publish of the admitted slice: only the boundary
@@ -253,12 +247,6 @@ void DeviceRrrCollection::publish(std::uint64_t set_index,
   } else {
     std::copy(sorted_set.begin(), sorted_set.end(),
               raw_.begin() + static_cast<std::ptrdiff_t>(local));
-  }
-  if (timed) {
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - publish_start)
-                        .count();
-    commit_publish_->record_ns(ns > 0 ? static_cast<std::uint64_t>(ns) : 0u);
   }
 }
 

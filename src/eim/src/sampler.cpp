@@ -6,7 +6,6 @@
 #include "eim/support/bits.hpp"
 #include "eim/support/error.hpp"
 #include "eim/support/metrics.hpp"
-#include "eim/support/profiler.hpp"
 #include "eim/support/retry.hpp"
 #include "eim/support/trace.hpp"
 
@@ -82,8 +81,8 @@ EimSampler::EimSampler(gpusim::Device& device, const graph::Graph& g,
     plan_charge_ = device.alloc<std::uint8_t>(traversal_.plan->bytes());
   }
 
-  support::profiler::WallTimer* refill_timer =
-      options.profile != nullptr ? &options.profile->timer("rng.refill") : nullptr;
+  support::metrics::Histogram* refill_timer =
+      options.metrics != nullptr ? &options.metrics->wall_timer("rng.refill") : nullptr;
   for (auto& s : scratch_) {
     s.queue.reserve(64);
     // All threads share one refill timer; the histogram is lock-free.
@@ -109,8 +108,7 @@ void EimSampler::sample_assigned(DeviceRrrCollection& collection,
   const std::uint64_t base = collection.num_sets();
   const std::uint64_t target = base + global_indices.size();
 
-  support::profiler::WallTimer* wave_w =
-      options_.profile != nullptr ? &options_.profile->timer("sampler.wave") : nullptr;
+  support::metrics::Histogram* wave_w = nullptr;
   support::metrics::Counter* waves_c = nullptr;
   support::metrics::Counter* committed_c = nullptr;
   support::metrics::Counter* retries_c = nullptr;
@@ -121,6 +119,7 @@ void EimSampler::sample_assigned(DeviceRrrCollection& collection,
   support::metrics::Histogram* queue_depth_h = nullptr;
   support::metrics::Histogram* backoff_h = nullptr;
   if (options_.metrics != nullptr) {
+    wave_w = &options_.metrics->wall_timer("sampler.wave");
     waves_c = &options_.metrics->counter("sampler.waves");
     committed_c = &options_.metrics->counter("sampler.samples_committed");
     retries_c = &options_.metrics->counter("sampler.commit_retries");
@@ -223,7 +222,7 @@ void EimSampler::sample_assigned(DeviceRrrCollection& collection,
     {
       // One wall entry per wave launch: the whole Monte Carlo BFS sweep for
       // this wave's pending samples, including host-pool dispatch.
-      const support::profiler::ScopedWallTimer wave_wall(wave_w);
+      const support::metrics::ScopedWall wave_wall(wave_w);
       // Transient launch faults fire before any slot runs, so a retry
       // re-executes the whole wave against untouched scratch/collection
       // state; the deterministic backoff lands on this device's timeline.

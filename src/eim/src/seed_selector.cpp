@@ -8,7 +8,6 @@
 #include "eim/support/bits.hpp"
 #include "eim/support/error.hpp"
 #include "eim/support/metrics.hpp"
-#include "eim/support/profiler.hpp"
 #include "eim/support/thread_pool.hpp"
 
 namespace eim::eim_impl {
@@ -86,8 +85,7 @@ void SelectionIndex::index_segment(Segment& segment) const {
 }
 
 void SelectionIndex::extend(const SetSource& source, std::uint64_t num_sets,
-                            support::metrics::MetricsRegistry* metrics,
-                            support::profiler::WallProfile* profile) {
+                            support::metrics::MetricsRegistry* metrics) {
   if (num_sets < this->num_sets()) {
     lengths_.clear();
     segments_.clear();
@@ -108,8 +106,8 @@ void SelectionIndex::extend(const SetSource& source, std::uint64_t num_sets,
                                       segment.starts[i + 1] - segment.starts[i]));
   };
   {
-    const support::profiler::ScopedWallTimer decode_scope(
-        profile != nullptr ? &profile->timer("codec.decode") : nullptr);
+    const support::metrics::ScopedWall decode_scope(
+        metrics != nullptr ? &metrics->wall_timer("codec.decode") : nullptr);
     if (source.any_spilled()) {
       // Serial, in set order; the indexed prefix's spilled sets are read
       // only for their modeled traffic and discarded.
@@ -127,8 +125,8 @@ void SelectionIndex::extend(const SetSource& source, std::uint64_t num_sets,
   }
   if (count == 0) return;
   {
-    const support::profiler::ScopedWallTimer preprocess_scope(
-        profile != nullptr ? &profile->timer("selector.preprocess") : nullptr);
+    const support::metrics::ScopedWall preprocess_scope(
+        metrics != nullptr ? &metrics->wall_timer("selector.preprocess") : nullptr);
     index_segment(segment);
   }
   if (metrics != nullptr) {
@@ -247,8 +245,7 @@ std::unique_ptr<PickPricer> make_scan_kernel_pricer(
 
 imm::SelectionResult greedy_select(const SelectionIndex& index, std::uint32_t k,
                                    PickPricer& pricer, ArgMaxMode mode,
-                                   support::metrics::MetricsRegistry* metrics,
-                                   support::profiler::WallProfile* profile) {
+                                   support::metrics::MetricsRegistry* metrics) {
   const VertexId n = index.num_vertices();
   EIM_CHECK_MSG(k >= 1 && k <= n, "k out of range");
   const std::uint64_t num_sets = index.num_sets();
@@ -282,11 +279,11 @@ imm::SelectionResult greedy_select(const SelectionIndex& index, std::uint32_t k,
   LazyArgMaxHeap heap{mode == ArgMaxMode::kLazyHeap
                           ? std::span<const std::uint32_t>(counts)
                           : std::span<const std::uint32_t>()};
-  support::profiler::WallTimer* pick_w =
-      profile != nullptr ? &profile->timer("selector.pick") : nullptr;
+  support::metrics::Histogram* pick_w =
+      metrics != nullptr ? &metrics->wall_timer("selector.pick") : nullptr;
 
   for (std::uint32_t pick = 0; pick < k; ++pick) {
-    const support::profiler::ScopedWallTimer pick_scope(pick_w);
+    const support::metrics::ScopedWall pick_scope(pick_w);
     VertexId best = graph::kInvalidVertex;
     std::uint32_t best_count = 0;
     if (mode == ArgMaxMode::kLazyHeap) {
@@ -374,8 +371,8 @@ imm::SelectionResult GpuSeedSelector::select(const DeviceRrrCollection& collecti
   }
   // The sets already live on the device; reading them charges nothing
   // unless they spilled.
-  index_.extend(CollectionSource(collection), collection.num_sets(), metrics_, profile_);
-  return greedy_select(index_, k, *pricer, argmax_mode_, metrics_, profile_);
+  index_.extend(CollectionSource(collection), collection.num_sets(), metrics_);
+  return greedy_select(index_, k, *pricer, argmax_mode_, metrics_);
 }
 
 }  // namespace eim::eim_impl

@@ -185,7 +185,6 @@ void run_sharded(Fleet fleet, Interconnect& net, const graph::Graph& g,
 
   support::metrics::MetricsRegistry* metrics = options.metrics;
   support::trace::TraceRecorder* trace = options.trace;
-  support::profiler::WallProfile* profile = options.profile;
 
   result.network_raw_bytes = g.csc_bytes();
   // An empty network has nothing to sample and no seeds to pick; bail out
@@ -256,7 +255,6 @@ void run_sharded(Fleet fleet, Interconnect& net, const graph::Graph& g,
     shards[f] = std::make_unique<DeviceRrrCollection>(dev, g.num_vertices(),
                                                       options.log_encode);
     samplers[f] = std::make_unique<EimSampler>(dev, g, model, effective, options);
-    shards[f]->attach_profile(profile);
     if (options.spill.policy == SpillPolicy::Off) return;
     // Tiered spill hierarchy: memory pressure evicts cold sets downward
     // (compressed host, then disk) instead of stopping theta refinement;
@@ -272,7 +270,6 @@ void run_sharded(Fleet fleet, Interconnect& net, const graph::Graph& g,
     store_options.retry = options.retry;
     stores[f] = std::make_unique<TieredRrrStore>(dev, store_options);
     stores[f]->attach_metrics(metrics);
-    stores[f]->attach_profile(profile);
     if (trace != nullptr) {
       const auto pid = trace->pid_of(&dev);
       if (pid.has_value()) stores[f]->attach_trace(trace, *pid);
@@ -608,8 +605,7 @@ void run_sharded(Fleet fleet, Interconnect& net, const graph::Graph& g,
   // index survives it.
   SelectionIndex index(g.num_vertices());
   const auto sync_index = [&] {
-    index.extend(ShardedSource(shards, placed, per_domain), sampled_global, metrics,
-                 profile);
+    index.extend(ShardedSource(shards, placed, per_domain), sampled_global, metrics);
   };
 
   const auto select_once = [&] {
@@ -618,7 +614,7 @@ void run_sharded(Fleet fleet, Interconnect& net, const graph::Graph& g,
         net.pick_pricer(fleet, placed, sampled_global);
     sync_index();
     imm::SelectionResult sel =
-        greedy_select(index, effective.k, *pricer, ArgMaxMode::kLazyHeap, metrics, profile);
+        greedy_select(index, effective.k, *pricer, ArgMaxMode::kLazyHeap, metrics);
     phase.end();
     return sel;
   };

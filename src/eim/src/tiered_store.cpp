@@ -18,7 +18,6 @@
 #include "eim/support/atomic_write.hpp"
 #include "eim/support/error.hpp"
 #include "eim/support/metrics.hpp"
-#include "eim/support/profiler.hpp"
 #include "eim/support/trace.hpp"
 
 namespace eim::eim_impl {
@@ -77,22 +76,16 @@ void TieredRrrStore::attach_metrics(support::metrics::MetricsRegistry* registry)
   corrupt_blocks_ = &registry->counter("spill.corrupt_blocks");
   resampled_sets_ = &registry->counter("spill.resampled_sets");
   block_bytes_ = &registry->histogram("spill.block_bytes");
+  encode_wall_ = &registry->wall_timer("spill.encode");
+  decode_wall_ = &registry->wall_timer("spill.decode");
+  disk_write_wall_ = &registry->wall_timer("spill.disk_write");
+  disk_read_wall_ = &registry->wall_timer("spill.disk_read");
 }
 
 void TieredRrrStore::attach_trace(support::trace::TraceRecorder* trace,
                                   std::uint32_t pid) {
   trace_ = trace;
   trace_pid_ = pid;
-}
-
-void TieredRrrStore::attach_profile(support::profiler::WallProfile* profile) {
-  const auto timer = [profile](std::string_view name) {
-    return profile != nullptr ? &profile->timer(name) : nullptr;
-  };
-  encode_wall_ = timer("spill.encode");
-  decode_wall_ = timer("spill.decode");
-  disk_write_wall_ = timer("spill.disk_write");
-  disk_read_wall_ = timer("spill.disk_read");
 }
 
 void TieredRrrStore::set_resample_hook(
@@ -156,7 +149,7 @@ void TieredRrrStore::spill(std::span<const std::uint32_t> lengths,
     EIM_CHECK_MSG(value_at + block_values <= values.size(),
                   "spill batch: values shorter than lengths");
     {
-      const support::profiler::ScopedWallTimer encode_scope(encode_wall_);
+      const support::metrics::ScopedWall encode_scope(encode_wall_);
       block.encoded = encoding::rrr_block_encode(
           block.lengths, values.subspan(value_at, block_values));
     }
@@ -194,7 +187,6 @@ void TieredRrrStore::admit_block(Block&& block) {
   const std::uint64_t ordinal = host_alloc_ordinal_++;
   if (gpusim::FaultPlan::hits(device_->fault_plan().host_alloc_oom_ordinals,
                               ordinal)) {
-    ++stats_.host_ooms;
     if (host_oom_ != nullptr) host_oom_->add();
     write_to_disk(admitted);
     return;
@@ -228,14 +220,13 @@ void TieredRrrStore::write_to_disk(Block& block) {
   std::filesystem::create_directories(dir_, ec);
   const std::string_view view(reinterpret_cast<const char*>(block.encoded.data()),
                               block.encoded.size());
-  const support::profiler::ScopedWallTimer write_scope(disk_write_wall_);
+  const support::metrics::ScopedWall write_scope(disk_write_wall_);
   support::retry_on<support::IoError>(
       options_.retry,
       [&] {
         const std::uint64_t ordinal = write_ordinal_++;
         const gpusim::FaultPlan& plan = device_->fault_plan();
         if (gpusim::FaultPlan::hits(plan.spill_write_fault_ordinals, ordinal)) {
-          ++stats_.write_faults;
           throw support::IoError("injected spill write fault (ordinal " +
                                  std::to_string(ordinal) + ")");
         }
@@ -243,7 +234,6 @@ void TieredRrrStore::write_to_disk(Block& block) {
           // Model ENOSPC mid-file through the real atomic-write machinery:
           // the temp file is created, half-written, then discarded — proving
           // no partial artifact is ever visible at the destination.
-          ++stats_.write_faults;
           support::AtomicWriteFaults faults;
           faults.short_write_after =
               static_cast<std::int64_t>(block.encoded.size() / 2);
@@ -259,7 +249,6 @@ void TieredRrrStore::write_to_disk(Block& block) {
         support::atomic_write_file(path, view);
       },
       [&](std::uint32_t, double backoff, const support::IoError&) {
-        ++stats_.io_retries;
         if (io_retries_ != nullptr) io_retries_->add();
         device_->charge_backoff("spill.write retry", backoff);
       });
@@ -274,14 +263,13 @@ void TieredRrrStore::write_to_disk(Block& block) {
 std::vector<std::uint8_t> TieredRrrStore::read_from_disk(const Block& block,
                                                          std::size_t block_index) {
   const std::string path = block_path(block_index);
-  const support::profiler::ScopedWallTimer read_scope(disk_read_wall_);
+  const support::metrics::ScopedWall read_scope(disk_read_wall_);
   return support::retry_on<support::IoError>(
       options_.retry,
       [&]() -> std::vector<std::uint8_t> {
         const std::uint64_t ordinal = read_ordinal_++;
         const gpusim::FaultPlan& plan = device_->fault_plan();
         if (gpusim::FaultPlan::hits(plan.spill_read_fault_ordinals, ordinal)) {
-          ++stats_.read_faults;
           throw support::IoError("injected spill read fault (ordinal " +
                                  std::to_string(ordinal) + ")");
         }
@@ -306,7 +294,6 @@ std::vector<std::uint8_t> TieredRrrStore::read_from_disk(const Block& block,
         return bytes;
       },
       [&](std::uint32_t, double backoff, const support::IoError&) {
-        ++stats_.io_retries;
         if (io_retries_ != nullptr) io_retries_->add();
         device_->charge_backoff("spill.read retry", backoff);
       });
@@ -315,7 +302,6 @@ std::vector<std::uint8_t> TieredRrrStore::read_from_disk(const Block& block,
 std::vector<graph::VertexId> TieredRrrStore::quarantine_and_resample(
     std::size_t block_index) {
   Block& block = blocks_[block_index];
-  ++stats_.corrupt_blocks;
   if (corrupt_blocks_ != nullptr) corrupt_blocks_->add();
   trace_instant("spill.corrupt",
                 "block=" + std::to_string(block_index) +
@@ -333,7 +319,6 @@ std::vector<graph::VertexId> TieredRrrStore::quarantine_and_resample(
                   "spill resample: regenerated set length diverged");
     values.insert(values.end(), one.begin(), one.end());
   }
-  stats_.resampled_sets += block.lengths.size();
   if (resampled_sets_ != nullptr) resampled_sets_->add(block.lengths.size());
 
   // Re-admit the repaired block to T1 and drop the stale disk file; the host
@@ -347,7 +332,7 @@ std::vector<graph::VertexId> TieredRrrStore::quarantine_and_resample(
     host_bytes_ -= block.encoded_bytes;
   }
   {
-    const support::profiler::ScopedWallTimer encode_scope(encode_wall_);
+    const support::metrics::ScopedWall encode_scope(encode_wall_);
     block.encoded = encoding::rrr_block_encode(block.lengths, values);
   }
   block.encoded_bytes = block.encoded.size();
@@ -371,7 +356,7 @@ TieredRrrStore::Staged& TieredRrrStore::stage_block(std::size_t block_index) {
       frame = block.encoded;
     }
     try {
-      const support::profiler::ScopedWallTimer decode_scope(decode_wall_);
+      const support::metrics::ScopedWall decode_scope(decode_wall_);
       encoding::DecodedRrrBlock decoded = encoding::rrr_block_decode(frame);
       values = std::move(decoded.values);
     } catch (const support::IoError&) {

@@ -13,9 +13,9 @@
 #include "eim/imm/params.hpp"
 #include "eim/imm/rrr_store.hpp"
 
-namespace eim::support::profiler {
-class WallProfile;
-}  // namespace eim::support::profiler
+namespace eim::support::metrics {
+class MetricsRegistry;
+}  // namespace eim::support::metrics
 
 namespace eim::imm {
 
@@ -31,21 +31,20 @@ inline constexpr std::uint64_t kSampleStreamTag = 0x52525253u;  // "RRRS"
 inline constexpr std::uint32_t kMaxRegenerationAttempts = 64;
 
 /// Run IMM end to end: estimate theta, sample, select seeds. An optional
-/// wall profile (not owned, may be null) attributes host time to the
-/// sampling batches and RNG refills — wall-only, so results are unchanged.
-[[nodiscard]] ImmResult run_imm_serial(const graph::Graph& g,
-                                       graph::DiffusionModel model,
-                                       const ImmParams& params,
-                                       support::profiler::WallProfile* profile = nullptr);
+/// registry (not owned, may be null) receives wall timers for the sampling
+/// batches and RNG refills — wall-only, so results are unchanged.
+[[nodiscard]] ImmResult run_imm_serial(
+    const graph::Graph& g, graph::DiffusionModel model, const ImmParams& params,
+    support::metrics::MetricsRegistry* metrics = nullptr);
 
 /// Sampling phase only: extend `store` to `target` sets (used by tests and
 /// by the estimation loop). Returns the number of singleton samples
-/// discarded by source elimination. The optional profile records one
+/// discarded by source elimination. The optional registry records one
 /// "sampler.batch" wall entry for the whole extension (per batch, not per
 /// sample — a per-sample clock pair would dwarf small cascades).
 [[nodiscard]] std::uint64_t sample_to_target(
     const graph::Graph& g, graph::DiffusionModel model, const ImmParams& params,
     RrrStore& store, std::uint64_t target,
-    support::profiler::WallProfile* profile = nullptr);
+    support::metrics::MetricsRegistry* metrics = nullptr);
 
 }  // namespace eim::imm

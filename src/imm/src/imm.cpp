@@ -4,7 +4,7 @@
 #include "eim/imm/driver.hpp"
 #include "eim/imm/seed_selection.hpp"
 #include "eim/imm/theta.hpp"
-#include "eim/support/profiler.hpp"
+#include "eim/support/metrics.hpp"
 #include "eim/support/rng.hpp"
 
 namespace eim::imm {
@@ -15,15 +15,15 @@ using support::RandomStream;
 std::uint64_t sample_to_target(const graph::Graph& g, graph::DiffusionModel model,
                                const ImmParams& params, RrrStore& store,
                                std::uint64_t target,
-                               support::profiler::WallProfile* profile) {
+                               support::metrics::MetricsRegistry* metrics) {
   diffusion::RrrSampler sampler(g, model, params.eliminate_sources);
-  if (profile != nullptr) {
-    sampler.attach_refill_timer(&profile->timer("rng.refill"));
+  if (metrics != nullptr) {
+    sampler.attach_refill_timer(&metrics->wall_timer("rng.refill"));
   }
   // One wall entry per batch: per-sample timing would cost more than the
   // shallow cascades it measures.
-  const support::profiler::ScopedWallTimer batch_scope(
-      profile != nullptr ? &profile->timer("sampler.batch") : nullptr);
+  const support::metrics::ScopedWall batch_scope(
+      metrics != nullptr ? &metrics->wall_timer("sampler.batch") : nullptr);
   std::vector<VertexId> scratch;
   std::uint64_t discarded = 0;
 
@@ -46,7 +46,7 @@ std::uint64_t sample_to_target(const graph::Graph& g, graph::DiffusionModel mode
 
 ImmResult run_imm_serial(const graph::Graph& g, graph::DiffusionModel model,
                          const ImmParams& params,
-                         support::profiler::WallProfile* profile) {
+                         support::metrics::MetricsRegistry* metrics) {
   RrrStore store(g.num_vertices());
   ImmResult result;
 
@@ -54,7 +54,7 @@ ImmResult run_imm_serial(const graph::Graph& g, graph::DiffusionModel model,
       g.num_vertices(), params,
       [&](std::uint64_t target) {
         result.singletons_discarded +=
-            sample_to_target(g, model, params, store, target, profile);
+            sample_to_target(g, model, params, store, target, metrics);
       },
       [&] { return select_seeds_greedy(store, params.k); });
 

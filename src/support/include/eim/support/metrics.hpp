@@ -6,11 +6,12 @@
 // emit one machine-readable report with the numbers the paper's figures
 // are built from (per-phase time, peak memory, queue/commit traffic).
 //
-// Thread-safety: instrument handles (Counter/Gauge/PhaseTimer) are lock-free
-// atomics, safe to bump from sampler blocks running on the host pool.
-// Registration (counter()/gauge()/phase()) takes a mutex and returns a
-// reference that stays valid for the registry's lifetime — look handles up
-// once outside hot loops. write_json() snapshots under the same mutex.
+// Thread-safety: instrument handles (Counter/Gauge/Histogram/PhaseTimer) are
+// lock-free atomics, safe to bump from sampler blocks running on the host
+// pool. Registration (counter()/gauge()/histogram()/phase()/wall_timer())
+// takes a mutex and returns a reference that stays valid for the registry's
+// lifetime — look handles up once outside hot loops. write_json() snapshots
+// under the same mutex.
 //
 // The JSON schema ("eim.metrics.v3") is documented in docs/OBSERVABILITY.md.
 #pragma once
@@ -27,10 +28,6 @@
 #include <string_view>
 
 #include "eim/support/json.hpp"
-
-namespace eim::support::profiler {
-class WallProfile;
-}  // namespace eim::support::profiler
 
 namespace eim::support::metrics {
 
@@ -186,6 +183,13 @@ class PhaseTimer {
 
 /// Named instrument store. Instruments are created on first lookup and live
 /// as long as the registry; names are dotted paths ("sampler.commit_retries").
+///
+/// Wall timers are log2 histograms of whole host nanoseconds, one per hot
+/// scope ("sampler.wave", "codec.decode"), kept in a map of their own: they
+/// measure the host, not the modeled run, so they never share a section with
+/// the modeled-duration histograms. write_json() leaves them out (checkpoint
+/// snapshots and bench-cell metrics carry modeled state only);
+/// write_wall_json() serializes them for RunReport's "wall" section.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -196,11 +200,17 @@ class MetricsRegistry {
   [[nodiscard]] Gauge& gauge(std::string_view name);
   [[nodiscard]] Histogram& histogram(std::string_view name);
   [[nodiscard]] PhaseTimer& phase(std::string_view name);
+  [[nodiscard]] Histogram& wall_timer(std::string_view name);
 
   /// Serialize the registry as one JSON object:
   /// {"counters":{...},"gauges":{...},"histograms":{...},"phases":[{...}]}.
   /// Names sort lexicographically so reports diff cleanly across runs.
   void write_json(JsonWriter& w) const;
+
+  /// Serialize the wall timers as one JSON object keyed by timer name, each
+  /// value {"entries","total_seconds","p50_ns","p95_ns","max_ns"}; names
+  /// sort lexicographically.
+  void write_wall_json(JsonWriter& w) const;
 
  private:
   mutable std::mutex mu_;
@@ -208,6 +218,7 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
   std::map<std::string, std::unique_ptr<PhaseTimer>, std::less<>> phases_;
+  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> wall_timers_;
 };
 
 /// RAII wall-clock scope for one phase entry; optionally folds in the
@@ -224,11 +235,34 @@ class ScopedPhase {
   std::chrono::steady_clock::time_point start_;
 };
 
+/// RAII host wall-clock scope over one wall timer (whole nanoseconds). A
+/// null timer means "no registry attached" and costs nothing — not even a
+/// clock read — so hot paths can hold a nullable Histogram* and wrap
+/// unconditionally.
+class ScopedWall {
+ public:
+  explicit ScopedWall(Histogram* timer) noexcept : timer_(timer) {
+    if (timer_ != nullptr) start_ = std::chrono::steady_clock::now();
+  }
+  ~ScopedWall() {
+    if (timer_ == nullptr) return;
+    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        std::chrono::steady_clock::now() - start_)
+                        .count();
+    timer_->observe(ns > 0 ? static_cast<std::uint64_t>(ns) : 0u);
+  }
+  ScopedWall(const ScopedWall&) = delete;
+  ScopedWall& operator=(const ScopedWall&) = delete;
+
+ private:
+  Histogram* timer_;
+  std::chrono::steady_clock::time_point start_;
+};
+
 /// One run's identity plus a snapshot of its registry, serializable to the
 /// "eim.metrics.v3" JSON document that eim_cli --metrics-json and the bench
 /// reporter both emit. v3 extends v2 with a "wall" section carrying the
-/// host wall-clock attribution captured by support::profiler::WallProfile
-/// (null when the run was not profiled).
+/// registry's wall timers (null when no registry is attached).
 struct RunReport {
   std::string tool;   ///< producing binary ("eim_cli", "bench_fig7_ic", ...)
   std::string graph;  ///< dataset name or file path
@@ -239,7 +273,6 @@ struct RunReport {
   std::uint32_t k = 0;
   double epsilon = 0.0;
   const MetricsRegistry* metrics = nullptr;  ///< not owned; may be null
-  const profiler::WallProfile* wall = nullptr;  ///< not owned; may be null
 
   void write_json(std::ostream& out) const;
 };

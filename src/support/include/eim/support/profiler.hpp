@@ -1,23 +1,16 @@
-// Wall-clock profiling: a signal-based sampling profiler plus named
-// wall-only scope timers.
+// Wall-clock profiling: a signal-based sampling profiler.
 //
-// Two instruments, two questions:
+// SamplingProfiler answers "where does host wall time go?" without touching
+// the measured code: ITIMER_PROF fires SIGPROF on whichever thread is
+// burning CPU, the handler captures raw frame pointers into a preallocated
+// ring, and symbolization happens offline in write_folded(). The
+// folded-stack output feeds flamegraph tooling and tools/prof_report.
 //
-//  * SamplingProfiler answers "where does host wall time go?" without
-//    touching the measured code: ITIMER_PROF fires SIGPROF on whichever
-//    thread is burning CPU, the handler captures raw frame pointers into a
-//    preallocated ring, and symbolization happens offline in
-//    write_folded(). The folded-stack output feeds flamegraph tooling and
-//    tools/prof_report.
-//
-//  * WallTimer / WallProfile answer "how long does one named hot scope
-//    take?" with explicit instrumentation. WallTimer is deliberately a
-//    separate type from metrics::PhaseTimer: PhaseTimer carries both the
-//    modeled device clock and wall time, and the two clocks must never be
-//    confused — a WallTimer has no modeled component at all. Durations
-//    aggregate into the existing log2 metrics::Histogram (whole
-//    nanoseconds), and the registry report serializes them under the
-//    "wall" section of the eim.metrics.v3 schema.
+// Its complement, "how long does one named hot scope take?", is answered by
+// explicit instrumentation that lives in the metrics registry: wall timers
+// (MetricsRegistry::wall_timer, metrics::ScopedWall) record whenever a
+// registry is attached, and RunReport serializes them under the "wall"
+// section of the eim.metrics.v3 schema. This header arms only the sampler.
 //
 // Signal-path constraints (docs/OBSERVABILITY.md "Profiling"): the SIGPROF
 // handler performs no allocation, takes no locks, and calls only
@@ -26,22 +19,14 @@
 // counts it instead of blocking.
 //
 // Platform gating: sampling requires Linux + <execinfo.h>. Elsewhere the
-// class compiles but supported() is false and start() refuses; WallTimer /
-// WallProfile work everywhere.
+// class compiles but supported() is false and start() refuses.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <ostream>
-#include <string>
-#include <string_view>
-
-#include "eim/support/metrics.hpp"
 
 #if defined(__linux__) && __has_include(<execinfo.h>)
 #define EIM_PROFILER_SUPPORTED 1
@@ -50,70 +35,6 @@
 #endif
 
 namespace eim::support::profiler {
-
-/// Wall-clock-only duration aggregate for one named hot scope. Each scope
-/// entry records whole nanoseconds into a log2 histogram, so the report
-/// carries count, total, p50/p95, and max per scope. Lock-free (the
-/// histogram is relaxed atomics): safe to record from pool workers.
-class WallTimer {
- public:
-  void record_ns(std::uint64_t ns) noexcept { hist_.observe(ns); }
-
-  [[nodiscard]] std::uint64_t entries() const noexcept { return hist_.count(); }
-  [[nodiscard]] double total_seconds() const noexcept {
-    return static_cast<double>(hist_.sum()) * 1e-9;
-  }
-  [[nodiscard]] const metrics::Histogram& histogram() const noexcept {
-    return hist_;
-  }
-
- private:
-  metrics::Histogram hist_;
-};
-
-/// RAII scope for a WallTimer. A null timer means "profiling disabled" and
-/// costs nothing — not even a clock read — so hot paths can hold a nullable
-/// WallTimer* and wrap unconditionally.
-class ScopedWallTimer {
- public:
-  explicit ScopedWallTimer(WallTimer* timer) noexcept : timer_(timer) {
-    if (timer_ != nullptr) start_ = std::chrono::steady_clock::now();
-  }
-  ~ScopedWallTimer() {
-    if (timer_ == nullptr) return;
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - start_)
-                        .count();
-    timer_->record_ns(ns > 0 ? static_cast<std::uint64_t>(ns) : 0u);
-  }
-  ScopedWallTimer(const ScopedWallTimer&) = delete;
-  ScopedWallTimer& operator=(const ScopedWallTimer&) = delete;
-
- private:
-  WallTimer* timer_;
-  std::chrono::steady_clock::time_point start_;
-};
-
-/// Named WallTimer store, mirroring MetricsRegistry: timers are created on
-/// first lookup and stay valid for the profile's lifetime, so hot paths
-/// look a handle up once and bump it lock-free thereafter.
-class WallProfile {
- public:
-  WallProfile() = default;
-  WallProfile(const WallProfile&) = delete;
-  WallProfile& operator=(const WallProfile&) = delete;
-
-  [[nodiscard]] WallTimer& timer(std::string_view name);
-
-  /// Serialize as one JSON object keyed by timer name, each value carrying
-  /// {"entries","total_seconds","p50_ns","p95_ns","max_ns"}. Names sort
-  /// lexicographically so reports diff cleanly across runs.
-  void write_json(JsonWriter& w) const;
-
- private:
-  mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<WallTimer>, std::less<>> timers_;
-};
 
 /// Signal-based sampling profiler. One instance may be active at a time
 /// (the SIGPROF disposition is process-global); a second concurrent

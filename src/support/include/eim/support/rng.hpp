@@ -14,14 +14,13 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "eim/support/profiler.hpp"
+#include "eim/support/metrics.hpp"
 
 namespace eim::support {
 
@@ -313,7 +312,7 @@ class FloatDrawBuffer {
   /// mid-size refill at 256 draws measured ~8% end-to-end; at 4096 only
   /// the demand-burst tail is timed — the fill dwarfs the measurement and
   /// the sampling profiler attributes the common case statistically.
-  void attach_refill_timer(profiler::WallTimer* timer) noexcept {
+  void attach_refill_timer(metrics::Histogram* timer) noexcept {
     refill_timer_ = timer;
   }
   static constexpr std::size_t kTimedRefillDraws = 2048;
@@ -330,15 +329,10 @@ class FloatDrawBuffer {
       buf_.resize(target);
     }
     const std::size_t fresh = target - c.avail;
-    const bool timed = refill_timer_ != nullptr && fresh >= kTimedRefillDraws;
-    const auto t0 = timed ? std::chrono::steady_clock::now()
-                          : std::chrono::steady_clock::time_point{};
-    rng.fill_floats(std::span<float>(buf_.data() + c.avail, fresh));
-    if (timed) {
-      const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-      refill_timer_->record_ns(ns > 0 ? static_cast<std::uint64_t>(ns) : 0u);
+    {
+      const metrics::ScopedWall fill_scope(fresh >= kTimedRefillDraws ? refill_timer_
+                                                                      : nullptr);
+      rng.fill_floats(std::span<float>(buf_.data() + c.avail, fresh));
     }
     generated_ += fresh;
     return Cursor{buf_.data(), target};
@@ -347,7 +341,7 @@ class FloatDrawBuffer {
   std::vector<float> buf_;
   std::uint64_t generated_ = 0;
   std::uint64_t start_ = 0;
-  profiler::WallTimer* refill_timer_ = nullptr;
+  metrics::Histogram* refill_timer_ = nullptr;
 };
 
 }  // namespace eim::support

@@ -25,9 +25,9 @@
 
 namespace eim::support {
 
-namespace profiler {
-class WallTimer;
-}  // namespace profiler
+namespace metrics {
+class Histogram;
+}  // namespace metrics
 
 class ThreadPool {
  public:
@@ -66,7 +66,7 @@ class ThreadPool {
   /// double-count every scope the callback itself is timed under. The
   /// serial fast path records nothing (there is no dispatch). Null by
   /// default: the check is one relaxed load per call.
-  void attach_dispatch_timer(profiler::WallTimer* timer) noexcept {
+  void attach_dispatch_timer(metrics::Histogram* timer) noexcept {
     dispatch_timer_.store(timer, std::memory_order_relaxed);
   }
 
@@ -89,7 +89,7 @@ class ThreadPool {
   std::mutex done_mutex_;
   std::condition_variable done_cv_;
 
-  std::atomic<profiler::WallTimer*> dispatch_timer_{nullptr};
+  std::atomic<metrics::Histogram*> dispatch_timer_{nullptr};
 };
 
 }  // namespace eim::support

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "eim/support/profiler.hpp"
-
 namespace eim::support::metrics {
 
 namespace {
@@ -58,6 +56,10 @@ PhaseTimer& MetricsRegistry::phase(std::string_view name) {
   return lookup(mu_, phases_, name);
 }
 
+Histogram& MetricsRegistry::wall_timer(std::string_view name) {
+  return lookup(mu_, wall_timers_, name);
+}
+
 void MetricsRegistry::write_json(JsonWriter& w) const {
   std::lock_guard<std::mutex> lock(mu_);
   w.begin_object();
@@ -98,6 +100,21 @@ void MetricsRegistry::write_json(JsonWriter& w) const {
         .end_object();
   }
   w.end_array();
+  w.end_object();
+}
+
+void MetricsRegistry::write_wall_json(JsonWriter& w) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  w.begin_object();
+  for (const auto& [name, h] : wall_timers_) {
+    w.key(name).begin_object();
+    w.field("entries", h->count())
+        .field("total_seconds", static_cast<double>(h->sum()) * 1e-9)
+        .field("p50_ns", h->quantile(0.5))
+        .field("p95_ns", h->quantile(0.95))
+        .field("max_ns", h->max_value());
+    w.end_object();
+  }
   w.end_object();
 }
 
@@ -164,10 +181,10 @@ void RunReport::write_json(std::ostream& out) const {
     w.null();
   }
   // v3 addition: host wall-clock attribution for the instrumented hot
-  // scopes; null when the run was not profiled.
+  // scopes; null when no registry was attached.
   w.key("wall");
-  if (wall != nullptr) {
-    wall->write_json(w);
+  if (metrics != nullptr) {
+    metrics->write_wall_json(w);
   } else {
     w.null();
   }

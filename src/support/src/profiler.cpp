@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -18,38 +19,6 @@
 #endif
 
 namespace eim::support::profiler {
-
-// ---------------------------------------------------------------------------
-// WallProfile
-
-WallTimer& WallProfile::timer(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = timers_.find(name);
-  if (it == timers_.end()) {
-    it = timers_.emplace(std::string(name), std::make_unique<WallTimer>()).first;
-  }
-  return *it->second;
-}
-
-void WallProfile::write_json(JsonWriter& w) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  w.begin_object();
-  for (const auto& [name, timer] : timers_) {
-    const metrics::Histogram& h = timer->histogram();
-    w.key(name);
-    w.begin_object();
-    w.field("entries", h.count());
-    w.field("total_seconds", static_cast<double>(h.sum()) * 1e-9);
-    w.field("p50_ns", h.quantile(0.5));
-    w.field("p95_ns", h.quantile(0.95));
-    w.field("max_ns", h.max_value());
-    w.end_object();
-  }
-  w.end_object();
-}
-
-// ---------------------------------------------------------------------------
-// SamplingProfiler
 
 #if EIM_PROFILER_SUPPORTED
 

@@ -5,7 +5,7 @@
 
 #include "eim/support/bits.hpp"
 #include "eim/support/error.hpp"
-#include "eim/support/profiler.hpp"
+#include "eim/support/metrics.hpp"
 
 namespace eim::support {
 
@@ -112,7 +112,7 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
     // The dispatch timer covers only the fan-out (queue handoff and wake);
     // the drained body work belongs to whatever scope the caller is
     // already timing.
-    const profiler::ScopedWallTimer dispatch(
+    const metrics::ScopedWall dispatch(
         dispatch_timer_.load(std::memory_order_relaxed));
     {
       const std::lock_guard lock(mutex_);

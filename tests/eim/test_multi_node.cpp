@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <map>
+#include <sstream>
 #include <string>
 #include <utility>
 
@@ -20,6 +21,7 @@
 #include "eim/graph/generators.hpp"
 #include "eim/graph/weights.hpp"
 #include "eim/support/error.hpp"
+#include "eim/support/json.hpp"
 #include "eim/support/metrics.hpp"
 #include "eim/support/trace.hpp"
 
@@ -689,6 +691,51 @@ TEST(ClusterCheckpoint, ResumeAfterNodeLossStillMatches) {
       run_eim_cluster(cluster, g, DiffusionModel::IndependentCascade, params, options);
   expect_same_answer(reference, resumed);
   EXPECT_EQ(resumed.failed_domains, std::vector<std::uint32_t>{3u});
+}
+
+// Wall timers record whenever a registry is attached, with no sampling
+// profiler armed. They read only the host clock, so the modeled answer is
+// the one the same run gives without a registry.
+TEST(RegistryWall, RecordsWithoutAProfilerAndLeavesTheModeledAnswer) {
+  // Supercritical (mean in-degree 10, p = 0.2), so reverse cascades grow
+  // wide enough that some refills draw 2048+ floats and are timed.
+  Graph g = Graph::from_edge_list(graph::erdos_renyi(2000, 20000, 11));
+  graph::assign_weights(g, DiffusionModel::IndependentCascade,
+                        {.scheme = graph::WeightScheme::UniformConstant, .value = 0.2f});
+  const auto check = [&](const char* topology, auto&& run) {
+    const EimResult plain = run(nullptr);
+    support::metrics::MetricsRegistry registry;
+    const EimResult timed = run(&registry);
+    EXPECT_EQ(timed.seeds, plain.seeds) << topology;
+    EXPECT_EQ(timed.num_sets, plain.num_sets) << topology;
+    EXPECT_EQ(timed.device_seconds, plain.device_seconds) << topology;
+
+    support::metrics::RunReport report;
+    report.metrics = &registry;
+    std::ostringstream out;
+    report.write_json(out);
+    const support::JsonValue doc = support::parse_json(out.str());
+    const support::JsonValue& wall = doc.at("wall");
+    for (const char* name : {"sampler.wave", "rng.refill", "codec.decode",
+                             "selector.preprocess", "selector.pick"}) {
+      const support::JsonValue* timer = wall.find(name);
+      ASSERT_NE(timer, nullptr) << topology << ": no " << name << " in " << out.str();
+      EXPECT_GT(timer->at("entries").as_int(), 0) << topology << ": " << name;
+    }
+  };
+  check("one device", [&](support::metrics::MetricsRegistry* metrics) {
+    gpusim::Device device(gpusim::make_benchmark_device(256));
+    EimOptions options;
+    options.metrics = metrics;
+    return run_eim(device, g, DiffusionModel::IndependentCascade, make_params(), options);
+  });
+  check("2x2 cluster", [&](support::metrics::MetricsRegistry* metrics) {
+    gpusim::Cluster cluster = make_cluster(2, 2);
+    EimOptions options;
+    options.metrics = metrics;
+    return run_eim_cluster(cluster, g, DiffusionModel::IndependentCascade, make_params(),
+                           options);
+  });
 }
 
 }  // namespace

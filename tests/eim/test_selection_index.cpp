@@ -124,7 +124,7 @@ TEST(SelectionIndex, StepwiseExtendMatchesOneShotBuild) {
 
     SelectionIndex whole(n);
     support::metrics::MetricsRegistry one_shot;
-    whole.extend(source, num_sets, &one_shot, nullptr);
+    whole.extend(source, num_sets, &one_shot);
 
     // 1-5 steps, with repeated targets standing for select calls that saw
     // no new sets.
@@ -140,7 +140,7 @@ TEST(SelectionIndex, StepwiseExtendMatchesOneShotBuild) {
     std::size_t non_empty = 0;
     std::uint64_t at = 0;
     for (const std::uint64_t target : targets) {
-      stepwise.extend(source, target, &stepped, nullptr);
+      stepwise.extend(source, target, &stepped);
       non_empty += target > at ? 1 : 0;
       at = target;
       ASSERT_EQ(stepwise.num_sets(), target);
@@ -173,8 +173,8 @@ TEST(SelectionIndex, LargeSegmentsMatchTheSerialGreedy) {
   source.spilled_flags.assign(source.sets.size(), false);
 
   SelectionIndex index(2000);
-  index.extend(source, 12000, nullptr, nullptr);
-  index.extend(source, 30000, nullptr, nullptr);
+  index.extend(source, 12000, nullptr);
+  index.extend(source, 30000, nullptr);
   ASSERT_EQ(index.segments().size(), 2u);
   ASSERT_GE(index.segments()[0].flat.size(), 65536u);
   RecordingPricer pricer;
@@ -190,15 +190,15 @@ TEST(SelectionIndex, ReStreamsTheSpilledPrefixInAscendingOrder) {
   for (const std::uint64_t i : {2u, 5u, 11u, 25u, 31u}) source.spilled_flags[i] = true;
 
   SelectionIndex index(30);
-  index.extend(source, 20, nullptr, nullptr);
+  index.extend(source, 20, nullptr);
   EXPECT_EQ(source.spilled_reads, (std::vector<std::uint64_t>{2, 5, 11}));
   source.spilled_reads.clear();
   // Each later call re-reads the indexed prefix's spilled sets, then
   // decodes the new ones in order — the order a full re-read had.
-  index.extend(source, 40, nullptr, nullptr);
+  index.extend(source, 40, nullptr);
   EXPECT_EQ(source.spilled_reads, (std::vector<std::uint64_t>{2, 5, 11, 25, 31}));
   source.spilled_reads.clear();
-  index.extend(source, 40, nullptr, nullptr);
+  index.extend(source, 40, nullptr);
   EXPECT_EQ(source.spilled_reads, (std::vector<std::uint64_t>{2, 5, 11, 25, 31}));
   EXPECT_EQ(index.segments().size(), 2u);
 }
@@ -209,21 +209,21 @@ TEST(SelectionIndex, FailedExtendLeavesTheIndexedPrefix) {
   source.spilled_flags[50] = true;
   source.spilled_flags[250] = true;
   SelectionIndex whole(40);
-  whole.extend(source, 300, nullptr, nullptr);
+  whole.extend(source, 300, nullptr);
 
   SelectionIndex index(40);
-  index.extend(source, 100, nullptr, nullptr);
+  index.extend(source, 100, nullptr);
   // A spilled set of the old prefix, then one of the new range, fails.
   for (const std::uint64_t failing : {50u, 250u}) {
     source.fail_at = failing;
     support::metrics::MetricsRegistry metrics;
-    EXPECT_THROW(index.extend(source, 300, &metrics, nullptr), std::runtime_error);
+    EXPECT_THROW(index.extend(source, 300, &metrics), std::runtime_error);
     EXPECT_EQ(index.num_sets(), 100u);
     EXPECT_EQ(index.lengths().size(), 100u);
     ASSERT_EQ(index.segments().size(), 1u);
     EXPECT_EQ(metrics.counter("selector.elements_decoded").value(), 0u);
   }
-  index.extend(source, 300, nullptr, nullptr);
+  index.extend(source, 300, nullptr);
   expect_same_selection(select(index, 6, ArgMaxMode::kLazyHeap),
                         select(whole, 6, ArgMaxMode::kLazyHeap));
 }
@@ -232,10 +232,10 @@ TEST(SelectionIndex, TruncationBelowThePrefixRebuildsFromSetZero) {
   std::mt19937_64 rng(3);
   const VectorSource source = random_collection(rng, 25, 200);
   SelectionIndex index(25);
-  index.extend(source, 150, nullptr, nullptr);
-  index.extend(source, 90, nullptr, nullptr);
+  index.extend(source, 150, nullptr);
+  index.extend(source, 90, nullptr);
   SelectionIndex expected(25);
-  expected.extend(source, 90, nullptr, nullptr);
+  expected.extend(source, 90, nullptr);
   EXPECT_EQ(index.num_sets(), 90u);
   expect_same_selection(select(index, 5, ArgMaxMode::kLazyHeap),
                         select(expected, 5, ArgMaxMode::kLazyHeap));

@@ -18,7 +18,6 @@
 #include "eim/gpusim/device.hpp"
 #include "eim/support/error.hpp"
 #include "eim/support/metrics.hpp"
-#include "eim/support/profiler.hpp"
 
 namespace eim::eim_impl {
 namespace {
@@ -342,6 +341,8 @@ TEST(TieredStore, DiskBitFlipWithoutHookIsFatal) {
   opts.host_budget_bytes = 1;  // every block lands on disk
   opts.sets_per_block = 4;
   TieredRrrStore store(device, opts);
+  support::metrics::MetricsRegistry registry;
+  store.attach_metrics(&registry);
 
   const std::vector<std::uint32_t> lens = {3, 2};
   const std::vector<VertexId> values = {1, 5, 9, 2, 4};
@@ -366,7 +367,8 @@ TEST(TieredStore, DiskBitFlipWithoutHookIsFatal) {
 
   std::vector<VertexId> out(3);
   EXPECT_THROW(store.fetch(0, out), support::IoError);
-  EXPECT_EQ(store.stats().corrupt_blocks, 0u);  // no hook: nothing quarantined
+  // No hook: nothing quarantined.
+  EXPECT_EQ(registry.counter("spill.corrupt_blocks").value(), 0u);
 }
 
 TEST(TieredStore, DiskBitFlipWithHookQuarantinesAndRecovers) {
@@ -375,6 +377,8 @@ TEST(TieredStore, DiskBitFlipWithHookQuarantinesAndRecovers) {
   opts.host_budget_bytes = 1;
   opts.sets_per_block = 4;
   TieredRrrStore store(device, opts);
+  support::metrics::MetricsRegistry registry;
+  store.attach_metrics(&registry);
 
   const std::vector<std::uint32_t> lens = {3, 2};
   const std::vector<VertexId> values = {1, 5, 9, 2, 4};
@@ -403,8 +407,8 @@ TEST(TieredStore, DiskBitFlipWithHookQuarantinesAndRecovers) {
   store.fetch(1, b);
   EXPECT_EQ(a, (std::vector<VertexId>{1, 5, 9}));
   EXPECT_EQ(b, (std::vector<VertexId>{2, 4}));
-  EXPECT_EQ(store.stats().corrupt_blocks, 1u);
-  EXPECT_EQ(store.stats().resampled_sets, 2u);
+  EXPECT_EQ(registry.counter("spill.corrupt_blocks").value(), 1u);
+  EXPECT_EQ(registry.counter("spill.resampled_sets").value(), 2u);
 }
 
 TEST(TieredStore, FetchFindsEverySlotAcrossBlocksAndSpillCalls) {
@@ -465,13 +469,13 @@ TEST(TieredStore, FetchPastTheSpilledPrefixIsRefused) {
   EXPECT_THROW(store.fetch(2, out), support::Error);
 }
 
-TEST(TieredStore, ProfileTimesEveryStage) {
+TEST(TieredStore, MetricsTimeEveryStage) {
   gpusim::Device device(gpusim::make_benchmark_device(64));
   TieredStoreOptions opts;
   opts.host_budget_bytes = 1;  // every block goes through the disk tier
   TieredRrrStore store(device, opts);
-  support::profiler::WallProfile profile;
-  store.attach_profile(&profile);
+  support::metrics::MetricsRegistry registry;
+  store.attach_metrics(&registry);
 
   const std::vector<std::uint32_t> lens = {3, 2};
   const std::vector<VertexId> values = {1, 5, 9, 2, 4};
@@ -481,7 +485,7 @@ TEST(TieredStore, ProfileTimesEveryStage) {
 
   for (const char* stage :
        {"spill.encode", "spill.disk_write", "spill.disk_read", "spill.decode"}) {
-    EXPECT_EQ(profile.timer(stage).entries(), 1u) << stage;
+    EXPECT_EQ(registry.wall_timer(stage).count(), 1u) << stage;
   }
 }
 

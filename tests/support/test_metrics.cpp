@@ -2,11 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "eim/support/json.hpp"
-#include "eim/support/profiler.hpp"
 #include "eim/support/thread_pool.hpp"
 
 namespace eim::support::metrics {
@@ -280,6 +281,90 @@ TEST(ScopedPhase, AddsOneEntryWithNonNegativeWall) {
   EXPECT_GE(t.wall_seconds(), 0.0);
 }
 
+TEST(ScopedWall, NullTimerIsInert) {
+  // The detached path must not crash — and is the permanent hot-path cost.
+  const ScopedWall scope(nullptr);
+}
+
+TEST(ScopedWall, RecordsOneEntryPerScope) {
+  Histogram timer;
+  {
+    const ScopedWall scope(&timer);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(timer.count(), 1u);
+  // steady_clock across a 1 ms sleep, in whole nanoseconds: at least that
+  // long, finite.
+  EXPECT_GE(timer.sum(), 500'000u);
+  EXPECT_LT(timer.sum(), 10'000'000'000u);
+}
+
+TEST(MetricsRegistry, WallInstrumentsAreTheirOwnNamespace) {
+  MetricsRegistry reg;
+  Histogram& a = reg.wall_timer("sampler.wave");
+  EXPECT_EQ(&a, &reg.wall_timer("sampler.wave"));
+  EXPECT_NE(&a, &reg.wall_timer("rng.refill"));
+  // A modeled histogram of the same name is a different instrument.
+  EXPECT_NE(&a, &reg.histogram("sampler.wave"));
+}
+
+TEST(MetricsRegistry, WallHandlesStayValidAcrossInsertionsAndConcurrentRecords) {
+  MetricsRegistry reg;
+  Histogram& early = reg.wall_timer("early");
+  for (int i = 0; i < 100; ++i) (void)reg.wall_timer("filler-" + std::to_string(i));
+  early.observe(7);
+  EXPECT_EQ(reg.wall_timer("early").count(), 1u);
+
+  // Lookups race with records from pool workers; the histogram is atomic
+  // and the map only ever grows under the registry mutex.
+  ThreadPool pool(4);
+  pool.parallel_for(0, 4000, [&reg](std::size_t i) {
+    reg.wall_timer(i % 2 == 0 ? "even" : "odd").observe(i);
+  });
+  EXPECT_EQ(reg.wall_timer("even").count() + reg.wall_timer("odd").count(), 4000u);
+}
+
+TEST(MetricsRegistry, WriteWallJsonSortsTimersAndCarriesPercentiles) {
+  MetricsRegistry reg;
+  reg.wall_timer("zz.last").observe(10);
+  reg.wall_timer("aa.first").observe(20);
+  reg.wall_timer("aa.first").observe(40);
+
+  std::ostringstream out;
+  JsonWriter w(out);
+  reg.write_wall_json(w);
+  const std::string json = out.str();
+
+  const auto first = json.find("\"aa.first\":{");
+  const auto last = json.find("\"zz.last\":{");
+  ASSERT_NE(first, std::string::npos) << json;
+  ASSERT_NE(last, std::string::npos) << json;
+  EXPECT_LT(first, last);
+  EXPECT_NE(json.find("\"entries\":2"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"p50_ns\":"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"p95_ns\":"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"max_ns\":40"), std::string::npos) << json;
+
+  // The section must parse as standalone JSON.
+  const JsonValue doc = parse_json(json);
+  EXPECT_TRUE(doc.is_object());
+  EXPECT_DOUBLE_EQ(doc.at("aa.first").at("total_seconds").as_double(), 60e-9);
+}
+
+TEST(MetricsRegistry, WallInstrumentsStayOutOfWriteJson) {
+  // Checkpoint snapshots and bench-cell metrics objects are write_json
+  // output: host wall timers must not leak into them.
+  MetricsRegistry reg;
+  reg.counter("sampler.waves").add();
+  reg.wall_timer("sampler.wave").observe(1000);
+  std::ostringstream out;
+  JsonWriter w(out);
+  reg.write_json(w);
+  EXPECT_EQ(out.str().find("sampler.wave\""), std::string::npos) << out.str();
+  const JsonValue doc = parse_json(out.str());
+  EXPECT_EQ(doc.members().size(), 4u);  // counters, gauges, histograms, phases
+}
+
 TEST(RunReport, WritesSchemaEnvelope) {
   MetricsRegistry reg;
   reg.counter("rrr.commit_rejects").add(5);
@@ -304,8 +389,8 @@ TEST(RunReport, WritesSchemaEnvelope) {
   EXPECT_NE(json.find("\"graph\":\"wiki-Vote\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"k\":25"), std::string::npos) << json;
   EXPECT_NE(json.find("\"rrr.commit_rejects\":5"), std::string::npos) << json;
-  // v3 adds the wall section; without an attached profile it is null.
-  EXPECT_NE(json.find("\"wall\":null"), std::string::npos) << json;
+  // v3 adds the wall section: the registry's wall timers, here none.
+  EXPECT_NE(json.find("\"wall\":{}"), std::string::npos) << json;
 }
 
 TEST(RunReport, NullRegistrySerializesAsNull) {
@@ -314,17 +399,18 @@ TEST(RunReport, NullRegistrySerializesAsNull) {
   std::ostringstream out;
   report.write_json(out);
   EXPECT_NE(out.str().find("\"metrics\":null"), std::string::npos) << out.str();
+  EXPECT_NE(out.str().find("\"wall\":null"), std::string::npos) << out.str();
 }
 
-TEST(RunReport, AttachedWallProfileSerializesUnderWallKey) {
-  profiler::WallProfile profile;
-  profile.timer("sampler.wave").record_ns(1000);
-  profile.timer("sampler.wave").record_ns(3000);
-  profile.timer("rng.refill").record_ns(500);
+TEST(RunReport, RegistryWallSectionSerializesUnderWallKey) {
+  MetricsRegistry reg;
+  reg.wall_timer("sampler.wave").observe(1000);
+  reg.wall_timer("sampler.wave").observe(3000);
+  reg.wall_timer("rng.refill").observe(500);
 
   RunReport report;
   report.tool = "test";
-  report.wall = &profile;
+  report.metrics = &reg;
   std::ostringstream out;
   report.write_json(out);
   const std::string json = out.str();

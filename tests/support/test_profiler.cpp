@@ -2,95 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <sstream>
 #include <string>
-#include <thread>
-#include <vector>
-
-#include "eim/support/json.hpp"
-#include "eim/support/thread_pool.hpp"
 
 namespace eim::support::profiler {
 namespace {
-
-TEST(WallTimer, AggregatesEntriesAndSeconds) {
-  WallTimer t;
-  t.record_ns(1'000'000);  // 1 ms
-  t.record_ns(2'000'000);
-  EXPECT_EQ(t.entries(), 2u);
-  EXPECT_DOUBLE_EQ(t.total_seconds(), 3e-3);
-  EXPECT_EQ(t.histogram().max_value(), 2'000'000u);
-}
-
-TEST(ScopedWallTimer, NullTimerIsInert) {
-  // The disabled path must not crash — and is the permanent hot-path cost.
-  const ScopedWallTimer scope(nullptr);
-}
-
-TEST(ScopedWallTimer, RecordsOneEntryPerScope) {
-  WallTimer t;
-  {
-    const ScopedWallTimer scope(&t);
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(t.entries(), 1u);
-  // steady_clock across a 1 ms sleep: at least that long, finite.
-  EXPECT_GE(t.total_seconds(), 0.5e-3);
-  EXPECT_LT(t.total_seconds(), 10.0);
-}
-
-TEST(WallProfile, SameNameYieldsSameTimer) {
-  WallProfile p;
-  WallTimer& a = p.timer("sampler.wave");
-  WallTimer& b = p.timer("sampler.wave");
-  EXPECT_EQ(&a, &b);
-  EXPECT_NE(&a, &p.timer("rng.refill"));
-}
-
-TEST(WallProfile, HandlesStayValidAcrossInsertionsAndConcurrentRecords) {
-  WallProfile p;
-  WallTimer& early = p.timer("early");
-  for (int i = 0; i < 100; ++i) p.timer("filler-" + std::to_string(i));
-  early.record_ns(7);
-  EXPECT_EQ(p.timer("early").entries(), 1u);
-
-  // Lookups race with records from pool workers; the histogram is atomic
-  // and the map only ever grows under its mutex.
-  ThreadPool pool(4);
-  pool.parallel_for(0, 4000, [&p](std::size_t i) {
-    p.timer(i % 2 == 0 ? "even" : "odd").record_ns(i);
-  });
-  EXPECT_EQ(p.timer("even").entries() + p.timer("odd").entries(), 4000u);
-}
-
-TEST(WallProfile, WriteJsonSortsTimersAndCarriesPercentiles) {
-  WallProfile p;
-  p.timer("zz.last").record_ns(10);
-  p.timer("aa.first").record_ns(20);
-  p.timer("aa.first").record_ns(40);
-
-  std::ostringstream out;
-  JsonWriter w(out);
-  p.write_json(w);
-  const std::string json = out.str();
-
-  const auto first = json.find("\"aa.first\":{");
-  const auto last = json.find("\"zz.last\":{");
-  ASSERT_NE(first, std::string::npos) << json;
-  ASSERT_NE(last, std::string::npos) << json;
-  EXPECT_LT(first, last);
-  EXPECT_NE(json.find("\"entries\":2"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"p50_ns\":"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"p95_ns\":"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"max_ns\":40"), std::string::npos) << json;
-
-  // The section must parse as standalone JSON.
-  const JsonValue doc = parse_json(json);
-  EXPECT_TRUE(doc.is_object());
-  EXPECT_DOUBLE_EQ(doc.at("aa.first").at("total_seconds").as_double(), 60e-9);
-}
 
 #if EIM_PROFILER_SUPPORTED
 

@@ -8,7 +8,7 @@
 #include <thread>
 #include <vector>
 
-#include "eim/support/profiler.hpp"
+#include "eim/support/metrics.hpp"
 
 namespace eim::support {
 namespace {
@@ -128,7 +128,7 @@ TEST(ThreadPool, WorkerSlotsAreDistinctWithinOneCall) {
 
 TEST(ThreadPool, DispatchTimerRecordsOnlyFannedOutCalls) {
   ThreadPool pool(4);
-  profiler::WallTimer timer;
+  metrics::Histogram timer;
   pool.attach_dispatch_timer(&timer);
   std::atomic<int> count{0};
   const auto body = [&](std::size_t) { ++count; };
@@ -136,16 +136,16 @@ TEST(ThreadPool, DispatchTimerRecordsOnlyFannedOutCalls) {
   pool.parallel_for(0, 64, body, /*grain=*/1000);  // one chunk: serial path
   pool.parallel_for(0, 1, body);                   // one item: serial path
   pool.parallel_for(0, 1000, body);                // adaptive grain, fans out
-  EXPECT_EQ(timer.entries(), 2u);
+  EXPECT_EQ(timer.count(), 2u);
 
   ThreadPool single(1);
   single.attach_dispatch_timer(&timer);
   single.parallel_for(0, 64, body, /*grain=*/1);   // one worker: serial path
-  EXPECT_EQ(timer.entries(), 2u);
+  EXPECT_EQ(timer.count(), 2u);
 
   pool.attach_dispatch_timer(nullptr);
   pool.parallel_for(0, 64, body, /*grain=*/1);
-  EXPECT_EQ(timer.entries(), 2u);
+  EXPECT_EQ(timer.count(), 2u);
   EXPECT_EQ(count.load(), 64 + 64 + 1 + 1000 + 64 + 64);
 }
 

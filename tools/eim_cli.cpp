@@ -168,8 +168,7 @@ void print_usage() {
       "  --profile-out <path|->  sample host wall-clock stacks during the\n"
       "                       run and write a folded-stack profile ('-' =\n"
       "                       stdout; feed to tools/prof_report or a flame\n"
-      "                       graph; also enables the metrics `wall`\n"
-      "                       section; writes a '# profiler-unsupported'\n"
+      "                       graph; writes a '# profiler-unsupported'\n"
       "                       marker on platforms without backtrace())\n"
       "  --profile-hz <n>     sampling frequency for --profile-out\n"
       "                       (default 97; prime avoids phase lock)\n"
@@ -475,16 +474,12 @@ int main(int argc, char** argv) {
   support::trace::TraceRecorder recorder;
   support::trace::TraceRecorder* trace =
       opt.trace_out.empty() ? nullptr : &recorder;
-  // --profile-out arms both profiler instruments for the run: the wall
-  // profile (hot-path scoped timers, lands in the metrics `wall` section)
-  // and the SIGPROF sampling profiler (folded stacks). Both are wall-only —
-  // the modeled results are bit-identical with or without them.
-  support::profiler::WallProfile wall_profile;
-  support::profiler::WallProfile* profile =
-      opt.profile_out.empty() ? nullptr : &wall_profile;
+  // --profile-out arms the SIGPROF sampling profiler (folded stacks). The
+  // hot-path wall timers record into the registry on every run. Both are
+  // wall-only — the modeled results are bit-identical with or without them.
   support::profiler::SamplingProfiler sampler_prof(
       {.hz = opt.profile_hz, .max_samples = std::size_t{1} << 15});
-  if (profile != nullptr && support::profiler::SamplingProfiler::supported()) {
+  if (!opt.profile_out.empty() && support::profiler::SamplingProfiler::supported()) {
     sampler_prof.start();
   }
   eim_impl::EimResult result;
@@ -517,11 +512,10 @@ int main(int argc, char** argv) {
     }
     options.metrics = &registry;
     options.trace = trace;
-    options.profile = profile;
     options.checkpoint_dir = checkpoint_dir;
     options.resume = ckpt.has_value() ? &*ckpt : nullptr;
     if (opt.algo == "serial") {
-      const auto serial = imm::run_imm_serial(g, opt.model, opt.params, profile);
+      const auto serial = imm::run_imm_serial(g, opt.model, opt.params, &registry);
       static_cast<imm::ImmResult&>(result) = serial;
     } else if (opt.algo == "eim" && opt.nodes > 0) {
       gpusim::ClusterSpec spec;
@@ -609,7 +603,6 @@ int main(int argc, char** argv) {
     report.k = opt.params.k;
     report.epsilon = opt.params.epsilon;
     report.metrics = &registry;
-    report.wall = profile;
     emit_artifact(opt.metrics_json, "metrics report",
                   [&](std::ostream& out) { report.write_json(out); });
   }
